@@ -8,7 +8,6 @@ instances.  The l2 machinery doubles as Euclidean projection onto a
 simplex.
 """
 
-from .kernels import BACKEND, HAVE_NUMBA
 from .oracles import (
     MAX_ACTIVE_SET_N,
     MAX_GRID_N,
@@ -57,10 +56,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Asset",
-    "BACKEND",
     "ContributionProblem",
     "FEAS_TOL",
-    "HAVE_NUMBA",
     "L1Case",
     "L1SolutionFamily",
     "L2Solution",

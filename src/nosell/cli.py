@@ -251,8 +251,6 @@ def run_rebalance_command(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if not math.isfinite(args.contribution) or args.contribution <= 0.0:
-            raise ValueError("--contribution must be a positive amount")
         if args.sample < 0:
             raise ValueError("--sample must be nonnegative")
         if args.sample and args.norm != "l1":

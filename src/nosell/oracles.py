@@ -14,7 +14,6 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from . import kernels
 from .solvers import FEAS_TOL, ContributionProblem, sum_tolerance
 
 #: Subset enumeration is 2^n; keep it under ~1M supports.
@@ -42,7 +41,7 @@ def iter_active_set_candidates(
 ) -> Iterator[Tuple[int, float, np.ndarray, bool]]:
     """Yield ``(mask, lam, candidate, feasible)`` for every nonempty support.
 
-    Pure-python reference used to validate the kernel scan and to drive
+    Pure-python reference used to validate the active-set scan and to drive
     KKT sweeps in tests.  For support S, ``lam = (sum_S d - budget)/|S|``
     and the candidate is ``d_i - lam`` on S (clamped at zero), 0 elsewhere.
     Feasible means ``min_S d - lam >= -FEAS_TOL``.
@@ -72,7 +71,7 @@ def active_set_l2_oracle(problem: ContributionProblem) -> OracleReport:
             f"active-set oracle limited to n <= {MAX_ACTIVE_SET_N}, got {problem.n}"
         )
     deltas = np.ascontiguousarray(problem.deltas)
-    best_mask, _ = kernels.active_set_scan(deltas, problem.budget, FEAS_TOL)
+    best_mask, _ = _active_set_scan(deltas, problem.budget, FEAS_TOL)
     examined = (1 << problem.n) - 1
     if best_mask == 0:
         # cannot happen: the full support is always feasible
@@ -126,8 +125,81 @@ def grid_l1_oracle(problem: ContributionProblem, resolution: int) -> OracleRepor
     if resolution < 1:
         raise ValueError("resolution must be a positive integer")
     deltas = np.ascontiguousarray(problem.deltas)
-    cells, _ = kernels.grid_l1_scan(deltas, problem.budget, resolution)
+    cells, _ = _grid_l1_scan(deltas, problem.budget, resolution)
     candidate = cells * (problem.budget / resolution)
     objective = float(np.sum(np.abs(candidate - deltas)))
     examined = math.comb(resolution + problem.n - 1, problem.n - 1)
     return OracleReport(candidate, objective, examined, True)
+
+
+def _active_set_scan(deltas, budget, tol):
+    """Return ``(best_mask, best_objective)`` over all 2^n - 1 nonempty
+    support sets of the equality-constrained l2 problem.
+
+    For support S the stationary point is ``y_i = d_i - lam_S`` on S and 0
+    elsewhere, with ``lam_S = (sum_S d - budget) / |S|``.  It is feasible
+    when ``min_S d - lam_S >= -tol``.  The objective at the stationary
+    point collapses to ``|S| lam_S^2 + (sum d^2 - sum_S d^2)``, so the scan
+    never materializes candidate vectors.  The masks are walked in chunks,
+    each expanded into an (m, n) bit matrix so the per-support sums become
+    matrix products.
+    """
+    n = deltas.shape[0]
+    total_sq = float(np.dot(deltas, deltas))
+    sq = deltas * deltas
+    bit_positions = np.arange(n, dtype=np.int64)
+    best_mask = 0
+    best_obj = np.inf
+    chunk = 1 << 16
+    for start in range(1, 1 << n, chunk):
+        stop = min(start + chunk, 1 << n)
+        masks = np.arange(start, stop, dtype=np.int64)
+        bits = (masks[:, None] >> bit_positions[None, :]) & 1
+        on = bits.astype(bool)
+        count = bits.sum(axis=1)
+        s1 = bits @ deltas
+        s2 = bits @ sq
+        mn = np.where(on, deltas[None, :], np.inf).min(axis=1)
+        lam = (s1 - budget) / count
+        obj = count * lam * lam + (total_sq - s2)
+        obj = np.where(mn - lam >= -tol, obj, np.inf)
+        j = int(np.argmin(obj))
+        if obj[j] < best_obj:
+            best_obj = float(obj[j])
+            best_mask = int(masks[j])
+    return best_mask, best_obj
+
+
+def _grid_l1_scan(deltas, budget, resolution):
+    """Return ``(best_cells, best_objective)`` over every composition of
+    ``resolution`` grid cells into n parts, for the l1 objective
+    ``sum |c_i * step - d_i|`` with ``step = budget / resolution``.
+
+    Literal enumeration does not vectorize well, so this solves the same
+    minimization by dynamic programming over prefix budgets: ``f_j[r]`` is
+    the best cost of the first j parts using exactly r cells.  The minimum
+    (and a minimizing composition, recovered by backtracking) coincides
+    with the enumerated one; tie-breaking between equal-cost compositions
+    may differ.
+    """
+    n = deltas.shape[0]
+    step = budget / resolution
+    cells = np.arange(resolution + 1, dtype=np.int64)
+    unit = np.abs(cells[None, :] * step - deltas[:, None])
+    f = unit[0].copy()
+    choices = np.empty((n - 1, resolution + 1), dtype=np.int64) if n > 1 else None
+    shifted = cells[:, None] - cells[None, :]
+    valid = shifted >= 0
+    safe = np.where(valid, shifted, 0)
+    for j in range(1, n):
+        table = np.where(valid, f[safe] + unit[j][None, :], np.inf)
+        choices[j - 1] = np.argmin(table, axis=1)
+        f = table[cells, choices[j - 1]]
+    best = np.zeros(n, dtype=np.int64)
+    r = resolution
+    for j in range(n - 1, 0, -1):
+        c = int(choices[j - 1][r])
+        best[j] = c
+        r -= c
+    best[0] = r
+    return best, float(f[resolution])

@@ -20,6 +20,7 @@ from .solvers import (
     L2Solution,
     Norm,
     _as_norm,
+    _check_budget,
     solve_l1,
     solve_l2,
     sum_tolerance,
@@ -181,10 +182,3 @@ def round_to_cents(adjustments, budget: float) -> np.ndarray:
         order = np.lexsort((np.arange(adj.size), -remainders))
         floors[order[:leftover]] += 1
     return floors
-
-
-def _check_budget(budget: float) -> float:
-    budget = float(budget)
-    if not math.isfinite(budget) or budget <= 0.0:
-        raise ValueError("budget must be a positive finite number")
-    return budget

@@ -25,8 +25,6 @@ from typing import Optional, Union
 
 import numpy as np
 
-from . import kernels
-
 #: Absolute tolerance for feasibility checks (nonnegativity, stationarity).
 FEAS_TOL = 1e-9
 
@@ -50,6 +48,13 @@ def _as_norm(norm: Union[Norm, str]) -> Norm:
     if isinstance(norm, Norm):
         return norm
     return Norm(str(norm).lower())
+
+
+def _check_budget(budget: float) -> float:
+    budget = float(budget)
+    if not math.isfinite(budget) or budget <= 0.0:
+        raise ValueError("budget must be a positive finite number")
+    return budget
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -79,11 +84,8 @@ class ContributionProblem:
             raise ValueError("deltas must be non-empty")
         if not np.all(np.isfinite(arr)):
             raise ValueError("deltas must be finite")
-        budget = float(self.budget)
-        if not math.isfinite(budget) or budget <= 0.0:
-            raise ValueError("budget must be a positive finite number")
         object.__setattr__(self, "deltas", _frozen(arr))
-        object.__setattr__(self, "budget", budget)
+        object.__setattr__(self, "budget", _check_budget(self.budget))
 
     @property
     def n(self) -> int:
@@ -107,18 +109,14 @@ class L2Solution:
     ``adjustments`` is in the original input order.  ``active_count`` is
     the number of assets that receive money, ``threshold`` the water level
     ``lam``: every funded asset ends exactly ``lam`` short of its ideal.
-    ``sort_permutation`` maps sorted-descending positions to original
-    indices (stable for ties).
     """
 
     adjustments: np.ndarray
     threshold: float
     active_count: int
-    sort_permutation: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "adjustments", _frozen(np.asarray(self.adjustments, dtype=np.float64)))
-        object.__setattr__(self, "sort_permutation", _frozen(np.asarray(self.sort_permutation, dtype=np.int64)))
 
 
 @dataclass(frozen=True)
@@ -153,22 +151,38 @@ class L1SolutionFamily:
 def solve_l2(problem: ContributionProblem) -> L2Solution:
     """Solve the l2 problem in closed form.
 
-    Sorts deltas descending (stable), scans for the active prefix length
-    k* = max{k : sum_{i<=k}(d_i - d_k) < budget}, sets
-    lam = (sum_{i<=k*} d_i - budget) / k*, and returns
-    ``adjustments_i = max(deltas_i - lam, 0)`` in original order.
+    Sorts the deltas descending and works in shifted coordinates
+    ``e_i = max(deltas) - d_i``.  Every term the scan sums is then a gap
+    between two deltas rather than a delta, so large, nearly equal deltas
+    do not cancel away a small budget.  With ``E_k`` the sum of the k
+    smallest gaps,
+
+        k*  = max{k : k e_k - E_k < budget}     (strict inequality)
+        t   = (E_{k*} + budget) / k*
+        a_i = max(t - e_i, 0)                   (in original order)
+        lam = max(deltas) - t
+
+    which is the water-filling rule ``a_i = max(d_i - lam, 0)`` with
+    k* = max{k : sum_{i<=k}(d_i - d_k) < budget}.
 
     O(n log n) time, dominated by the sort.
     """
-    order = np.argsort(-problem.deltas, kind="stable")
-    sorted_desc = np.ascontiguousarray(problem.deltas[order])
-    k_star, lam = kernels.threshold_scan(sorted_desc, problem.budget)
-    adjustments = np.maximum(problem.deltas - lam, 0.0)
+    ascending = np.sort(problem.deltas)
+    d_max = ascending[-1]
+    gaps = d_max - ascending[::-1]
+    gap_sums = np.cumsum(gaps)
+    lhs = np.arange(1, problem.n + 1, dtype=np.float64)
+    lhs *= gaps
+    lhs -= gap_sums
+    # lhs is non-decreasing in exact arithmetic; take the last qualifying
+    # index rather than counting, in case rounding breaks that order
+    k_star = int(np.flatnonzero(lhs < problem.budget)[-1]) + 1
+    t = (float(gap_sums[k_star - 1]) + problem.budget) / k_star
+    adjustments = np.maximum(t - (d_max - problem.deltas), 0.0)
     return L2Solution(
         adjustments=adjustments,
-        threshold=float(lam),
-        active_count=int(k_star),
-        sort_permutation=order,
+        threshold=float(d_max) - t,
+        active_count=k_star,
     )
 
 

@@ -43,7 +43,7 @@ def instances():
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # pull any jit compilation out of the timed sections
+    # pull first-call costs (imports, numpy dispatch setup) out of the timed sections
     problem = ns.ContributionProblem([3.0, 1.0, -2.0], 2.0)
     ns.solve_l2(problem)
     ns.active_set_l2_oracle(problem)

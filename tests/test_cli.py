@@ -206,9 +206,10 @@ def test_rebalance_at_target_adjustments_proportional(tmp_path, capsys):
 
 
 def test_rebalance_exit_codes(golden_file, tmp_path, capsys):
-    # negative contribution
-    assert run_rebalance_command(["--input", golden_file, "--contribution", "-5"]) == 2
-    assert "positive" in capsys.readouterr().err
+    # negative, zero and nan contributions
+    for bad in ("-5", "0", "nan"):
+        assert run_rebalance_command(["--input", golden_file, "--contribution", bad]) == 2
+        assert "positive" in capsys.readouterr().err
     # missing file
     assert run_rebalance_command(["--input", str(tmp_path / "nope.csv"), "--contribution", "5"]) == 2
     capsys.readouterr()

@@ -1,15 +1,14 @@
-"""The jit-compiled loops and the vectorized numpy fallbacks must agree."""
-
-import os
-import subprocess
-import sys
+"""The vectorized numpy scans must agree with the pure-Python reference
+loops in ``reference_kernels``."""
 
 import numpy as np
 import pytest
 
-from nosell import kernels
+from nosell import ContributionProblem, solve_l2
+from nosell.oracles import _active_set_scan, _grid_l1_scan
 
 from helpers import MASTER_SEED
+from reference_kernels import active_set_scan_loop, grid_l1_scan_loop, threshold_scan_loop
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -21,43 +20,16 @@ def _random_case(rng, max_n=8):
     return deltas, budget
 
 
-def test_backend_dispatch():
-    assert kernels.BACKEND in ("numba", "numpy")
-    if kernels.HAVE_NUMBA:
-        assert kernels.threshold_scan is kernels.threshold_scan_jit
-        assert kernels.active_set_scan is kernels.active_set_scan_jit
-        assert kernels.grid_l1_scan is kernels.grid_l1_scan_jit
-    else:
-        assert kernels.threshold_scan is kernels.threshold_scan_numpy
-        assert kernels.active_set_scan is kernels.active_set_scan_numpy
-        assert kernels.grid_l1_scan is kernels.grid_l1_scan_numpy
-
-
-def test_env_flag_forces_numpy_backend():
-    env = dict(os.environ, NOSELL_NO_NUMBA="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import nosell; print(nosell.BACKEND)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    assert out.stdout.strip() == "numpy"
-
-
 def test_threshold_scan_pair_agreement():
     rng = np.random.default_rng(MASTER_SEED)
     for trial in range(300):
         deltas, budget = _random_case(rng)
         sorted_desc = np.ascontiguousarray(np.sort(deltas)[::-1])
-        k_loop, lam_loop = kernels.threshold_scan_loop(sorted_desc, budget)
-        k_np, lam_np = kernels.threshold_scan_numpy(sorted_desc, budget)
+        k_loop, lam_loop = threshold_scan_loop(sorted_desc, budget)
+        solution = solve_l2(ContributionProblem(deltas, budget))
         msg = f"seed={MASTER_SEED} trial={trial} deltas={deltas.tolist()} budget={budget!r}"
-        assert k_loop == k_np, msg
-        assert lam_loop == pytest.approx(lam_np, abs=1e-12), msg
-        dispatched = kernels.threshold_scan(sorted_desc, budget)
-        assert dispatched[0] == k_loop
-        assert dispatched[1] == pytest.approx(lam_loop, abs=1e-12)
+        assert solution.active_count == k_loop, msg
+        assert solution.threshold == pytest.approx(lam_loop, abs=1e-12), msg
 
 
 def test_threshold_scan_prefix_structure():
@@ -70,7 +42,7 @@ def test_threshold_scan_prefix_structure():
         ks = np.arange(1, deltas.size + 1)
         lhs = prefix - ks * sorted_desc
         assert np.all(np.diff(lhs) >= -1e-9)
-        k_star, _ = kernels.threshold_scan(sorted_desc, budget)
+        k_star = solve_l2(ContributionProblem(deltas, budget)).active_count
         assert bool(lhs[k_star - 1] < budget)
         if k_star < deltas.size:
             assert not bool(lhs[k_star] < budget)
@@ -80,8 +52,8 @@ def test_active_set_pair_agreement():
     rng = np.random.default_rng(MASTER_SEED + 2)
     for trial in range(300):
         deltas, budget = _random_case(rng)
-        m_loop, o_loop = kernels.active_set_scan_loop(deltas, budget, 1e-9)
-        m_np, o_np = kernels.active_set_scan_numpy(deltas, budget, 1e-9)
+        m_loop, o_loop = active_set_scan_loop(deltas, budget, 1e-9)
+        m_np, o_np = _active_set_scan(deltas, budget, 1e-9)
         msg = f"seed={MASTER_SEED + 2} trial={trial} deltas={deltas.tolist()} budget={budget!r}"
         assert m_loop == m_np, msg
         assert o_loop == pytest.approx(o_np, abs=1e-9), msg
@@ -89,8 +61,8 @@ def test_active_set_pair_agreement():
 
 def test_active_set_small_exact():
     deltas = np.array([3.0, 1.0, -2.0])
-    m1, o1 = kernels.active_set_scan_numpy(deltas, 2.0, 1e-9)
-    m2, o2 = kernels.active_set_scan_loop(deltas, 2.0, 1e-9)
+    m1, o1 = _active_set_scan(deltas, 2.0, 1e-9)
+    m2, o2 = active_set_scan_loop(deltas, 2.0, 1e-9)
     assert (m1, o1) == (m2, o2)
     # mask 1 (only the largest delta active) wins with objective 6
     assert m1 == 0b001
@@ -100,12 +72,10 @@ def test_active_set_small_exact():
 def test_active_set_numpy_chunk_boundary():
     # 17 assets -> 131071 masks -> more than one 2^16 chunk; the winning
     # support must match the closed-form solver
-    from nosell import ContributionProblem, solve_l2
-
     rng = np.random.default_rng(MASTER_SEED + 4)
     deltas = rng.uniform(-10.0, 10.0, 17)
     budget = 12.5
-    mask, _ = kernels.active_set_scan_numpy(deltas, budget, 1e-9)
+    mask, _ = _active_set_scan(deltas, budget, 1e-9)
     members = [i for i in range(17) if mask >> i & 1]
     lam = (float(np.sum(deltas[members])) - budget) / len(members)
     candidate = np.zeros(17)
@@ -119,8 +89,8 @@ def test_grid_pair_agreement():
     for trial in range(200):
         deltas, budget = _random_case(rng, max_n=4)
         resolution = int(rng.integers(1, 60))
-        c_loop, o_loop = kernels.grid_l1_scan_loop(deltas, budget, resolution)
-        c_np, o_np = kernels.grid_l1_scan_numpy(deltas, budget, resolution)
+        c_loop, o_loop = grid_l1_scan_loop(deltas, budget, resolution)
+        c_np, o_np = _grid_l1_scan(deltas, budget, resolution)
         msg = (
             f"seed={MASTER_SEED + 3} trial={trial} deltas={deltas.tolist()} "
             f"budget={budget!r} resolution={resolution}"
@@ -137,10 +107,10 @@ def test_grid_pair_agreement():
 
 
 def test_grid_single_asset():
-    cells, obj = kernels.grid_l1_scan_loop(np.array([4.0]), 2.0, 17)
+    cells, obj = grid_l1_scan_loop(np.array([4.0]), 2.0, 17)
     assert cells.tolist() == [17]
     assert obj == pytest.approx(2.0, abs=1e-12)
-    cells, obj = kernels.grid_l1_scan_numpy(np.array([4.0]), 2.0, 17)
+    cells, obj = _grid_l1_scan(np.array([4.0]), 2.0, 17)
     assert cells.tolist() == [17]
     assert obj == pytest.approx(2.0, abs=1e-12)
 
