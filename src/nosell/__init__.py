@@ -15,7 +15,6 @@ from .oracles import (
     active_set_l2_oracle,
     grid_l1_oracle,
     iter_active_set_candidates,
-    kkt_check_l2,
 )
 from .portfolio import (
     TARGET_SUM_TOL,
@@ -35,6 +34,7 @@ from .solvers import (
     Norm,
     ObjectiveValue,
     is_l1_optimal,
+    kkt_check_l2,
     l1_objective,
     l1_optimal_value,
     l2_objective,

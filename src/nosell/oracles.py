@@ -3,7 +3,9 @@
 These deliberately solve the same problems as :mod:`nosell.solvers` by
 exhaustive search, so the fast closed-form paths can be checked against an
 independent implementation.  Exponential or combinatorial cost is the
-point; both oracles refuse sizes where that stops being practical.
+point; both oracles refuse sizes where that stops being practical.  The
+l2 oracle is a plain Python loop over all 2^n - 1 supports at about 20
+microseconds each on a 2-vCPU x86 machine: 1 ms at n = 6, 1.2 s at n = 16.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from .solvers import FEAS_TOL, ContributionProblem, sum_tolerance
+from .solvers import FEAS_TOL, ContributionProblem
 
-#: Subset enumeration is 2^n; keep it under ~1M supports.
+#: Subset enumeration is 2^n supports; n = 20 takes about 20 s.
 MAX_ACTIVE_SET_N = 20
 #: Composition counts explode combinatorially in n.
 MAX_GRID_N = 4
@@ -41,8 +43,8 @@ def iter_active_set_candidates(
 ) -> Iterator[Tuple[int, float, np.ndarray, bool]]:
     """Yield ``(mask, lam, candidate, feasible)`` for every nonempty support.
 
-    Pure-python reference used to validate the active-set scan and to drive
-    KKT sweeps in tests.  For support S, ``lam = (sum_S d - budget)/|S|``
+    Pure-python enumeration behind :func:`active_set_l2_oracle`, also used
+    to drive KKT sweeps in tests.  For support S, ``lam = (sum_S d - budget)/|S|``
     and the candidate is ``d_i - lam`` on S (clamped at zero), 0 elsewhere.
     Feasible means ``min_S d - lam >= -FEAS_TOL``.
     """
@@ -63,48 +65,26 @@ def active_set_l2_oracle(problem: ContributionProblem) -> OracleReport:
 
     The full simplex {x >= 0, sum x = budget} is covered because the l2
     minimizer must be a stationary point of the equality-constrained
-    problem restricted to its own support.  Raises ValueError above
+    problem restricted to its own support.  The report holds the feasible
+    candidate of :func:`iter_active_set_candidates` with the smallest
+    objective, the first in mask order on ties.  The support made of the
+    largest delta alone is always feasible.  Raises ValueError above
     ``MAX_ACTIVE_SET_N`` assets.
     """
     if problem.n > MAX_ACTIVE_SET_N:
         raise ValueError(
             f"active-set oracle limited to n <= {MAX_ACTIVE_SET_N}, got {problem.n}"
         )
-    deltas = np.ascontiguousarray(problem.deltas)
-    best_mask, _ = _active_set_scan(deltas, problem.budget, FEAS_TOL)
-    examined = (1 << problem.n) - 1
-    if best_mask == 0:
-        # cannot happen: the full support is always feasible
-        return OracleReport(np.zeros(problem.n), math.inf, examined, False)
-    members = [i for i in range(problem.n) if best_mask >> i & 1]
-    lam = (float(np.sum(deltas[members])) - problem.budget) / len(members)
-    candidate = np.zeros(problem.n)
-    candidate[members] = np.maximum(deltas[members] - lam, 0.0)
-    diff = candidate - deltas
-    return OracleReport(candidate, float(np.dot(diff, diff)), examined, True)
-
-
-def kkt_check_l2(problem: ContributionProblem, candidate, threshold: float) -> bool:
-    """First-order optimality check for the l2 problem.
-
-    A feasible candidate is optimal iff, with lam = threshold,
-    every strictly positive entry sits exactly at ``deltas_i - lam`` and
-    every zero entry has ``deltas_i <= lam`` (dual feasibility), all
-    within FEAS_TOL.
-    """
-    cand = np.asarray(candidate, dtype=np.float64).reshape(-1)
-    if cand.size != problem.n:
-        raise ValueError("candidate length does not match problem size")
-    if not np.all(np.isfinite(cand)):
-        return False
-    if np.any(cand < -FEAS_TOL):
-        return False
-    if abs(float(np.sum(cand)) - problem.budget) > sum_tolerance(problem.budget):
-        return False
-    positive = cand > FEAS_TOL
-    if np.any(np.abs(cand[positive] - (problem.deltas[positive] - threshold)) > FEAS_TOL):
-        return False
-    return bool(np.all(problem.deltas[~positive] <= threshold + FEAS_TOL))
+    best_candidate = None
+    best_objective = math.inf
+    for _, _, candidate, feasible in iter_active_set_candidates(problem):
+        if not feasible:
+            continue
+        diff = candidate - problem.deltas
+        objective = float(np.dot(diff, diff))
+        if objective < best_objective:
+            best_candidate, best_objective = candidate, objective
+    return OracleReport(best_candidate, best_objective, (1 << problem.n) - 1, True)
 
 
 def grid_l1_oracle(problem: ContributionProblem, resolution: int) -> OracleReport:
@@ -130,44 +110,6 @@ def grid_l1_oracle(problem: ContributionProblem, resolution: int) -> OracleRepor
     objective = float(np.sum(np.abs(candidate - deltas)))
     examined = math.comb(resolution + problem.n - 1, problem.n - 1)
     return OracleReport(candidate, objective, examined, True)
-
-
-def _active_set_scan(deltas, budget, tol):
-    """Return ``(best_mask, best_objective)`` over all 2^n - 1 nonempty
-    support sets of the equality-constrained l2 problem.
-
-    For support S the stationary point is ``y_i = d_i - lam_S`` on S and 0
-    elsewhere, with ``lam_S = (sum_S d - budget) / |S|``.  It is feasible
-    when ``min_S d - lam_S >= -tol``.  The objective at the stationary
-    point collapses to ``|S| lam_S^2 + (sum d^2 - sum_S d^2)``, so the scan
-    never materializes candidate vectors.  The masks are walked in chunks,
-    each expanded into an (m, n) bit matrix so the per-support sums become
-    matrix products.
-    """
-    n = deltas.shape[0]
-    total_sq = float(np.dot(deltas, deltas))
-    sq = deltas * deltas
-    bit_positions = np.arange(n, dtype=np.int64)
-    best_mask = 0
-    best_obj = np.inf
-    chunk = 1 << 16
-    for start in range(1, 1 << n, chunk):
-        stop = min(start + chunk, 1 << n)
-        masks = np.arange(start, stop, dtype=np.int64)
-        bits = (masks[:, None] >> bit_positions[None, :]) & 1
-        on = bits.astype(bool)
-        count = bits.sum(axis=1)
-        s1 = bits @ deltas
-        s2 = bits @ sq
-        mn = np.where(on, deltas[None, :], np.inf).min(axis=1)
-        lam = (s1 - budget) / count
-        obj = count * lam * lam + (total_sq - s2)
-        obj = np.where(mn - lam >= -tol, obj, np.inf)
-        j = int(np.argmin(obj))
-        if obj[j] < best_obj:
-            best_obj = float(obj[j])
-            best_mask = int(masks[j])
-    return best_mask, best_obj
 
 
 def _grid_l1_scan(deltas, budget, resolution):

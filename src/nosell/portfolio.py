@@ -21,9 +21,9 @@ from .solvers import (
     Norm,
     _as_norm,
     _check_budget,
+    _check_plan,
     solve_l1,
     solve_l2,
-    sum_tolerance,
 )
 
 #: Target weights must sum to 1 within this tolerance.
@@ -125,9 +125,13 @@ def naive_adjustments(portfolio: Portfolio, budget: float) -> np.ndarray:
     delta_i = target_i * (total + budget) - value_i.  Negative entries
     mark assets already above their ideal share; the vector always sums
     to the budget (up to float rounding) because targets sum to 1.
+    Raises ValueError unless total + budget (the wealth to split) is positive.
     """
     budget = _check_budget(budget)
-    return portfolio.targets * (portfolio.total + budget) - portfolio.values
+    wealth = portfolio.total + budget
+    if not wealth > 0.0:
+        raise ValueError(f"portfolio total plus budget must be positive, got {wealth!r}")
+    return portfolio.targets * wealth - portfolio.values
 
 
 def rebalance(portfolio: Portfolio, budget: float, norm: Union[Norm, str] = Norm.L2) -> RebalancePlan:
@@ -137,10 +141,10 @@ def rebalance(portfolio: Portfolio, budget: float, norm: Union[Norm, str] = Norm
     water-filling allocation; l1 gives the particular member of the
     solution family (the full family travels along in ``solution``).
     """
-    budget = _check_budget(budget)
     norm = _as_norm(norm)
     naive = naive_adjustments(portfolio, budget)
     problem = ContributionProblem(naive, budget)
+    budget = problem.budget
     if norm is Norm.L2:
         solution: Union[L2Solution, L1SolutionFamily] = solve_l2(problem)
         adjustments = solution.adjustments
@@ -165,12 +169,13 @@ def round_to_cents(adjustments, budget: float) -> np.ndarray:
     Largest-remainder method: floor every entry to cents, then hand the
     leftover cents (total budget in cents minus the floored sum) to the
     entries with the largest fractional remainders, ties broken by index.
-    Requires the adjustments to sum to the budget within sum_tolerance.
+    Requires the adjustments to satisfy the buy-only plan rule: finite,
+    nonnegative within FEAS_TOL, and summing to the budget within
+    sum_tolerance.
     """
     adj = np.asarray(adjustments, dtype=np.float64).reshape(-1)
     budget = _check_budget(budget)
-    if abs(float(np.sum(adj)) - budget) > sum_tolerance(budget):
-        raise ValueError("adjustments do not sum to the budget")
+    _check_plan(adj, budget)
     cents = adj * 100.0
     floors = np.floor(cents).astype(np.int64)
     remainders = cents - floors

@@ -57,6 +57,27 @@ def _check_budget(budget: float) -> float:
     return budget
 
 
+def _plan_error(plan: np.ndarray, budget: float) -> Optional[str]:
+    """The buy-only plan rule: every entry finite, none below -FEAS_TOL, and
+    the sum within sum_tolerance(budget).  Returns why ``plan`` breaks it,
+    or None.  A NaN or infinite entry makes the sum non-finite.
+    """
+    total = float(plan.sum())
+    if not math.isfinite(total):
+        return "an entry or the sum is not finite"
+    if plan.size and plan.min() < -FEAS_TOL:
+        return "an entry is negative"
+    if abs(total - budget) > sum_tolerance(budget):
+        return f"the entries sum to {total!r}, not to the budget {budget!r}"
+    return None
+
+
+def _check_plan(plan: np.ndarray, budget: float) -> None:
+    reason = _plan_error(plan, budget)
+    if reason is not None:
+        raise ValueError(f"infeasible plan: {reason}")
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -165,7 +186,8 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
     which is the water-filling rule ``a_i = max(d_i - lam, 0)`` with
     k* = max{k : sum_{i<=k}(d_i - d_k) < budget}.
 
-    O(n log n) time, dominated by the sort.
+    O(n log n) time, dominated by the sort.  Raises ValueError rather
+    than return a plan that breaks the buy-only plan rule.
     """
     ascending = np.sort(problem.deltas)
     d_max = ascending[-1]
@@ -179,6 +201,7 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
     k_star = int(np.flatnonzero(lhs < problem.budget)[-1]) + 1
     t = (float(gap_sums[k_star - 1]) + problem.budget) / k_star
     adjustments = np.maximum(t - (d_max - problem.deltas), 0.0)
+    _check_plan(adjustments, problem.budget)
     return L2Solution(
         adjustments=adjustments,
         threshold=float(d_max) - t,
@@ -190,52 +213,62 @@ def solve_l1(problem: ContributionProblem) -> L1SolutionFamily:
     """Characterize the full l1 solution set.
 
     The case split compares the budget against the total positive
-    shortfall exactly; a budget equal to the total is a deficit.
+    shortfall exactly; a budget equal to the total is a deficit.  Raises
+    ValueError rather than return a particular member that breaks the
+    buy-only plan rule.
     """
     pos = problem.positive_parts()
     total_pos = float(np.sum(pos))
     if problem.budget > total_pos:
-        slack = problem.budget - total_pos
+        case, slack, scale = L1Case.SURPLUS, problem.budget - total_pos, None
         particular = pos + slack / problem.n
-        return L1SolutionFamily(
-            case=L1Case.SURPLUS,
-            particular=particular,
-            positive_parts=pos,
-            slack=slack,
-            scale=None,
-        )
-    scale = problem.budget / total_pos
+    else:
+        case, slack, scale = L1Case.DEFICIT, 0.0, problem.budget / total_pos
+        particular = scale * pos
+    _check_plan(particular, problem.budget)
     return L1SolutionFamily(
-        case=L1Case.DEFICIT,
-        particular=scale * pos,
-        positive_parts=pos,
-        slack=0.0,
-        scale=scale,
+        case=case, particular=particular, positive_parts=pos, slack=slack, scale=scale
     )
 
 
 def is_l1_optimal(problem: ContributionProblem, candidate) -> bool:
     """Membership test for the l1 solution set.
 
-    Checks feasibility (nonnegative within FEAS_TOL, budget within
-    sum_tolerance) plus the case-specific shape: in the surplus case the
-    candidate must cover every positive part; in the deficit case it must
-    not exceed any positive part (which also forces zeros wherever
-    deltas <= 0).
+    Checks the buy-only plan rule (finite, nonnegative within FEAS_TOL,
+    budget within sum_tolerance) plus the case-specific shape: in the
+    surplus case the candidate must cover every positive part; in the
+    deficit case it must not exceed any positive part (which also forces
+    zeros wherever deltas <= 0).
     """
-    cand = np.asarray(candidate, dtype=np.float64).reshape(-1)
-    if cand.size != problem.n:
-        raise ValueError("candidate length does not match problem size")
-    if not np.all(np.isfinite(cand)):
-        return False
-    if np.any(cand < -FEAS_TOL):
-        return False
-    if abs(float(np.sum(cand)) - problem.budget) > sum_tolerance(problem.budget):
+    cand = _check_length(problem, candidate)
+    if _plan_error(cand, problem.budget) is not None:
         return False
     pos = problem.positive_parts()
     if problem.budget > float(np.sum(pos)):
         return bool(np.all(cand >= pos - FEAS_TOL))
     return bool(np.all(cand <= pos + FEAS_TOL))
+
+
+def kkt_check_l2(problem: ContributionProblem, candidate, threshold: float) -> bool:
+    """First-order optimality check for the l2 problem.
+
+    A candidate that satisfies the buy-only plan rule is optimal iff, with
+    a finite lam = threshold, every strictly positive entry sits at
+    ``deltas_i - lam`` and every zero entry has ``deltas_i <= lam`` (dual
+    feasibility).  Both are tested within max(FEAS_TOL, 4 ulp of the larger
+    of max|deltas_i| and |lam|): float64 cannot place lam closer than that
+    once the deltas pass 2^21.
+    """
+    cand = _check_length(problem, candidate)
+    threshold = float(threshold)
+    if _plan_error(cand, problem.budget) is not None or not math.isfinite(threshold):
+        return False
+    scale = max(float(np.max(np.abs(problem.deltas))), abs(threshold))
+    tol = max(FEAS_TOL, 4.0 * float(np.spacing(scale)))
+    positive = cand > FEAS_TOL
+    if np.any(np.abs(cand[positive] - (problem.deltas[positive] - threshold)) > tol):
+        return False
+    return bool(np.all(problem.deltas[~positive] <= threshold + tol))
 
 
 def l2_objective(problem: ContributionProblem, candidate) -> ObjectiveValue:

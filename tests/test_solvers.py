@@ -11,6 +11,7 @@ import pytest
 import nosell as ns
 
 from helpers import MASTER_SEED, instance_stream, describe
+from reference_kernels import water_fill_exact
 
 WORKED_DELTAS = (900.0, 650.0, 250.0, -300.0, -500.0)
 
@@ -113,6 +114,29 @@ def test_l2_tiny_budget_is_spent():
     assert float(np.sum(solution.adjustments)) == pytest.approx(1e-300, rel=1e-15)
 
 
+def test_l2_large_deltas_match_exact_and_pass_kkt():
+    # deltas near 1e9 are 1.2e-7 apart in float64, so no threshold can
+    # satisfy stationarity to an absolute 1e-9; the certificate must
+    # accept the exact plan and still reject a plan moved by 1e-3
+    seed = MASTER_SEED + 8
+    rng = np.random.default_rng(seed)
+    for i in range(20):
+        deltas = 1e9 + rng.uniform(-1e4, 1e4, 50)
+        budget = float(10.0 ** rng.uniform(0.0, 4.0))
+        problem = ns.ContributionProblem(deltas, budget)
+        solution = ns.solve_l2(problem)
+        msg = f"seed={seed} instance={i} budget={budget!r}"
+        exact, _ = water_fill_exact(deltas, budget)
+        error = np.abs(solution.adjustments - np.array([float(x) for x in exact]))
+        assert float(np.max(error)) <= 4 * np.spacing(budget), msg
+        assert ns.kkt_check_l2(problem, solution.adjustments, solution.threshold), msg
+        moved = solution.adjustments.copy()
+        j, k = rng.choice(deltas.size, 2, replace=False)
+        moved[j] += 1e-3
+        moved[k] -= 1e-3
+        assert not ns.kkt_check_l2(problem, moved, solution.threshold), msg
+
+
 # -- solve_l1 ----------------------------------------------------------------
 
 def test_l1_worked_example(worked_problem):
@@ -146,6 +170,14 @@ def test_l1_boundary_is_deficit():
     assert family.case is ns.L1Case.DEFICIT
     assert family.scale == 1.0
     assert family.particular.tolist() == [2.0, 2.0, 0.0]
+
+
+def test_l1_overflowing_positive_mass_raises():
+    # the positive parts sum to inf, so the uniform scale is 1/inf = 0 and
+    # the particular member would spend nothing
+    with np.errstate(over="ignore"):
+        with pytest.raises(ValueError, match="infeasible"):
+            ns.solve_l1(ns.ContributionProblem([1e308, 1e308], 1.0))
 
 
 # -- is_l1_optimal -----------------------------------------------------------
