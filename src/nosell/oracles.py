@@ -35,7 +35,6 @@ class OracleReport:
     best_candidate: np.ndarray
     best_objective: float
     candidates_examined: int
-    feasible: bool
 
 
 def iter_active_set_candidates(
@@ -84,7 +83,7 @@ def active_set_l2_oracle(problem: ContributionProblem) -> OracleReport:
         objective = float(np.dot(diff, diff))
         if objective < best_objective:
             best_candidate, best_objective = candidate, objective
-    return OracleReport(best_candidate, best_objective, (1 << problem.n) - 1, True)
+    return OracleReport(best_candidate, best_objective, (1 << problem.n) - 1)
 
 
 def grid_l1_oracle(problem: ContributionProblem, resolution: int) -> OracleReport:
@@ -109,7 +108,7 @@ def grid_l1_oracle(problem: ContributionProblem, resolution: int) -> OracleRepor
     candidate = cells * (problem.budget / resolution)
     objective = float(np.sum(np.abs(candidate - deltas)))
     examined = math.comb(resolution + problem.n - 1, problem.n - 1)
-    return OracleReport(candidate, objective, examined, True)
+    return OracleReport(candidate, objective, examined)
 
 
 def _grid_l1_scan(deltas, budget, resolution):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple, Union
 
 import numpy as np
@@ -22,6 +23,7 @@ from .solvers import (
     _as_norm,
     _check_budget,
     _check_plan,
+    _frozen,
     solve_l1,
     solve_l2,
 )
@@ -93,15 +95,16 @@ class Portfolio:
     def ids(self) -> Tuple[str, ...]:
         return tuple(a.id for a in self.assets)
 
-    @property
+    # Built on first access and kept, read-only: the instance is frozen.
+    @cached_property
     def values(self) -> np.ndarray:
-        return np.array([a.value for a in self.assets], dtype=np.float64)
+        return _frozen(np.array([a.value for a in self.assets], dtype=np.float64))
 
-    @property
+    @cached_property
     def targets(self) -> np.ndarray:
-        return np.array([a.target for a in self.assets], dtype=np.float64)
+        return _frozen(np.array([a.target for a in self.assets], dtype=np.float64))
 
-    @property
+    @cached_property
     def total(self) -> float:
         return float(np.sum(self.values))
 

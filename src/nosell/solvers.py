@@ -27,6 +27,11 @@ import numpy as np
 
 #: Absolute tolerance for feasibility checks (nonnegativity, stationarity).
 FEAS_TOL = 1e-9
+#: Michelot rounds before solve_l2 sorts the surviving gaps instead, which
+#: bounds its worst case.  Seeded inputs at n = 1e6 take at most 14 rounds
+#: (median 8); 171 gap levels built so that plain Michelot drops one level
+#: per round take 18 once the gaps >= budget are cut.
+_MAX_ROUNDS = 32
 
 
 def sum_tolerance(budget: float) -> float:
@@ -170,43 +175,76 @@ class L1SolutionFamily:
 
 
 def solve_l2(problem: ContributionProblem) -> L2Solution:
-    """Solve the l2 problem in closed form.
+    """Solve the l2 problem in closed form, without a full sort.
 
-    Sorts the deltas descending and works in shifted coordinates
-    ``e_i = max(deltas) - d_i``.  Every term the scan sums is then a gap
-    between two deltas rather than a delta, so large, nearly equal deltas
-    do not cancel away a small budget.  With ``E_k`` the sum of the k
-    smallest gaps,
+    Works in shifted coordinates ``e_i = max(deltas) - d_i``: every term
+    summed is a gap between two deltas rather than a delta, so large,
+    nearly equal deltas do not cancel away a small budget.  The rule is
 
-        k*  = max{k : k e_k - E_k < budget}     (strict inequality)
-        t   = (E_{k*} + budget) / k*
-        a_i = max(t - e_i, 0)                   (in original order)
-        lam = max(deltas) - t
+        a_i = max(t - e_i, 0),   sum_i a_i = budget,   lam = max(deltas) - t
 
-    which is the water-filling rule ``a_i = max(d_i - lam, 0)`` with
-    k* = max{k : sum_{i<=k}(d_i - d_k) < budget}.
+    which is the water-filling rule ``a_i = max(d_i - lam, 0)``, with
+    k* = #{i : e_i < t} funded assets.  The largest delta alone could take
+    the whole budget, so t <= budget and no gap >= budget is ever funded:
+    one selection pass drops those.  Michelot rounds (Michelot 1986) then
+    shrink the survivors, ``t = (sum(live) + budget) / |live|`` and
+    ``live = {e in live : e < t}``, until no gap is dropped; each round is
+    an in-place partition of the live gaps.  t only falls from round to
+    round and never below its final value, so every funded gap survives.
+    After ``_MAX_ROUNDS`` rounds the survivors are sorted and scanned for
+    the largest prefix k with ``k e_k - sum_{j<=k} e_j < budget``.
 
-    O(n log n) time, dominated by the sort.  Raises ValueError rather
-    than return a plan that breaks the buy-only plan rule.
+    Expected O(n) time with no full sort; the worst case is
+    ``_MAX_ROUNDS`` partitions plus one sort of the survivors.  Raises
+    ValueError rather than return a plan that breaks the buy-only plan rule.
     """
-    ascending = np.sort(problem.deltas)
-    d_max = ascending[-1]
-    gaps = d_max - ascending[::-1]
-    gap_sums = np.cumsum(gaps)
-    lhs = np.arange(1, problem.n + 1, dtype=np.float64)
-    lhs *= gaps
-    lhs -= gap_sums
+    budget = problem.budget
+    d_max = float(problem.deltas.max())
+    gaps = _gaps(d_max, problem.deltas)
+    # every selection partitions in place, so the live gaps are always a
+    # prefix of the buffer
+    k = int(np.count_nonzero(gaps < budget))
+    if k < gaps.size:
+        gaps.partition(k - 1)
+    live = gaps[:k]
+    for _ in range(_MAX_ROUNDS):
+        t = (float(live.sum()) + budget) / k
+        # a subnormal budget can round t to 0; the funded gaps are then
+        # the zero ones, which the smallest positive float still counts
+        k = int(np.count_nonzero(live < max(t, math.ulp(0.0))))
+        if k == live.size:
+            break
+        live.partition(k - 1)
+        live = live[:k]
+    else:
+        k, t = _prefix_scan(np.sort(live), budget)
+    # the selection reordered the buffer; refill it in input order
+    adjustments = _gaps(d_max, problem.deltas, out=gaps)
+    np.subtract(t, adjustments, out=adjustments)
+    np.maximum(adjustments, 0.0, out=adjustments)
+    _check_plan(adjustments, budget)
+    return L2Solution(adjustments=adjustments, threshold=d_max - t, active_count=k)
+
+
+def _gaps(d_max: float, deltas: np.ndarray, out=None) -> np.ndarray:
+    """``d_max - deltas`` in input order.  A gap between deltas of opposite
+    sign near 1e308 overflows to inf, which is >= any budget, so solve_l2
+    never funds it."""
+    with np.errstate(over="ignore"):
+        return np.subtract(d_max, deltas, out=out)
+
+
+def _prefix_scan(ascending: np.ndarray, budget: float):
+    """``(k, t)`` for sorted gaps: k the largest prefix with
+    ``k e_k - sum_{j<=k} e_j < budget``, ``t = (sum_{j<=k} e_j + budget) / k``."""
+    sums = np.cumsum(ascending)
+    lhs = np.arange(1, ascending.size + 1, dtype=np.float64)
+    lhs *= ascending
+    lhs -= sums
     # lhs is non-decreasing in exact arithmetic; take the last qualifying
     # index rather than counting, in case rounding breaks that order
-    k_star = int(np.flatnonzero(lhs < problem.budget)[-1]) + 1
-    t = (float(gap_sums[k_star - 1]) + problem.budget) / k_star
-    adjustments = np.maximum(t - (d_max - problem.deltas), 0.0)
-    _check_plan(adjustments, problem.budget)
-    return L2Solution(
-        adjustments=adjustments,
-        threshold=float(d_max) - t,
-        active_count=k_star,
-    )
+    k = int(np.flatnonzero(lhs < budget)[-1]) + 1
+    return k, (float(sums[k - 1]) + budget) / k
 
 
 def solve_l1(problem: ContributionProblem) -> L1SolutionFamily:

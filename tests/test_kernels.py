@@ -4,7 +4,7 @@ the pure-Python reference loops in ``reference_kernels``."""
 import numpy as np
 import pytest
 
-from nosell import ContributionProblem, active_set_l2_oracle, solve_l2
+from nosell import ContributionProblem, active_set_l2_oracle, kkt_check_l2, solve_l2, solvers
 from nosell.oracles import _grid_l1_scan
 
 from helpers import MASTER_SEED
@@ -18,7 +18,7 @@ def _random_case(rng, max_n=8):
     return deltas, budget
 
 
-def test_threshold_scan_pair_agreement():
+def _assert_threshold_scan_agreement():
     rng = np.random.default_rng(MASTER_SEED)
     for trial in range(300):
         deltas, budget = _random_case(rng)
@@ -28,6 +28,79 @@ def test_threshold_scan_pair_agreement():
         msg = f"seed={MASTER_SEED} trial={trial} deltas={deltas.tolist()} budget={budget!r}"
         assert solution.active_count == k_loop, msg
         assert solution.threshold == pytest.approx(lam_loop, abs=1e-12), msg
+
+
+def test_threshold_scan_pair_agreement():
+    _assert_threshold_scan_agreement()
+
+
+@pytest.mark.parametrize("max_rounds", [0, 1])
+def test_threshold_scan_fallback_agreement(monkeypatch, max_rounds):
+    # a round cap of 0 or 1 sends solve_l2 to its sort-the-survivors scan
+    scans = []
+    prefix_scan = solvers._prefix_scan
+
+    def counted(*args):
+        scans.append(1)
+        return prefix_scan(*args)
+
+    monkeypatch.setattr(solvers, "_MAX_ROUNDS", max_rounds)
+    monkeypatch.setattr(solvers, "_prefix_scan", counted)
+    _assert_threshold_scan_agreement()
+    if max_rounds == 0:
+        assert len(scans) == 300
+    else:
+        assert scans
+
+
+def _starving_levels(count, unit, bump=1e-12):
+    """``count`` gap levels, the first 0, each set just above the point at
+    which a Michelot round over levels 1..m would drop level m - 1 as well
+    as level m; every level repeated the same number of times, with
+    ``unit`` the budget per repeat.  Without the t* <= budget cut, Michelot
+    drops one level per round."""
+    levels, total, t = [0.0], 0.0, unit
+    for m in range(2, count + 1):
+        level = max(t, m * levels[-1] - (m - 1) * t) * (1.0 + bump)
+        levels.append(level)
+        total += level
+        t = (total + unit) / m
+    return np.array(levels)
+
+
+def _adversarial_case(name):
+    if name == "levels_one_each":
+        return -_starving_levels(171, 1.0), 1.0
+    if name == "levels_5847_each":
+        return -np.repeat(_starving_levels(171, 1.0), 5847), 5847.0
+    geometric = -np.repeat(2.0 ** np.arange(40), 25_000)
+    if name == "geometric_budget_1":
+        return geometric, 1.0
+    if name == "geometric_budget_1e9":
+        return geometric, 1e9
+    if name == "ramp":
+        return np.arange(1e6), 1e9
+    return np.full(1_000_000, 7.0), 1e-300
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "levels_one_each",
+        "levels_5847_each",
+        "geometric_budget_1",
+        "geometric_budget_1e9",
+        "ramp",
+        "all_equal",
+    ],
+)
+def test_threshold_scan_adversarial_shapes(name):
+    deltas, budget = _adversarial_case(name)
+    problem = ContributionProblem(deltas, budget)
+    solution = solve_l2(problem)
+    assert kkt_check_l2(problem, solution.adjustments, solution.threshold), name
+    k_loop, _ = threshold_scan_loop(np.ascontiguousarray(np.sort(deltas)[::-1]), budget)
+    assert solution.active_count == k_loop, name
 
 
 def test_threshold_scan_prefix_structure():

@@ -23,7 +23,6 @@ def worked_problem():
 
 def test_active_set_worked_example(worked_problem):
     report = ns.active_set_l2_oracle(worked_problem)
-    assert report.feasible
     np.testing.assert_allclose(report.best_candidate, [625.0, 375.0, 0.0, 0.0, 0.0], atol=1e-9)
     assert report.candidates_examined == 2**5 - 1
 
@@ -54,7 +53,6 @@ def test_active_set_report_consistency():
     for i, problem in instance_stream(150, seed=MASTER_SEED + 20):
         report = ns.active_set_l2_oracle(problem)
         msg = describe(i, problem, MASTER_SEED + 20)
-        assert report.feasible, msg
         assert np.all(report.best_candidate >= -ns.FEAS_TOL), msg
         assert abs(float(np.sum(report.best_candidate)) - problem.budget) <= ns.sum_tolerance(
             problem.budget

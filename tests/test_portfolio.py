@@ -64,6 +64,20 @@ def test_portfolio_short_positions():
     assert np.all(plan.adjustments >= 0)
 
 
+def test_portfolio_arrays_built_once(golden_portfolio):
+    values, targets = golden_portfolio.values, golden_portfolio.targets
+    assert golden_portfolio.values is values and golden_portfolio.targets is targets
+    assert values.tolist() == [1850.0, 2100.0, 2500.0, 1675.0, 1875.0]
+    assert golden_portfolio.total == 10000.0
+    for arr in (values, targets):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    # the cached arrays are not fields: equality and repr are unchanged
+    fresh = ns.Portfolio(GOLDEN_ASSETS)
+    assert fresh == golden_portfolio
+    assert repr(fresh) == repr(golden_portfolio)
+
+
 def test_rebalance_rejects_nonpositive_wealth():
     # total + budget == 0 leaves no ideal holdings to divide by
     short = ns.Portfolio((ns.Asset("a", -100.0, 0.5), ns.Asset("b", 0.0, 0.5)), allow_short=True)

@@ -114,6 +114,14 @@ def test_l2_tiny_budget_is_spent():
     assert float(np.sum(solution.adjustments)) == pytest.approx(1e-300, rel=1e-15)
 
 
+@pytest.mark.parametrize("deltas, funded", [([1.0, 1.0], 2), ([0.0, 0.0, 0.0, -5e-324], 3)])
+def test_l2_subnormal_budget(deltas, funded):
+    # budget / k rounds to 0: every tied largest delta is still funded
+    solution = ns.solve_l2(ns.ContributionProblem(deltas, 5e-324))
+    assert solution.active_count == funded
+    assert solution.adjustments.tolist() == [0.0] * len(deltas)
+
+
 def test_l2_large_deltas_match_exact_and_pass_kkt():
     # deltas near 1e9 are 1.2e-7 apart in float64, so no threshold can
     # satisfy stationarity to an absolute 1e-9; the certificate must
@@ -135,6 +143,36 @@ def test_l2_large_deltas_match_exact_and_pass_kkt():
         moved[j] += 1e-3
         moved[k] -= 1e-3
         assert not ns.kkt_check_l2(problem, moved, solution.threshold), msg
+
+
+@pytest.mark.parametrize(
+    "deltas, plan",
+    [
+        ([1e308, 1e308, -1e308], [0.5, 0.5, 0.0]),
+        ([1e308, -1e308], [1.0, 0.0]),
+        ([-1e308, 1e308, 5.0], [0.0, 1.0, 0.0]),
+    ],
+)
+def test_l2_opposite_sign_extreme_deltas(deltas, plan):
+    # max(deltas) - d_i overflows to inf for deltas of opposite sign near
+    # 1e308; such a gap is never funded and must not warn or leak a NaN
+    problem = ns.ContributionProblem(deltas, 1.0)
+    solution = ns.solve_l2(problem)
+    assert solution.adjustments.tolist() == plan
+    assert ns.kkt_check_l2(problem, solution.adjustments, solution.threshold)
+
+
+def test_l2_default_path_does_not_sort(monkeypatch, worked_problem):
+    # a full sort is only the fallback past the round cap
+    def no_sort(*args, **kwargs):
+        raise AssertionError("np.sort called")
+
+    monkeypatch.setattr(np, "sort", no_sort)
+    rng = np.random.default_rng(MASTER_SEED + 9)
+    problems = [worked_problem, ns.ContributionProblem(rng.uniform(-1e4, 1e4, 100_000), 1e3)]
+    for problem in problems:
+        solution = ns.solve_l2(problem)
+        assert ns.kkt_check_l2(problem, solution.adjustments, solution.threshold)
 
 
 # -- solve_l1 ----------------------------------------------------------------
