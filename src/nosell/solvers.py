@@ -18,8 +18,10 @@ The l2 solver doubles as a Euclidean projection onto the simplex of size
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -32,6 +34,10 @@ FEAS_TOL = 1e-9
 #: (median 8); 171 gap levels built so that plain Michelot drops one level
 #: per round take 18 once the gaps >= budget are cut.
 _MAX_ROUNDS = 32
+#: Arrays of this many bytes or more get a map of their own (see _empty);
+#: numpy hints huge pages from the same size on.
+_MAPPED_BYTES = 1 << 22
+_HUGE_PAGE = 1 << 21
 
 
 def sum_tolerance(budget: float) -> float:
@@ -88,6 +94,32 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _empty(n: int) -> np.ndarray:
+    """An uninitialised float64 array of length n.
+
+    From _MAPPED_BYTES on, where the platform has transparent huge pages,
+    the array gets a private anonymous map of its own, rounded up to whole
+    huge pages.  Linux aligns such a map to a huge page, so huge pages back
+    all of it and filling it takes one page fault per 2 MiB.  np.empty gets
+    the same huge page hint from numpy, but its array starts wherever malloc
+    puts it, so the partial huge pages at either end fall back to 4 KiB
+    pages; and glibc can hand the heap back to the system after a large
+    solve, so that the next solve faults them in again.  At n = 1e6 that
+    was 400 or 900 faults per array, by where the process's heap happened
+    to start, and about a millisecond between the two.
+    """
+    nbytes = 8 * n
+    if nbytes < _MAPPED_BYTES or not hasattr(mmap, "MADV_HUGEPAGE"):
+        return np.empty(n)
+    size = -(-nbytes // _HUGE_PAGE) * _HUGE_PAGE
+    buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    # a kernel built without transparent huge pages rejects the hint; the
+    # map then works with 4 KiB pages
+    with contextlib.suppress(OSError):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(buf, dtype=np.float64, count=n)
+
+
 @dataclass(frozen=True)
 class ContributionProblem:
     """A validated problem instance.
@@ -105,7 +137,9 @@ class ContributionProblem:
     budget: float
 
     def __post_init__(self):
-        arr = np.array(self.deltas, dtype=np.float64, copy=True).reshape(-1)
+        src = np.asarray(self.deltas, dtype=np.float64).reshape(-1)
+        arr = _empty(src.size)
+        np.copyto(arr, src)
         if arr.size == 0:
             raise ValueError("deltas must be non-empty")
         if not np.all(np.isfinite(arr)):
@@ -200,7 +234,7 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
     """
     budget = problem.budget
     d_max = float(problem.deltas.max())
-    gaps = _gaps(d_max, problem.deltas)
+    gaps = _gaps(d_max, problem.deltas, out=_empty(problem.n))
     # every selection partitions in place, so the live gaps are always a
     # prefix of the buffer
     k = int(np.count_nonzero(gaps < budget))

@@ -5,10 +5,13 @@ property suite) live in test_acceptance.py; this file covers the exact
 worked examples and the edge semantics.
 """
 
+import mmap
+
 import numpy as np
 import pytest
 
 import nosell as ns
+from nosell import solvers
 
 from helpers import MASTER_SEED, instance_stream, describe
 from reference_kernels import water_fill_exact
@@ -47,6 +50,39 @@ def test_problem_copies_and_freezes_input():
     assert problem.deltas[0] == 3.0
     with pytest.raises(ValueError):
         problem.deltas[0] = 0.0
+
+
+def _is_mapped(arr):
+    return isinstance(arr.base, memoryview) and isinstance(arr.base.obj, mmap.mmap)
+
+
+def test_large_arrays_get_their_own_map(monkeypatch, worked_problem):
+    # from 4 MiB on, the problem's copy and the l2 plan live in maps of
+    # their own where the platform has transparent huge pages; the answers
+    # are the same bits as with heap arrays
+    raw = np.random.default_rng(MASTER_SEED + 10).uniform(-1e4, 1e4, (512, 2048))[:, ::2]
+    expected = raw.flatten()
+    problem = ns.ContributionProblem(raw, 1e3)
+    raw[:] = 0.0
+    np.testing.assert_array_equal(problem.deltas, expected)
+    with pytest.raises(ValueError):
+        problem.deltas[0] = 0.0
+    solution = ns.solve_l2(problem)
+    assert ns.kkt_check_l2(problem, solution.adjustments, solution.threshold)
+    with pytest.raises(ValueError):
+        solution.adjustments[0] = 1.0
+    mapped = hasattr(mmap, "MADV_HUGEPAGE")
+    assert _is_mapped(problem.deltas) == mapped
+    assert _is_mapped(solution.adjustments) == mapped
+    assert not _is_mapped(worked_problem.deltas)
+    assert not _is_mapped(ns.solve_l2(worked_problem).adjustments)
+
+    monkeypatch.setattr(solvers, "_MAPPED_BYTES", 1 << 62)
+    heap_problem = ns.ContributionProblem(expected, 1e3)
+    heap_solution = ns.solve_l2(heap_problem)
+    assert not _is_mapped(heap_problem.deltas) and not _is_mapped(heap_solution.adjustments)
+    assert heap_solution.adjustments.tobytes() == solution.adjustments.tobytes()
+    assert (heap_solution.threshold, heap_solution.active_count) == (solution.threshold, solution.active_count)
 
 
 # -- solve_l2 ----------------------------------------------------------------
