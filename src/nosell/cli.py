@@ -16,12 +16,14 @@ Exit codes: 0 on success, 2 on any input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -123,7 +125,18 @@ def serialize_portfolio(portfolio: Portfolio) -> str:
 
 
 def _sig10(x: float) -> float:
-    return float(f"{float(x):.10g}")
+    """``x`` at 10 significant digits, for the JSON report.
+
+    A finite ``x`` whose rounding overflows (it lies above 1.797693135e308)
+    is returned unrounded.  A non-finite ``x`` raises ValueError: strict
+    JSON has no encoding for it.
+    """
+    rounded = float("%.10g" % x)
+    if math.isfinite(rounded):
+        return rounded
+    if math.isfinite(x):
+        return float(x)
+    raise ValueError(f"the JSON report cannot hold the non-finite number {x!r}")
 
 
 def _money(x: float) -> str:
@@ -136,9 +149,47 @@ def _pct(fraction: float) -> str:
     return f"{fraction * 100.0:.0f}%"
 
 
-def plan_to_dict(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[List[np.ndarray]] = None) -> dict:
-    """Build the JSON document: full precision plus the optimality
-    certificate (k*/lambda* for l2, case/alpha or case/slack for l1)."""
+#: Per-asset fields of the JSON report, in output order.
+_ASSET_FIELDS = ("id", "value", "target", "naive", "adjustment", "adjustment_cents", "final_allocation")
+
+#: One asset object as ``json.dumps(..., indent=2)`` lays it out inside the
+#: assets array, with a ``%s`` slot per field for its encoded value.
+_ASSET_OBJECT = (
+    "{\n"
+    + ",\n".join(f"      {encode_basestring_ascii(name)}: %s" for name in _ASSET_FIELDS)
+    + "\n    }"
+)
+
+
+def _asset_rows(portfolio: Portfolio, plan: RebalancePlan) -> List[tuple]:
+    """One tuple of plain Python scalars per asset, in _ASSET_FIELDS order."""
+    return [
+        (
+            asset.id, _sig10(asset.value), _sig10(asset.target),
+            _sig10(naive), _sig10(adjustment), cents, _sig10(final),
+        )
+        for asset, naive, adjustment, cents, final in zip(
+            portfolio.assets,
+            plan.naive.tolist(),
+            plan.adjustments.tolist(),
+            plan.rounded_cents.tolist(),
+            plan.final_allocations.tolist(),
+        )
+    ]
+
+
+def _report(
+    portfolio: Portfolio,
+    plan: RebalancePlan,
+    samples: Optional[List[np.ndarray]],
+    asset_entry: Callable[[tuple], Any],
+    member_entry: Callable[[List[float]], Any],
+) -> dict:
+    """The report document.  The header members (norm, budget, and the
+    certificate or the l1 case) come first, then the list of assets and, if
+    samples were drawn, the list of sampled members.  ``asset_entry`` turns
+    each _asset_rows tuple, and ``member_entry`` each member's list of
+    floats, into its list entry."""
     doc: dict = {"norm": plan.norm.value, "budget": _sig10(plan.budget)}
     if isinstance(plan.solution, L2Solution):
         doc["certificate"] = {
@@ -151,66 +202,72 @@ def plan_to_dict(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Li
             doc["alpha"] = _sig10(plan.solution.scale)
         else:
             doc["slack"] = _sig10(plan.solution.slack)
-    doc["assets"] = [
-        {
-            "id": asset.id,
-            "value": _sig10(asset.value),
-            "target": _sig10(asset.target),
-            "naive": _sig10(plan.naive[i]),
-            "adjustment": _sig10(plan.adjustments[i]),
-            "adjustment_cents": int(plan.rounded_cents[i]),
-            "final_allocation": _sig10(plan.final_allocations[i]),
-        }
-        for i, asset in enumerate(portfolio.assets)
-    ]
+    doc["assets"] = [asset_entry(row) for row in _asset_rows(portfolio, plan)]
     if samples is not None:
-        doc["samples"] = [[_sig10(v) for v in member] for member in samples]
+        doc["samples"] = [member_entry([_sig10(v) for v in member.tolist()]) for member in samples]
     return doc
 
 
+def plan_to_dict(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[List[np.ndarray]] = None) -> dict:
+    """Build the JSON document: full precision plus the optimality
+    certificate (k*/lambda* for l2, case/alpha or case/slack for l1)."""
+    return _report(portfolio, plan, samples, lambda row: dict(zip(_ASSET_FIELDS, row)), list)
+
+
+def _json_array(items: List[str], indent: str) -> str:
+    """A list of encoded items laid out as ``json.dumps(..., indent=2)`` lays
+    it out at the depth whose indentation is ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def _encode_asset(row: tuple) -> str:
+    return _ASSET_OBJECT % (encode_basestring_ascii(row[0]), *row[1:])
+
+
+def _encode_member(values: List[float]) -> str:
+    return _json_array(list(map(repr, values)), "    ")
+
+
 def render_json(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[List[np.ndarray]] = None) -> str:
-    return json.dumps(plan_to_dict(portfolio, plan, samples), indent=2) + "\n"
+    """The JSON report, byte for byte ``json.dumps(plan_to_dict(...),
+    indent=2) + "\\n"``.  The header goes through json.dumps; the lists,
+    which hold a number per asset, are encoded directly with json's own
+    rules for strings, floats and ints."""
+    doc = _report(portfolio, plan, samples, _encode_asset, _encode_member)
+    header = {key: value for key, value in doc.items() if not isinstance(value, list)}
+    # json.dumps(header) ends with "\n}"; the lists follow the header members.
+    parts = [json.dumps(header, indent=2)[:-2]]
+    for key, items in doc.items():
+        if isinstance(items, list):
+            parts.append(f",\n  {encode_basestring_ascii(key)}: {_json_array(items, '  ')}")
+    parts.append("\n}\n")
+    return "".join(parts)
 
 
 def render_table(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[List[np.ndarray]] = None) -> str:
     """Plain-text report, whole dollars and whole percents; the JSON
     format carries the unrounded numbers."""
     total = portfolio.total
-    header = ["asset", "value", "current", "target", "naive", "buy", "final"]
-    body = []
-    for i, asset in enumerate(portfolio.assets):
-        body.append([
-            asset.id,
-            _money(asset.value),
-            _pct(asset.value / total) if total else "n/a",
-            _pct(asset.target),
-            _money(plan.naive[i]),
-            _money(plan.adjustments[i]),
-            _pct(plan.final_allocations[i]),
-        ])
-    body.append([
-        "total",
-        _money(total),
-        _pct(1.0) if total else "n/a",
-        _pct(float(np.sum(portfolio.targets))),
-        _money(float(np.sum(plan.naive))),
-        _money(float(np.sum(plan.adjustments))),
-        _pct(float(np.sum(plan.final_allocations))),
-    ])
-    widths = [max(len(header[c]), *(len(row[c]) for row in body)) for c in range(len(header))]
-    lines = []
-
-    def fmt(row):
-        cells = [row[0].ljust(widths[0])]
-        cells += [row[c].rjust(widths[c]) for c in range(1, len(row))]
-        return "  ".join(cells).rstrip()
-
-    lines.append(fmt(header))
-    lines.append("  ".join("-" * w for w in widths))
-    for row in body[:-1]:
-        lines.append(fmt(row))
-    lines.append("  ".join("-" * w for w in widths))
-    lines.append(fmt(body[-1]))
+    header = ("asset", "value", "current", "target", "naive", "buy", "final")
+    assets = portfolio.assets
+    values = [asset.value for asset in assets]
+    columns = [
+        [asset.id for asset in assets] + ["total"],
+        [_money(v) for v in values] + [_money(total)],
+        ([_pct(v / total) for v in values] + [_pct(1.0)]) if total else ["n/a"] * (len(values) + 1),
+        [_pct(asset.target) for asset in assets] + [_pct(float(np.sum(portfolio.targets)))],
+        [_money(v) for v in plan.naive.tolist()] + [_money(float(np.sum(plan.naive)))],
+        [_money(v) for v in plan.adjustments.tolist()] + [_money(float(np.sum(plan.adjustments)))],
+        [_pct(v) for v in plan.final_allocations.tolist()] + [_pct(float(np.sum(plan.final_allocations)))],
+    ]
+    widths = [max(len(name), *map(len, column)) for name, column in zip(header, columns)]
+    row_format = "  ".join([f"%-{widths[0]}s"] + [f"%{w}s" for w in widths[1:]])
+    rule = "  ".join("-" * w for w in widths)
+    rows = [row_format % row for row in zip(*columns)]
+    lines = [row_format % header, rule, *rows[:-1], rule, rows[-1]]
     if isinstance(plan.solution, L2Solution):
         certificate = f"k* = {plan.solution.active_count}, lambda* = {plan.solution.threshold:.10g}"
     elif plan.solution.case is L1Case.DEFICIT:
@@ -225,10 +282,11 @@ def render_table(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Li
         lines.append("")
         lines.append(f"sampled l1 members ({len(samples)}):")
         for member in samples:
-            lines.append("  " + ", ".join(f"{v:,.2f}" for v in member))
+            lines.append("  " + ", ".join([f"{v:,.2f}" for v in member.tolist()]))
     return "\n".join(lines) + "\n"
 
 
+@functools.cache
 def _rebalance_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rebalance",
@@ -262,16 +320,16 @@ def run_rebalance_command(argv: Optional[Sequence[str]] = None) -> int:
         if args.sample:
             rng = np.random.default_rng(args.seed)
             samples = [sample_l1_member(plan.solution, rng) for _ in range(args.sample)]
+        render = render_json if args.fmt == "json" else render_table
+        report = render(portfolio, plan, samples)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.fmt == "json":
-        sys.stdout.write(render_json(portfolio, plan, samples))
-    else:
-        sys.stdout.write(render_table(portfolio, plan, samples))
+    sys.stdout.write(report)
     return 0
 
 
+@functools.cache
 def _simplex_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="project-simplex",

@@ -1,0 +1,77 @@
+"""Reference table renderer for the differential tests in test_cli.py.
+
+A cell-by-cell implementation of the ``rebalance`` table report: each
+number is read from the numpy arrays one element at a time and each cell
+is padded with ``ljust``/``rjust``.  ``nosell.cli.render_table`` must
+produce the same text.  (The JSON report needs no reference here: its
+reference is ``json.dumps(plan_to_dict(...), indent=2) + "\\n"``.)
+"""
+
+import numpy as np
+
+from nosell import L1Case, L2Solution
+
+
+def _money(x):
+    if x < 0:
+        return f"-${abs(x):,.0f}"
+    return f"${x:,.0f}"
+
+
+def _pct(fraction):
+    return f"{fraction * 100.0:.0f}%"
+
+
+def reference_render_table(portfolio, plan, samples=None):
+    total = portfolio.total
+    header = ["asset", "value", "current", "target", "naive", "buy", "final"]
+    body = []
+    for i, asset in enumerate(portfolio.assets):
+        body.append([
+            asset.id,
+            _money(asset.value),
+            _pct(asset.value / total) if total else "n/a",
+            _pct(asset.target),
+            _money(plan.naive[i]),
+            _money(plan.adjustments[i]),
+            _pct(plan.final_allocations[i]),
+        ])
+    body.append([
+        "total",
+        _money(total),
+        _pct(1.0) if total else "n/a",
+        _pct(float(np.sum(portfolio.targets))),
+        _money(float(np.sum(plan.naive))),
+        _money(float(np.sum(plan.adjustments))),
+        _pct(float(np.sum(plan.final_allocations))),
+    ])
+    widths = [max(len(header[c]), *(len(row[c]) for row in body)) for c in range(len(header))]
+    lines = []
+
+    def fmt(row):
+        cells = [row[0].ljust(widths[0])]
+        cells += [row[c].rjust(widths[c]) for c in range(1, len(row))]
+        return "  ".join(cells).rstrip()
+
+    lines.append(fmt(header))
+    lines.append("  ".join("-" * w for w in widths))
+    for row in body[:-1]:
+        lines.append(fmt(row))
+    lines.append("  ".join("-" * w for w in widths))
+    lines.append(fmt(body[-1]))
+    if isinstance(plan.solution, L2Solution):
+        certificate = f"k* = {plan.solution.active_count}, lambda* = {plan.solution.threshold:.10g}"
+    elif plan.solution.case is L1Case.DEFICIT:
+        certificate = f"case = deficit, alpha = {plan.solution.scale:.10g}"
+    else:
+        certificate = f"case = surplus, slack = {plan.solution.slack:.10g}"
+    lines.append("")
+    lines.append(
+        f"contribution {_money(plan.budget)} allocated under {plan.norm.value}; {certificate}"
+    )
+    if samples:
+        lines.append("")
+        lines.append(f"sampled l1 members ({len(samples)}):")
+        for member in samples:
+            lines.append("  " + ", ".join(f"{v:,.2f}" for v in member))
+    return "\n".join(lines) + "\n"

@@ -267,30 +267,198 @@ cash,1875,0.125
 """
 
 
+GOLDEN_L2_JSON = """\
+{
+  "norm": "l2",
+  "budget": 1000.0,
+  "certificate": {
+    "k_star": 2,
+    "lambda_star": 275.0
+  },
+  "assets": [
+    {
+      "id": "growth",
+      "value": 1850.0,
+      "target": 0.25,
+      "naive": 900.0,
+      "adjustment": 625.0,
+      "adjustment_cents": 62500,
+      "final_allocation": 0.225
+    },
+    {
+      "id": "income",
+      "value": 2100.0,
+      "target": 0.25,
+      "naive": 650.0,
+      "adjustment": 375.0,
+      "adjustment_cents": 37500,
+      "final_allocation": 0.225
+    },
+    {
+      "id": "intl",
+      "value": 2500.0,
+      "target": 0.25,
+      "naive": 250.0,
+      "adjustment": 0.0,
+      "adjustment_cents": 0,
+      "final_allocation": 0.2272727273
+    },
+    {
+      "id": "bonds",
+      "value": 1675.0,
+      "target": 0.125,
+      "naive": -300.0,
+      "adjustment": 0.0,
+      "adjustment_cents": 0,
+      "final_allocation": 0.1522727273
+    },
+    {
+      "id": "cash",
+      "value": 1875.0,
+      "target": 0.125,
+      "naive": -500.0,
+      "adjustment": 0.0,
+      "adjustment_cents": 0,
+      "final_allocation": 0.1704545455
+    }
+  ]
+}
+"""
+
+GOLDEN_L2_TABLE = """\
+asset     value  current  target   naive     buy  final
+------  -------  -------  ------  ------  ------  -----
+growth   $1,850      18%     25%    $900    $625    22%
+income   $2,100      21%     25%    $650    $375    22%
+intl     $2,500      25%     25%    $250      $0    23%
+bonds    $1,675      17%     12%   -$300      $0    15%
+cash     $1,875      19%     12%   -$500      $0    17%
+------  -------  -------  ------  ------  ------  -----
+total   $10,000     100%    100%  $1,000  $1,000   100%
+
+contribution $1,000 allocated under l2; k* = 2, lambda* = 275
+"""
+
+GOLDEN_L1_SAMPLED_JSON = """\
+{
+  "norm": "l1",
+  "budget": 1000.0,
+  "case": "deficit",
+  "alpha": 0.5555555556,
+  "assets": [
+    {
+      "id": "growth",
+      "value": 1850.0,
+      "target": 0.25,
+      "naive": 900.0,
+      "adjustment": 500.0,
+      "adjustment_cents": 50000,
+      "final_allocation": 0.2136363636
+    },
+    {
+      "id": "income",
+      "value": 2100.0,
+      "target": 0.25,
+      "naive": 650.0,
+      "adjustment": 361.1111111,
+      "adjustment_cents": 36111,
+      "final_allocation": 0.2237373737
+    },
+    {
+      "id": "intl",
+      "value": 2500.0,
+      "target": 0.25,
+      "naive": 250.0,
+      "adjustment": 138.8888889,
+      "adjustment_cents": 13889,
+      "final_allocation": 0.2398989899
+    },
+    {
+      "id": "bonds",
+      "value": 1675.0,
+      "target": 0.125,
+      "naive": -300.0,
+      "adjustment": 0.0,
+      "adjustment_cents": 0,
+      "final_allocation": 0.1522727273
+    },
+    {
+      "id": "cash",
+      "value": 1875.0,
+      "target": 0.125,
+      "naive": -500.0,
+      "adjustment": 0.0,
+      "adjustment_cents": 0,
+      "final_allocation": 0.1704545455
+    }
+  ],
+  "samples": [
+    [
+      505.5523466,
+      370.4758339,
+      123.9718194,
+      0.0,
+      0.0
+    ],
+    [
+      259.5702468,
+      527.3785624,
+      213.0511908,
+      0.0,
+      0.0
+    ]
+  ]
+}
+"""
+
+GOLDEN_L1_SAMPLED_TABLE = """\
+asset     value  current  target   naive     buy  final
+------  -------  -------  ------  ------  ------  -----
+growth   $1,850      18%     25%    $900    $500    21%
+income   $2,100      21%     25%    $650    $361    22%
+intl     $2,500      25%     25%    $250    $139    24%
+bonds    $1,675      17%     12%   -$300      $0    15%
+cash     $1,875      19%     12%   -$500      $0    17%
+------  -------  -------  ------  ------  ------  -----
+total   $10,000     100%    100%  $1,000  $1,000   100%
+
+contribution $1,000 allocated under l1; case = deficit, alpha = 0.5555555556
+
+sampled l1 members (2):
+  505.55, 370.48, 123.97, 0.00, 0.00
+  259.57, 527.38, 213.05, 0.00, 0.00
+"""
+
+
 def test_c8_cli_golden_byte_stable(tmp_path, capsys):
+    """The golden reports, byte for byte: l2 as JSON and as a table, and l1
+    with two sampled members (seed 5) in both formats.  Each run is made
+    twice, so the output is also stable from one call to the next."""
     from nosell.cli import run_rebalance_command
 
     path = tmp_path / "golden.csv"
     path.write_text(GOLDEN_CSV, encoding="utf-8")
-    argv = ["--input", str(path), "--contribution", "1000", "--norm", "l2", "--format", "json"]
-    assert run_rebalance_command(argv) == 0
-    first = capsys.readouterr().out
-    assert run_rebalance_command(argv) == 0
-    second = capsys.readouterr().out
-    assert first == second, "JSON report not byte-stable across runs"
-    doc = json.loads(first)
+    base = ["--input", str(path), "--contribution", "1000"]
+    sampled = ["--norm", "l1", "--sample", "2", "--seed", "5"]
+    runs = [
+        (["--norm", "l2", "--format", "json"], GOLDEN_L2_JSON),
+        (["--norm", "l2", "--format", "table"], GOLDEN_L2_TABLE),
+        (sampled + ["--format", "json"], GOLDEN_L1_SAMPLED_JSON),
+        (sampled + ["--format", "table"], GOLDEN_L1_SAMPLED_TABLE),
+    ]
+    for flags, expected in runs:
+        for _ in range(2):
+            assert run_rebalance_command(base + flags) == 0
+            captured = capsys.readouterr()
+            assert captured.out == expected, f"golden report changed for {flags}"
+            assert captured.err == ""
+    doc = json.loads(GOLDEN_L2_JSON)
     assert doc["certificate"]["k_star"] == 2
     assert doc["certificate"]["lambda_star"] == 275.0
     cents = [asset["adjustment_cents"] for asset in doc["assets"]]
     assert cents == [62500, 37500, 0, 0, 0]
     assert sum(cents) == 100000
-    # the table report is byte-stable too
-    table_argv = argv[:-1] + ["table"]
-    assert run_rebalance_command(table_argv) == 0
-    table_first = capsys.readouterr().out
-    assert run_rebalance_command(table_argv) == 0
-    assert capsys.readouterr().out == table_first
-    print("PASS c8: k*=2, lambda*=275, cents sum 100000, byte-identical reruns")
+    print("PASS c8: k*=2, lambda*=275, cents sum 100000, four golden reports byte-identical")
 
 
 # criterion 9: n = 1e6 under one second ----------------------------------------

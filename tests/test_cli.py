@@ -2,13 +2,18 @@
 exit codes, and the sampling flags."""
 
 import json
+import os
+import re
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import nosell as ns
+from nosell import cli
 from nosell.cli import (
     PortfolioFormatError,
     parse_portfolio,
@@ -21,6 +26,7 @@ from nosell.cli import (
 )
 
 from helpers import MASTER_SEED, random_portfolio
+from reference_render import reference_render_table
 
 GOLDEN_CSV = """\
 # five-asset test portfolio, total 10000
@@ -315,6 +321,182 @@ def test_render_surplus_family_report():
     assert json.loads(render_json(portfolio, plan))["case"] == "surplus"
 
 
+# -- renderers against their references --------------------------------------
+
+#: Ids that JSON must escape (quote, backslash, control character, non-ASCII
+#: in and beyond the Basic Multilingual Plane) and that pad by code point.
+AWKWARD_IDS = ('say "hi"', "back\\slash", "tab\there", "naïve €", "日本株", "emoji \U0001F600")
+
+
+def _wide_portfolio(rng, n):
+    """n assets whose values span 1e-9..1e15, so that repr writes some
+    numbers in fixed and some in exponent form; the first ids are awkward."""
+    values = 10.0 ** rng.uniform(-9.0, 15.0, n)
+    targets = rng.dirichlet(np.full(n, 0.3))
+    ids = [AWKWARD_IDS[i] if i < len(AWKWARD_IDS) else f"a{i}" for i in range(n)]
+    return ns.Portfolio(tuple(
+        ns.Asset(id=ids[i], value=float(values[i]), target=float(targets[i])) for i in range(n)
+    ))
+
+
+def _surplus_plan(rng, portfolio):
+    """A hand-built l1 plan in the surplus case (naive adjustments always sum
+    to the budget, so rebalance never reaches it)."""
+    deltas = rng.uniform(-100.0, 100.0, portfolio.n)
+    budget = float(np.sum(np.maximum(deltas, 0.0))) + 10.0 ** rng.uniform(-2.0, 4.0)
+    problem = ns.ContributionProblem(deltas, budget)
+    family = ns.solve_l1(problem)
+    return ns.RebalancePlan(
+        norm=ns.Norm.L1,
+        budget=budget,
+        naive=problem.deltas,
+        adjustments=family.particular,
+        final_allocations=(portfolio.values + family.particular) / (portfolio.total + budget),
+        rounded_cents=ns.round_to_cents(family.particular, budget),
+        solution=family,
+    )
+
+
+def _report_cases():
+    """(label, portfolio, plan, samples): l2, l1 deficit with and without
+    sampled members, and an l1 surplus plan, at n in {1, 5, 50, 2000}; then
+    a portfolio with no holdings (the table's n/a column) and an empty list
+    of samples."""
+    seed = MASTER_SEED + 90
+    rng = np.random.default_rng(seed)
+    for n in (1, 5, 50, 2000):
+        for trial in range(3 if n < 2000 else 1):
+            portfolio = _wide_portfolio(rng, n)
+            budget = float(10.0 ** rng.uniform(-3.0, 9.0))
+            label = f"seed={seed} n={n} trial={trial} budget={budget!r}"
+            yield label + " l2", portfolio, ns.rebalance(portfolio, budget, "l2"), None
+            plan = ns.rebalance(portfolio, budget, "l1")
+            yield label + " l1", portfolio, plan, None
+            samples = [ns.sample_l1_member(plan.solution, rng) for _ in range(3)]
+            yield label + " l1 sampled", portfolio, plan, samples
+            yield label + " l1 surplus", portfolio, _surplus_plan(rng, portfolio), None
+    empty = ns.Portfolio((ns.Asset("a", 0.0, 0.25), ns.Asset("b", 0.0, 0.75)))
+    yield "no holdings", empty, ns.rebalance(empty, 99.99), None
+    yield "no samples", empty, ns.rebalance(empty, 99.99, "l1"), []
+
+
+def test_render_json_matches_json_dumps():
+    kinds = set()
+    for label, portfolio, plan, samples in _report_cases():
+        expected = json.dumps(plan_to_dict(portfolio, plan, samples), indent=2) + "\n"
+        assert render_json(portfolio, plan, samples) == expected, label
+        kinds.add(plan.solution.case.value if plan.norm is ns.Norm.L1 else "l2")
+    assert kinds == {"l2", "deficit", "surplus"}
+
+
+def test_render_json_number_forms_and_escapes():
+    # the differential cases reach both float forms of repr, negative naive
+    # entries and escaped ids, so the test above compares them
+    portfolio = _wide_portfolio(np.random.default_rng(MASTER_SEED + 91), 50)
+    plan = ns.rebalance(portfolio, 1000.0)
+    text = render_json(portfolio, plan)
+    assert re.search(r": \d\.\d+e-\d+,", text) and re.search(r": \d{6,}\.\d+,", text)
+    assert min(plan.naive) < 0.0
+    for escaped in (r'"say \"hi\""', r'"back\\slash"', r'"tab\there"', r'"na\u00efve \u20ac"',
+                    r'"\u65e5\u672c\u682a"', r'"emoji \ud83d\ude00"'):
+        assert escaped in text
+
+
+def test_render_table_matches_reference():
+    tables = []
+    for label, portfolio, plan, samples in _report_cases():
+        tables.append(render_table(portfolio, plan, samples))
+        assert tables[-1] == reference_render_table(portfolio, plan, samples), label
+    assert any("n/a" in table for table in tables)
+
+
+# -- JSON never carries NaN or Infinity --------------------------------------
+
+def _strict_json(text):
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_rebalance_json_keeps_values_near_float_max_finite(tmp_path, capsys):
+    # a value from 1.7976931345e308 up rounds at 10 digits to 1.797693135e308,
+    # which overflows; such a value is written unrounded, not as Infinity
+    seed = MASTER_SEED + 92
+    rng = np.random.default_rng(seed)
+    huge = [1.7976931348623157e308] + rng.uniform(1.7976931345e308, 1.7976931348623157e308, 4).tolist()
+    for value in huge:
+        path = tmp_path / "big.csv"
+        path.write_text(f"id,value,target\nA,{value!r},0.5\nB,0,0.5\n", encoding="utf-8")
+        argv = ["--input", str(path), "--contribution", "100", "--format", "json"]
+        assert run_rebalance_command(argv) == 0, f"seed={seed} value={value!r}"
+        doc = _strict_json(capsys.readouterr().out)
+        assert doc["assets"][0]["value"] == value, f"seed={seed} value={value!r}"
+
+
+def test_rebalance_json_refuses_non_finite_number(tmp_path, capsys):
+    # a subnormal total + budget makes the final allocations infinite; the
+    # JSON report says so on stderr rather than write Infinity
+    path = tmp_path / "short.csv"
+    path.write_text("id,value,target\nA,-1,0.5\nB,1,0.5\n", encoding="utf-8")
+    argv = ["--input", str(path), "--contribution", "5e-324", "--allow-short", "--format", "json"]
+    with np.errstate(over="ignore"):
+        assert run_rebalance_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "non-finite" in captured.err
+
+
+# -- the cached argument parsers ---------------------------------------------
+
+def _outcome(command, argv, capsys, fresh=None):
+    if fresh is not None:
+        fresh.cache_clear()
+    code = command(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_rebalance_parser_reuse_keeps_no_state(golden_file, capsys):
+    sampled = [
+        "--input", golden_file, "--contribution", "1000", "--norm", "l1",
+        "--sample", "3", "--seed", "1", "--normalize", "--format", "json",
+    ]
+    plain = ["--input", golden_file, "--contribution", "1000"]
+    wat = ["--input", golden_file, "--contribution", "1000", "--wat"]
+    reused = [_outcome(run_rebalance_command, argv, capsys) for argv in (sampled, plain, wat, wat)]
+    fresh = [
+        _outcome(run_rebalance_command, argv, capsys, cli._rebalance_parser)
+        for argv in (plain, sampled, wat)
+    ]
+    assert reused[0] == fresh[1]
+    assert reused[1] == fresh[0]
+    assert reused[2] == reused[3] == fresh[2]
+    assert fresh[2][0] == 2 and "--wat" in fresh[2][2]
+
+
+def test_simplex_parser_reuse_keeps_no_state(tmp_path, capsys):
+    path = tmp_path / "v.txt"
+    path.write_text("0.2\n0.9\n", encoding="utf-8")
+    from_file = ["--input", str(path)]
+    from_values = ["--values", "0.5,0.5,0.5"]
+    both = ["--values", "1", "--input", str(path)]
+    wat = ["--values", "1", "--wat"]
+    reused = [
+        _outcome(run_project_simplex_command, argv, capsys)
+        for argv in (from_file, from_values, both, wat, wat)
+    ]
+    fresh = [
+        _outcome(run_project_simplex_command, argv, capsys, cli._simplex_parser)
+        for argv in (from_values, from_file, both, wat)
+    ]
+    assert reused[0] == fresh[1]
+    assert reused[1] == fresh[0]
+    assert reused[2] == fresh[2] and reused[2][0] == 2
+    assert reused[3] == reused[4] == fresh[3]
+    assert fresh[3][0] == 2 and "--wat" in fresh[3][2]
+
+
 # -- project-simplex command -------------------------------------------------
 
 LAVA_TEXT = "0.4631,0.1418,0.1232,0.1274,0.0962,0.0251,0.0034,0.0153,0.0016,0.0018,0.0011"
@@ -365,23 +547,30 @@ def test_project_simplex_errors(tmp_path, capsys):
 
 # -- installed entry points --------------------------------------------------
 
-@pytest.mark.skipif(shutil.which("rebalance") is None, reason="console script not on PATH")
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _run_console_script(script, entry_point, argv):
+    """Run an installed console script; where it is not on PATH, run its
+    entry point in a fresh interpreter with this checkout's src on the path."""
+    if shutil.which(script) is not None:
+        return subprocess.run([script, *argv], capture_output=True, text=True, check=True)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    command = [sys.executable, "-c", f"from nosell.cli import {entry_point}; {entry_point}()", *argv]
+    return subprocess.run(command, capture_output=True, text=True, check=True, env=env)
+
+
 def test_console_script_matches_in_process(golden_file, capsys):
     argv = ["--input", golden_file, "--contribution", "1000", "--format", "json"]
     assert run_rebalance_command(argv) == 0
     in_process = capsys.readouterr().out
-    result = subprocess.run(
-        ["rebalance", *argv], capture_output=True, text=True, check=True
-    )
+    result = _run_console_script("rebalance", "rebalance_main", argv)
     assert result.stdout == in_process
 
 
-@pytest.mark.skipif(shutil.which("project-simplex") is None, reason="console script not on PATH")
 def test_project_simplex_console_script():
-    result = subprocess.run(
-        ["project-simplex", "--values", "0.5,0.5,0.5"],
-        capture_output=True,
-        text=True,
-        check=True,
+    result = _run_console_script(
+        "project-simplex", "project_simplex_main", ["--values", "0.5,0.5,0.5"]
     )
     assert result.stdout == "0.3333333333,0.3333333333,0.3333333333\n"
