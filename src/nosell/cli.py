@@ -23,14 +23,19 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .portfolio import Asset, Portfolio, RebalancePlan, rebalance
+from .portfolio import Portfolio, RebalancePlan, _RowError, rebalance
 from .solvers import L1Case, L2Solution, sample_l1_member, simplex_mle
 
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+_NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
+_NUMBER_RE = re.compile(_NUMBER)
+#: Finds the first line that is not a number, so that a column joined by
+#: line breaks is checked in one search.  A lookahead, unlike a repeated
+#: group, keeps no backtracking state per line.
+_NOT_A_NUMBER_LINE = re.compile(rf"^(?!{_NUMBER}$)", re.MULTILINE)
 
 _HEADER = ("id", "value", "target")
 
@@ -39,11 +44,26 @@ class PortfolioFormatError(ValueError):
     """Malformed portfolio file; message carries a line number."""
 
 
-def _strict_float(field: str) -> float:
-    """float() behind the strict grammar: no nan/inf, no separators."""
-    if not _NUMBER_RE.fullmatch(field):
-        raise ValueError(f"{field!r} is not a plain decimal number")
-    return float(field)
+def _content_lines(text: str) -> List[Tuple[int, str]]:
+    """(line number, stripped line) of every line that is neither blank
+    nor a ``#`` comment."""
+    return [
+        (lineno, line)
+        for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
+        if line and not line.startswith("#")
+    ]
+
+
+def _parse_numbers(fields: List[str], where: Callable[[int], str]) -> np.ndarray:
+    """A non-empty column of stripped fields as one float64 array, behind
+    the strict grammar: no nan or inf, no separators.  The first field
+    that breaks it raises ValueError, its message led by ``where(i)``."""
+    joined = "\n".join(fields)
+    # a field holding a line break would pass the line check as two numbers
+    if joined.count("\n") != len(fields) - 1 or _NOT_A_NUMBER_LINE.search(joined):
+        row = next(i for i, field in enumerate(fields) if not _NUMBER_RE.fullmatch(field))
+        raise ValueError(f"{where(row)} {fields[row]!r} is not a plain decimal number")
+    return np.array(fields, dtype=np.float64)
 
 
 def parse_portfolio(text: str, normalize: bool = False, allow_short: bool = False) -> Portfolio:
@@ -51,63 +71,45 @@ def parse_portfolio(text: str, normalize: bool = False, allow_short: bool = Fals
 
     With ``normalize``, the target column is taken as nonnegative weights
     and rescaled to sum to 1; otherwise each target must already lie in
-    [0, 1] and the column must sum to 1 within tolerance.
+    [0, 1] and the column must sum to 1 within tolerance.  Every error
+    about one row names its line.
     """
-    rows: List[tuple] = []
-    header_seen = False
-    seen_ids = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = [f.strip() for f in line.split(",")]
-        if not header_seen:
-            if tuple(fields) != _HEADER:
-                raise PortfolioFormatError(
-                    f"line {lineno}: expected header 'id,value,target', got {line!r}"
-                )
-            header_seen = True
-            continue
-        if len(fields) != 3:
-            raise PortfolioFormatError(
-                f"line {lineno}: expected 3 fields, got {len(fields)}"
-            )
-        asset_id, value_field, target_field = fields
-        if not asset_id:
-            raise PortfolioFormatError(f"line {lineno}: empty asset id")
-        if asset_id in seen_ids:
-            raise PortfolioFormatError(f"line {lineno}: duplicate asset id {asset_id!r}")
-        seen_ids.add(asset_id)
-        try:
-            value = _strict_float(value_field)
-        except ValueError as exc:
-            raise PortfolioFormatError(f"line {lineno}: value {exc}") from None
-        try:
-            target = _strict_float(target_field)
-        except ValueError as exc:
-            raise PortfolioFormatError(f"line {lineno}: target {exc}") from None
-        if normalize and target < 0.0:
-            raise PortfolioFormatError(
-                f"line {lineno}: weight {target!r} must be nonnegative under --normalize"
-            )
-        rows.append((lineno, asset_id, value, target))
-    if not header_seen:
+    lines = _content_lines(text)
+    if not lines:
         raise PortfolioFormatError("empty portfolio file: missing header")
+    (header_lineno, header), *rows = lines
+    if tuple(field.strip() for field in header.split(",")) != _HEADER:
+        raise PortfolioFormatError(
+            f"line {header_lineno}: expected header 'id,value,target', got {header!r}"
+        )
     if not rows:
         raise PortfolioFormatError("portfolio file contains no asset rows")
-    targets = [r[3] for r in rows]
+    linenos = [lineno for lineno, _ in rows]
+    split = [line.split(",") for _, line in rows]
+    if set(map(len, split)) != {3}:
+        row = next(i for i, fields in enumerate(split) if len(fields) != 3)
+        raise PortfolioFormatError(f"line {linenos[row]}: expected 3 fields, got {len(split[row])}")
+    ids, value_fields, target_fields = ([field.strip() for field in column] for column in zip(*split))
+    try:
+        values = _parse_numbers(value_fields, lambda row: f"line {linenos[row]}: value")
+        targets = _parse_numbers(target_fields, lambda row: f"line {linenos[row]}: target")
+    except ValueError as exc:
+        raise PortfolioFormatError(str(exc)) from None
     if normalize:
-        total = math.fsum(targets)
+        negative = targets < 0.0
+        if negative.any():
+            row = int(negative.argmax())
+            raise PortfolioFormatError(
+                f"line {linenos[row]}: weight {float(targets[row])!r} must be nonnegative under --normalize"
+            )
+        total = math.fsum(targets.tolist())
         if total <= 0.0:
             raise PortfolioFormatError("cannot normalize: weights sum to zero")
-        targets = [t / total for t in targets]
-    assets = []
-    for (lineno, asset_id, value, _), target in zip(rows, targets):
-        try:
-            assets.append(Asset(id=asset_id, value=value, target=target))
-        except ValueError as exc:
-            raise PortfolioFormatError(f"line {lineno}: {exc}") from exc
-    return Portfolio(assets=tuple(assets), allow_short=allow_short)
+        targets = targets / total
+    try:
+        return Portfolio._from_columns(tuple(ids), values, targets, allow_short)
+    except _RowError as exc:
+        raise PortfolioFormatError(f"line {linenos[exc.row]}: {exc}") from None
 
 
 def serialize_portfolio(portfolio: Portfolio) -> str:
@@ -117,10 +119,10 @@ def serialize_portfolio(portfolio: Portfolio) -> str:
     and serialize is a fixed point on the result.
     """
     lines = [",".join(_HEADER)]
-    for asset in portfolio.assets:
-        if "," in asset.id or "\n" in asset.id or asset.id.startswith("#") or asset.id != asset.id.strip():
-            raise ValueError(f"asset id {asset.id!r} cannot be serialized")
-        lines.append(f"{asset.id},{asset.value:.10g},{asset.target:.10g}")
+    for asset_id, value, target in zip(portfolio.ids, portfolio.values.tolist(), portfolio.targets.tolist()):
+        if "," in asset_id or "\n" in asset_id or asset_id.startswith("#") or asset_id != asset_id.strip():
+            raise ValueError(f"asset id {asset_id!r} cannot be serialized")
+        lines.append(f"{asset_id},{value:.10g},{target:.10g}")
     return "\n".join(lines) + "\n"
 
 
@@ -165,11 +167,13 @@ def _asset_rows(portfolio: Portfolio, plan: RebalancePlan) -> List[tuple]:
     """One tuple of plain Python scalars per asset, in _ASSET_FIELDS order."""
     return [
         (
-            asset.id, _sig10(asset.value), _sig10(asset.target),
+            asset_id, _sig10(value), _sig10(target),
             _sig10(naive), _sig10(adjustment), cents, _sig10(final),
         )
-        for asset, naive, adjustment, cents, final in zip(
-            portfolio.assets,
+        for asset_id, value, target, naive, adjustment, cents, final in zip(
+            portfolio.ids,
+            portfolio.values.tolist(),
+            portfolio.targets.tolist(),
             plan.naive.tolist(),
             plan.adjustments.tolist(),
             plan.rounded_cents.tolist(),
@@ -252,13 +256,12 @@ def render_table(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Li
     format carries the unrounded numbers."""
     total = portfolio.total
     header = ("asset", "value", "current", "target", "naive", "buy", "final")
-    assets = portfolio.assets
-    values = [asset.value for asset in assets]
+    values = portfolio.values.tolist()
     columns = [
-        [asset.id for asset in assets] + ["total"],
+        [*portfolio.ids, "total"],
         [_money(v) for v in values] + [_money(total)],
         ([_pct(v / total) for v in values] + [_pct(1.0)]) if total else ["n/a"] * (len(values) + 1),
-        [_pct(asset.target) for asset in assets] + [_pct(float(np.sum(portfolio.targets)))],
+        [_pct(t) for t in portfolio.targets.tolist()] + [_pct(float(np.sum(portfolio.targets)))],
         [_money(v) for v in plan.naive.tolist()] + [_money(float(np.sum(plan.naive)))],
         [_money(v) for v in plan.adjustments.tolist()] + [_money(float(np.sum(plan.adjustments)))],
         [_pct(v) for v in plan.final_allocations.tolist()] + [_pct(float(np.sum(plan.final_allocations)))],
@@ -348,26 +351,15 @@ def run_project_simplex_command(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         if args.values is not None:
-            source = [
-                (f"value {pos}", field.strip())
-                for pos, field in enumerate(args.values.split(","), start=1)
-            ]
+            fields = [field.strip() for field in args.values.split(",")]
+            where: Callable[[int], str] = lambda i: f"value {i + 1}:"
         else:
-            lines = Path(args.input).read_text(encoding="utf-8").splitlines()
-            source = [
-                (f"line {lineno}", line.strip())
-                for lineno, line in enumerate(lines, start=1)
-                if line.strip() and not line.strip().startswith("#")
-            ]
-        if not source:
+            lines = _content_lines(Path(args.input).read_text(encoding="utf-8"))
+            fields = [line for _, line in lines]
+            where = lambda i: f"line {lines[i][0]}:"
+        if not fields:
             raise ValueError("no values supplied")
-        values = []
-        for where, field in source:
-            try:
-                values.append(_strict_float(field))
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-        projected = simplex_mle(values)
+        projected = simplex_mle(_parse_numbers(fields, where))
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Tuple, Union
+from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,6 +31,28 @@ from .solvers import (
 #: Target weights must sum to 1 within this tolerance.
 TARGET_SUM_TOL = 1e-6
 
+#: The most cents a budget may hold: float64 holds every integer up to 2**53.
+_MAX_CENTS = 2.0**53
+
+
+class _RowError(ValueError):
+    """A rule broken by one asset; ``row`` is its index in the portfolio."""
+
+    def __init__(self, row: int, message: str):
+        super().__init__(message)
+        self.row = row
+
+
+def _asset_error(asset_id: str, value: float, target: float) -> Optional[str]:
+    """Why one asset breaks a rule on its own fields, or None."""
+    if not isinstance(asset_id, str) or not asset_id:
+        return "asset id must be a non-empty string"
+    if not math.isfinite(value):
+        return f"asset {asset_id!r}: value must be finite"
+    if not 0.0 <= target <= 1.0:
+        return f"asset {asset_id!r}: target must lie in [0, 1]"
+    return None
+
 
 @dataclass(frozen=True)
 class Asset:
@@ -41,68 +63,89 @@ class Asset:
     target: float
 
     def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise ValueError("asset id must be a non-empty string")
-        value = float(self.value)
-        if not math.isfinite(value):
-            raise ValueError(f"asset {self.id!r}: value must be finite")
-        target = float(self.target)
-        if not math.isfinite(target) or not 0.0 <= target <= 1.0:
-            raise ValueError(f"asset {self.id!r}: target must lie in [0, 1]")
+        value, target = float(self.value), float(self.target)
+        error = _asset_error(self.id, value, target)
+        if error is not None:
+            raise ValueError(error)
         object.__setattr__(self, "value", value)
         object.__setattr__(self, "target", target)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Portfolio:
-    """A non-empty collection of assets with unique ids.
+    """A non-empty portfolio held as three columns: ids, values, targets.
 
-    Target weights must sum to 1 within TARGET_SUM_TOL.  Values must be
-    nonnegative unless ``allow_short`` is set.
+    Ids must be non-empty and unique, values finite, and targets in
+    [0, 1] with a sum within TARGET_SUM_TOL of 1.  Values must be
+    nonnegative unless ``allow_short`` is set.  A rule broken by one
+    asset raises a ValueError that names it and carries its index as
+    ``row``.  ``values`` and ``targets`` are read-only float64 arrays.
     """
 
-    assets: Tuple[Asset, ...]
-    allow_short: bool = False
+    ids: Tuple[str, ...]
+    values: np.ndarray
+    targets: np.ndarray
+    allow_short: bool
 
-    def __post_init__(self):
-        assets = tuple(self.assets)
-        if not assets:
+    def __init__(self, assets: Iterable[Asset], allow_short: bool = False):
+        assets = tuple(assets)
+        values = np.array([asset.value for asset in assets], dtype=np.float64)
+        targets = np.array([asset.target for asset in assets], dtype=np.float64)
+        self._hold(tuple(asset.id for asset in assets), values, targets, allow_short)
+
+    @classmethod
+    def _from_columns(cls, ids: Tuple[str, ...], values: np.ndarray, targets: np.ndarray, allow_short: bool) -> Portfolio:
+        """A portfolio on float64 arrays that the caller hands over: they
+        are frozen in place, not copied."""
+        portfolio = cls.__new__(cls)
+        portfolio._hold(ids, values, targets, allow_short)
+        return portfolio
+
+    def _hold(self, ids, values, targets, allow_short) -> None:
+        """Check every rule once, over whole columns, then keep the columns."""
+        if not ids:
             raise ValueError("portfolio must contain at least one asset")
-        seen = set()
-        for asset in assets:
-            if asset.id in seen:
-                raise ValueError(f"duplicate asset id {asset.id!r}")
-            seen.add(asset.id)
-        total_target = math.fsum(a.target for a in assets)
+        if "" in ids or not np.isfinite(values).all() or not ((targets >= 0.0) & (targets <= 1.0)).all():
+            # name the first asset that breaks a rule of its own
+            errors = map(_asset_error, ids, values.tolist(), targets.tolist())
+            raise _RowError(*next((row, error) for row, error in enumerate(errors) if error))
+        if len(set(ids)) < len(ids):
+            seen: set = set()
+            row = next(i for i, asset_id in enumerate(ids) if asset_id in seen or seen.add(asset_id))
+            raise _RowError(row, f"duplicate asset id {ids[row]!r}")
+        total_target = math.fsum(targets.tolist())
         if abs(total_target - 1.0) > TARGET_SUM_TOL:
-            raise ValueError(
-                f"target weights sum to {total_target:.10g}, expected 1"
-            )
-        if not self.allow_short:
-            for asset in assets:
-                if asset.value < 0.0:
-                    raise ValueError(
-                        f"asset {asset.id!r} has negative value "
-                        f"{asset.value:.10g}; pass allow_short to permit this"
-                    )
-        object.__setattr__(self, "assets", assets)
+            raise ValueError(f"target weights sum to {total_target:.10g}, expected 1")
+        if not allow_short and values.min() < 0.0:
+            row = int((values < 0.0).argmax())
+            raise _RowError(row, f"asset {ids[row]!r} has negative value {values[row]:.10g}; pass allow_short to permit this")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "values", _frozen(values))
+        object.__setattr__(self, "targets", _frozen(targets))
+        object.__setattr__(self, "allow_short", allow_short)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (
+            self.ids == other.ids
+            and self.allow_short == other.allow_short
+            and np.array_equal(self.values, other.values)
+            and np.array_equal(self.targets, other.targets)
+        )
+
+    def __hash__(self):
+        return hash((self.ids, self.allow_short))
 
     @property
     def n(self) -> int:
-        return len(self.assets)
+        return len(self.ids)
 
-    @property
-    def ids(self) -> Tuple[str, ...]:
-        return tuple(a.id for a in self.assets)
-
-    # Built on first access and kept, read-only: the instance is frozen.
+    # Built on first access and kept: the instance is frozen.
     @cached_property
-    def values(self) -> np.ndarray:
-        return _frozen(np.array([a.value for a in self.assets], dtype=np.float64))
-
-    @cached_property
-    def targets(self) -> np.ndarray:
-        return _frozen(np.array([a.target for a in self.assets], dtype=np.float64))
+    def assets(self) -> Tuple[Asset, ...]:
+        """The rows as Asset objects."""
+        return tuple(map(Asset, self.ids, self.values.tolist(), self.targets.tolist()))
 
     @cached_property
     def total(self) -> float:
@@ -143,6 +186,8 @@ def rebalance(portfolio: Portfolio, budget: float, norm: Union[Norm, str] = Norm
     ``norm`` selects the distance measure: l2 (default) gives the unique
     water-filling allocation; l1 gives the particular member of the
     solution family (the full family travels along in ``solution``).
+    Raises ValueError when the final allocations are not finite: a
+    total plus budget so small that dividing the holdings by it overflows.
     """
     norm = _as_norm(norm)
     naive = naive_adjustments(portfolio, budget)
@@ -154,7 +199,11 @@ def rebalance(portfolio: Portfolio, budget: float, norm: Union[Norm, str] = Norm
     else:
         solution = solve_l1(problem)
         adjustments = solution.particular
-    final = (portfolio.values + adjustments) / (portfolio.total + budget)
+    wealth = portfolio.total + budget
+    with np.errstate(over="ignore"):
+        final = (portfolio.values + adjustments) / wealth
+    if not np.isfinite(final).all():
+        raise ValueError(f"the final allocations are non-finite: total plus budget {wealth!r} is too small")
     return RebalancePlan(
         norm=norm,
         budget=budget,
@@ -174,10 +223,13 @@ def round_to_cents(adjustments, budget: float) -> np.ndarray:
     entries with the largest fractional remainders, ties broken by index.
     Requires the adjustments to satisfy the buy-only plan rule: finite,
     nonnegative within FEAS_TOL, and summing to the budget within
-    sum_tolerance.
+    sum_tolerance.  The budget may hold at most 2**53 cents (about
+    $9.0e13): float64 holds every whole number of cents only up to there.
     """
     adj = np.asarray(adjustments, dtype=np.float64).reshape(-1)
     budget = _check_budget(budget)
+    if budget * 100.0 > _MAX_CENTS:
+        raise ValueError(f"budget {budget!r} exceeds 2**53 cents, too large to round to whole cents")
     _check_plan(adj, budget)
     cents = adj * 100.0
     floors = np.floor(cents).astype(np.int64)

@@ -290,13 +290,21 @@ def solve_l1(problem: ContributionProblem) -> L1SolutionFamily:
     buy-only plan rule.
     """
     pos = problem.positive_parts()
-    total_pos = float(np.sum(pos))
+    with np.errstate(over="ignore"):
+        total_pos = float(np.sum(pos))
     if problem.budget > total_pos:
         case, slack, scale = L1Case.SURPLUS, problem.budget - total_pos, None
         particular = pos + slack / problem.n
-    else:
+    elif math.isfinite(total_pos):
         case, slack, scale = L1Case.DEFICIT, 0.0, problem.budget / total_pos
         particular = scale * pos
+    else:
+        # the positive parts overflow when summed: sum them scaled by the largest
+        top = float(pos.max())
+        parts = pos / top
+        total_parts = float(np.sum(parts))
+        case, slack, scale = L1Case.DEFICIT, 0.0, (problem.budget / top) / total_parts
+        particular = parts * (problem.budget / total_parts)
     _check_plan(particular, problem.budget)
     return L1SolutionFamily(
         case=case, particular=particular, positive_parts=pos, slack=slack, scale=scale

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +124,30 @@ def test_parse_normalize_rejects_negative_weight():
         parse_portfolio("id,value,target\nA,1,0\nB,1,0", normalize=True)
 
 
+@pytest.mark.parametrize(
+    "rows, flags, lineno, reason",
+    [
+        ("A,1,0.5\n# held twice\nA,1,0.5", [], 5, "duplicate asset id 'A'"),
+        ("A,1,0.5\n ,1,0.5", [], 4, "asset id must be a non-empty string"),
+        ("A,1,0.5\n\nB,1e999,0.5", [], 5, "'B': value must be finite"),
+        ("A,1,0.5\nB,1,1.5", [], 4, "'B': target must lie in"),
+        ("A,1,0.5\nB,-1,0.5", [], 4, "'B' has negative value -1"),
+        ("A,1,2\n# weights\nB,1,-1", ["--normalize"], 5, "weight -1.0 must be nonnegative"),
+    ],
+    ids=["duplicate-id", "empty-id", "value-1e999", "target-1.5", "negative-value", "negative-weight-normalize"],
+)
+def test_row_errors_name_their_line(rows, flags, lineno, reason, tmp_path, capsys):
+    text = f"# portfolio\nid,value,target\n{rows}\n"
+    with pytest.raises(PortfolioFormatError, match=rf"^line {lineno}: .*{re.escape(reason)}"):
+        parse_portfolio(text, normalize="--normalize" in flags)
+    path = tmp_path / "p.csv"
+    path.write_text(text, encoding="utf-8")
+    assert run_rebalance_command(["--input", str(path), "--contribution", "10", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: line {lineno}: ")
+
+
 def test_parse_normalize_arbitrary_weights():
     text = "id,value,target\nA,100,3\nB,100,1"
     portfolio = parse_portfolio(text, normalize=True)
@@ -152,6 +177,11 @@ def test_round_trip_exact_at_10_digits():
             assert copied.target == float(f"{original.target:.10g}"), msg
         # second pass is a fixed point
         assert serialize_portfolio(reparsed) == text, msg
+        # the parser and the Asset constructor build the same portfolio
+        rebuilt = ns.Portfolio(reparsed.assets)
+        assert reparsed == rebuilt, msg
+        assert reparsed.values.tobytes() == rebuilt.values.tobytes(), msg
+        assert reparsed.targets.tobytes() == rebuilt.targets.tobytes(), msg
 
 
 def test_serialize_rejects_unparseable_ids():
@@ -447,6 +477,29 @@ def test_rebalance_json_refuses_non_finite_number(tmp_path, capsys):
     assert "non-finite" in captured.err
 
 
+def test_rebalance_command_exits_2_on_non_finite_final_allocations(tmp_path, capsys):
+    # a subnormal total + budget: the table would show -inf%, inf% and nan%
+    path = tmp_path / "short.csv"
+    path.write_text("id,value,target\nA,-1,0.5\nB,1,0.5\n", encoding="utf-8")
+    argv = ["--input", str(path), "--contribution", "5e-324", "--allow-short"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_rebalance_command(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "non-finite" in captured.err
+
+
+@pytest.mark.parametrize("contribution", ["1e17", "1e18"])
+def test_rebalance_refuses_more_than_2_pow_53_cents(golden_file, contribution, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_rebalance_command(["--input", golden_file, "--contribution", contribution]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "2**53 cents" in captured.err
+
+
 # -- the cached argument parsers ---------------------------------------------
 
 def _outcome(command, argv, capsys, fresh=None):
@@ -531,6 +584,9 @@ def test_project_simplex_file_input(tmp_path, capsys):
 def test_project_simplex_errors(tmp_path, capsys):
     assert run_project_simplex_command(["--values", "1.2,abc"]) == 2
     assert "value 2" in capsys.readouterr().err
+    # two numbers on two lines of one field are not one number
+    assert run_project_simplex_command(["--values", "0.5,0.5\n0.5"]) == 2
+    assert "error: value 2: '0.5\\n0.5' is not a plain decimal number" in capsys.readouterr().err
     assert run_project_simplex_command(["--values", ""]) == 2
     capsys.readouterr()
     assert run_project_simplex_command([]) == 2  # one source required

@@ -1,5 +1,8 @@
 """Domain layer: portfolio validation, naive adjustments, plans, rounding."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -78,12 +81,50 @@ def test_portfolio_arrays_built_once(golden_portfolio):
     assert repr(fresh) == repr(golden_portfolio)
 
 
+def test_portfolio_equality_compares_every_column(golden_portfolio):
+    def variant(i, **fields):
+        assets = list(GOLDEN_ASSETS)
+        assets[i] = dataclasses.replace(assets[i], **fields)
+        return tuple(assets)
+
+    # numbers compare as numbers, as the Asset fields did
+    assert ns.Portfolio((ns.Asset("a", -0.0, 1.0),)) == ns.Portfolio((ns.Asset("a", 0.0, 1.0),))
+    targets_swapped = variant(2, target=0.125)[:3] + variant(3, target=0.25)[3:]
+    for other in (
+        ns.Portfolio(variant(0, id="value")),
+        ns.Portfolio(variant(1, value=2100.5)),
+        ns.Portfolio(targets_swapped),
+        ns.Portfolio(GOLDEN_ASSETS, allow_short=True),
+    ):
+        assert other != golden_portfolio
+
+
 def test_rebalance_rejects_nonpositive_wealth():
     # total + budget == 0 leaves no ideal holdings to divide by
     short = ns.Portfolio((ns.Asset("a", -100.0, 0.5), ns.Asset("b", 0.0, 0.5)), allow_short=True)
     for budget in (100.0, 50.0):
         with pytest.raises(ValueError, match="total plus budget"):
             ns.rebalance(short, budget)
+
+
+def test_rebalance_refuses_non_finite_final_allocations():
+    # short and long holdings that cancel exactly, plus a subnormal budget:
+    # the wealth is positive but dividing the holdings by it overflows
+    rng = np.random.default_rng(MASTER_SEED + 34)
+    for trial in range(60):
+        held = rng.integers(1, 10**6, int(rng.integers(1, 4))).astype(float)
+        values = np.ravel(np.column_stack([held, -held]))
+        targets = rng.dirichlet(np.ones(values.size))
+        portfolio = ns.Portfolio(
+            tuple(ns.Asset(f"a{i}", v, t) for i, (v, t) in enumerate(zip(values, targets))),
+            allow_short=True,
+        )
+        budget = float(rng.integers(1, 2**20)) * 5e-324
+        norm = "l1" if trial % 2 else "l2"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite"):
+                ns.rebalance(portfolio, budget, norm)
 
 
 def test_portfolio_new_asset_zero_value():
@@ -226,10 +267,17 @@ def test_round_to_cents_deficit_split():
 
 def test_round_to_cents_single():
     assert ns.round_to_cents(np.array([1000.0]), 1000.0).tolist() == [100000]
+    assert ns.round_to_cents(np.array([9e13]), 9e13).tolist() == [9 * 10**15]
 
 
 def test_round_to_cents_precondition():
-    cases = [([1.0, 2.0], 4.0, "sum"), ([-0.5, 1.5], 1.0, "negative"), ([np.nan, 1.0], 1.0, "finite")]
+    cases = [
+        ([1.0, 2.0], 4.0, "sum"),
+        ([-0.5, 1.5], 1.0, "negative"),
+        ([np.nan, 1.0], 1.0, "finite"),
+        # float64 holds whole cents only up to 2**53 of them
+        ([1e14], 1e14, r"2\*\*53"),
+    ]
     for adjustments, budget, reason in cases:
         with pytest.raises(ValueError, match=reason):
             ns.round_to_cents(np.array(adjustments), budget)

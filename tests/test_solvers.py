@@ -6,6 +6,7 @@ worked examples and the edge semantics.
 """
 
 import mmap
+import warnings
 
 import numpy as np
 import pytest
@@ -246,12 +247,26 @@ def test_l1_boundary_is_deficit():
     assert family.particular.tolist() == [2.0, 2.0, 0.0]
 
 
-def test_l1_overflowing_positive_mass_raises():
-    # the positive parts sum to inf, so the uniform scale is 1/inf = 0 and
-    # the particular member would spend nothing
+@pytest.mark.parametrize(
+    "deltas, budget, particular",
+    [
+        ([1e308, 1e308], 1.0, [0.5, 0.5]),
+        ([1.5e308, -1e308, 1.5e308, 3e307], 6.6, [3.0, 0.0, 3.0, 0.6]),
+    ],
+    ids=["two-at-1e308", "mixed-signs"],
+)
+def test_l1_overflowing_positive_mass_scales(deltas, budget, particular):
+    # the positive parts sum to inf; the uniform scale must not become
+    # 1/inf = 0, and no overflow warning escapes
+    problem = ns.ContributionProblem(deltas, budget)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        family = ns.solve_l1(problem)
+    assert family.case is ns.L1Case.DEFICIT
+    np.testing.assert_allclose(family.particular, particular, rtol=1e-14)
+    assert family.scale == pytest.approx(budget / sum(d / 1e308 for d in deltas if d > 0) / 1e308, rel=1e-12)
     with np.errstate(over="ignore"):
-        with pytest.raises(ValueError, match="infeasible"):
-            ns.solve_l1(ns.ContributionProblem([1e308, 1e308], 1.0))
+        assert ns.is_l1_optimal(problem, family.particular)
 
 
 # -- is_l1_optimal -----------------------------------------------------------
