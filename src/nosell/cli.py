@@ -102,7 +102,13 @@ def parse_portfolio(text: str, normalize: bool = False, allow_short: bool = Fals
             raise PortfolioFormatError(
                 f"line {linenos[row]}: weight {float(targets[row])!r} must be nonnegative under --normalize"
             )
-        total = math.fsum(targets.tolist())
+        try:
+            total = math.fsum(targets.tolist())
+        except OverflowError:
+            # the weights' sum passes the float64 maximum: sum them scaled
+            # by the largest one
+            targets = targets / targets.max()
+            total = math.fsum(targets.tolist())
         if total <= 0.0:
             raise PortfolioFormatError("cannot normalize: weights sum to zero")
         targets = targets / total

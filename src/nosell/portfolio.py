@@ -75,17 +75,19 @@ class Asset:
 class Portfolio:
     """A non-empty portfolio held as three columns: ids, values, targets.
 
-    Ids must be non-empty and unique, values finite, and targets in
-    [0, 1] with a sum within TARGET_SUM_TOL of 1.  Values must be
-    nonnegative unless ``allow_short`` is set.  A rule broken by one
-    asset raises a ValueError that names it and carries its index as
-    ``row``.  ``values`` and ``targets`` are read-only float64 arrays.
+    Ids must be non-empty and unique, values finite with a finite
+    ``total``, and targets in [0, 1] with a sum within TARGET_SUM_TOL of
+    1.  Values must be nonnegative unless ``allow_short`` is set.  A rule
+    broken by one asset raises a ValueError that names it and carries its
+    index as ``row``.  ``values`` and ``targets`` are read-only float64
+    arrays.
     """
 
     ids: Tuple[str, ...]
     values: np.ndarray
     targets: np.ndarray
     allow_short: bool
+    total: float
 
     def __init__(self, assets: Iterable[Asset], allow_short: bool = False):
         assets = tuple(assets)
@@ -119,10 +121,15 @@ class Portfolio:
         if not allow_short and values.min() < 0.0:
             row = int((values < 0.0).argmax())
             raise _RowError(row, f"asset {ids[row]!r} has negative value {values[row]:.10g}; pass allow_short to permit this")
+        with np.errstate(over="ignore"):
+            total = float(np.sum(values))
+        if not math.isfinite(total):
+            raise ValueError("the asset values are each finite, but their total passes the float64 maximum")
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "values", _frozen(values))
         object.__setattr__(self, "targets", _frozen(targets))
         object.__setattr__(self, "allow_short", allow_short)
+        object.__setattr__(self, "total", total)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -146,10 +153,6 @@ class Portfolio:
     def assets(self) -> Tuple[Asset, ...]:
         """The rows as Asset objects."""
         return tuple(map(Asset, self.ids, self.values.tolist(), self.targets.tolist()))
-
-    @cached_property
-    def total(self) -> float:
-        return float(np.sum(self.values))
 
 
 @dataclass(frozen=True)

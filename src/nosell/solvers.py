@@ -29,11 +29,17 @@ import numpy as np
 
 #: Absolute tolerance for feasibility checks (nonnegativity, stationarity).
 FEAS_TOL = 1e-9
-#: Michelot rounds before solve_l2 sorts the surviving gaps instead, which
-#: bounds its worst case.  Seeded inputs at n = 1e6 take at most 14 rounds
-#: (median 8); 171 gap levels built so that plain Michelot drops one level
-#: per round take 18 once the gaps >= budget are cut.
+#: Michelot rounds before solve_l2 sorts the live gaps instead, which bounds
+#: its worst case.  Started from the proven cut of the sorted sample, the
+#: million_l2 inputs at n = 1e6 (seeds 1-3) take at most 9 rounds (median
+#: 4); 5847 copies of 171 gap levels built so that plain Michelot drops one
+#: level per round take 2.
 _MAX_ROUNDS = 32
+#: Gaps in the sorted sample that seeds solve_l2: up to this many assets the
+#: sample is the whole vector and its scan is the answer.  At n = 1e6 the
+#: sample costs about 0.06 ms against 2-2.5 ms per Michelot partition of
+#: the whole gap buffer.
+_SAMPLE = 4096
 #: Arrays of this many bytes or more get a map of their own (see _empty);
 #: numpy hints huge pages from the same size on.
 _MAPPED_BYTES = 1 << 22
@@ -209,7 +215,8 @@ class L1SolutionFamily:
 
 
 def solve_l2(problem: ContributionProblem) -> L2Solution:
-    """Solve the l2 problem in closed form, without a full sort.
+    """Solve the l2 problem in closed form: a sorted sample, then a short
+    selection.
 
     Works in shifted coordinates ``e_i = max(deltas) - d_i``: every term
     summed is a gap between two deltas rather than a delta, so large,
@@ -218,66 +225,118 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
         a_i = max(t - e_i, 0),   sum_i a_i = budget,   lam = max(deltas) - t
 
     which is the water-filling rule ``a_i = max(d_i - lam, 0)``, with
-    k* = #{i : e_i < t} funded assets.  The largest delta alone could take
-    the whole budget, so t <= budget and no gap >= budget is ever funded:
-    one selection pass drops those.  Michelot rounds (Michelot 1986) then
-    shrink the survivors, ``t = (sum(live) + budget) / |live|`` and
-    ``live = {e in live : e < t}``, until no gap is dropped; each round is
-    an in-place partition of the live gaps.  t only falls from round to
-    round and never below its final value, so every funded gap survives.
-    After ``_MAX_ROUNDS`` rounds the survivors are sorted and scanned for
+    k* = #{i : e_i < t} funded assets.  Sorted gaps give t by one scan for
     the largest prefix k with ``k e_k - sum_{j<=k} e_j < budget``.
 
-    Expected O(n) time with no full sort; the worst case is
-    ``_MAX_ROUNDS`` partitions plus one sort of the survivors.  Raises
-    ValueError rather than return a plan that breaks the buy-only plan rule.
+    The scan runs on a strided sample of at most ``_SAMPLE`` gaps, with the
+    budget scaled by the sample's share.  Up to ``_SAMPLE`` assets the
+    sample is the whole vector and its scan is the answer.  Above, the
+    sample only places a cut a little past its own k; the cut is kept only
+    once proven.  For any set A of gaps, ``sum_{i in A} (t - e_i) <= budget``
+    gives ``t <= (sum(A) + budget) / |A|``, and the largest delta alone
+    could take the whole budget, so ``t <= budget``.  If the gaps at or
+    below the cut give a bound no greater than the cut, every funded gap
+    is among them; otherwise the gaps are cut again at that bound (or the
+    budget, if smaller), which is proven by the same two facts.  Michelot
+    rounds (Michelot 1986) then shrink the live gaps,
+    ``t = (sum(live) + budget) / |live|`` and ``live = {e in live : e < t}``,
+    until no gap is dropped; t only falls and never below its final value.
+    After ``_MAX_ROUNDS`` rounds the live gaps are sorted and scanned.
+
+    Expected O(n) time; the worst case adds one sort of the live gaps.
+    Raises ValueError rather than return a plan that breaks the buy-only
+    plan rule.
     """
     budget = problem.budget
+    n = problem.n
     d_max = float(problem.deltas.max())
-    gaps = _gaps(d_max, problem.deltas, out=_empty(problem.n))
-    # every selection partitions in place, so the live gaps are always a
-    # prefix of the buffer
-    k = int(np.count_nonzero(gaps < budget))
-    if k < gaps.size:
-        gaps.partition(k - 1)
-    live = gaps[:k]
+    # a gap between deltas of opposite sign near 1e308 overflows to inf,
+    # which is >= any budget, so it is never funded; a scan that meets it
+    # computes inf - inf, a NaN that never qualifies either.  A plan whose
+    # sum overflows fails the plan check without a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gaps = np.subtract(d_max, problem.deltas, out=_empty(n))
+        step = -(-n // _SAMPLE)
+        sample = np.sort(gaps[::step])
+        if step == 1:
+            k, t = _prefix_scan(sample, budget)
+        else:
+            k, t, reordered = _sampled_solve(gaps, sample, budget)
+            if reordered:
+                # the selection reordered the buffer; refill it in input order
+                np.subtract(d_max, problem.deltas, out=gaps)
+        adjustments = np.subtract(t, gaps, out=gaps)
+        np.maximum(adjustments, 0.0, out=adjustments)
+        _check_plan(adjustments, budget)
+    return L2Solution(adjustments=adjustments, threshold=d_max - t, active_count=k)
+
+
+def _sampled_solve(gaps: np.ndarray, sample: np.ndarray, budget: float):
+    """``(k, t, reordered)`` for the gaps, from their sorted sample (see
+    solve_l2); ``reordered`` says whether the selection reordered ``gaps``."""
+    m = sample.size
+    # a subnormal budget can scale to 0; the sample scan then counts none
+    k, _ = _prefix_count(sample, budget * (m / gaps.size))
+    i = k + 2 * math.isqrt(k) + 2
+    cut = min(float(sample[i]), budget) if i < m else budget
+    live, in_place = _below(gaps, cut)
+    reordered = in_place and live.size < gaps.size
+    t = (float(live.sum()) + budget) / live.size
+    if cut < t and cut < budget:
+        # the bound does not prove the cut: cut again at the bound itself
+        live, in_place = _below(gaps, min(t, budget))
+        reordered = reordered or (in_place and live.size < gaps.size)
+        t = (float(live.sum()) + budget) / live.size
     for _ in range(_MAX_ROUNDS):
-        t = (float(live.sum()) + budget) / k
         # a subnormal budget can round t to 0; the funded gaps are then
         # the zero ones, which the smallest positive float still counts
         k = int(np.count_nonzero(live < max(t, math.ulp(0.0))))
         if k == live.size:
             break
+        reordered = reordered or in_place
         live.partition(k - 1)
         live = live[:k]
+        t = (float(live.sum()) + budget) / k
     else:
         k, t = _prefix_scan(np.sort(live), budget)
-    # the selection reordered the buffer; refill it in input order
-    adjustments = _gaps(d_max, problem.deltas, out=gaps)
-    np.subtract(t, adjustments, out=adjustments)
-    np.maximum(adjustments, 0.0, out=adjustments)
-    _check_plan(adjustments, budget)
-    return L2Solution(adjustments=adjustments, threshold=d_max - t, active_count=k)
+    return k, t, reordered
 
 
-def _gaps(d_max: float, deltas: np.ndarray, out=None) -> np.ndarray:
-    """``d_max - deltas`` in input order.  A gap between deltas of opposite
-    sign near 1e308 overflows to inf, which is >= any budget, so solve_l2
-    never funds it."""
-    with np.errstate(over="ignore"):
-        return np.subtract(d_max, deltas, out=out)
+def _below(gaps: np.ndarray, cut: float):
+    """The gaps ``<= cut``, and whether they are a prefix of ``gaps``.
+
+    A few of them are gathered into an array of their own, which leaves
+    ``gaps`` in input order; many are partitioned to the front of
+    ``gaps`` in place, which costs less than numpy's boolean gather there.
+    The result always holds the zero gap of the largest delta.
+    """
+    mask = gaps <= cut
+    k = int(np.count_nonzero(mask))
+    if 64 * k <= gaps.size:
+        return gaps[mask], False
+    if k < gaps.size:
+        gaps.partition(k - 1)
+    return gaps[:k], True
 
 
-def _prefix_scan(ascending: np.ndarray, budget: float):
-    """``(k, t)`` for sorted gaps: k the largest prefix with
-    ``k e_k - sum_{j<=k} e_j < budget``, ``t = (sum_{j<=k} e_j + budget) / k``."""
+def _prefix_count(ascending: np.ndarray, budget: float):
+    """``(k, sums)`` for sorted gaps: k the largest prefix with
+    ``k e_k - sum_{j<=k} e_j < budget`` (0 if there is none), and the
+    prefix sums ``sums``."""
     sums = np.cumsum(ascending)
     lhs = np.arange(1, ascending.size + 1, dtype=np.float64)
     lhs *= ascending
     lhs -= sums
     # lhs is non-decreasing in exact arithmetic; take the last qualifying
     # index rather than counting, in case rounding breaks that order
-    k = int(np.flatnonzero(lhs < budget)[-1]) + 1
+    qualifying = (lhs < budget).nonzero()[0]
+    return (int(qualifying[-1]) + 1 if qualifying.size else 0), sums
+
+
+def _prefix_scan(ascending: np.ndarray, budget: float):
+    """``(k, t)`` for sorted gaps that start with the zero gap:
+    ``t = (sum_{j<=k} e_j + budget) / k``, with k as in _prefix_count."""
+    k, sums = _prefix_count(ascending, budget)
     return k, (float(sums[k - 1]) + budget) / k
 
 
@@ -290,8 +349,7 @@ def solve_l1(problem: ContributionProblem) -> L1SolutionFamily:
     buy-only plan rule.
     """
     pos = problem.positive_parts()
-    with np.errstate(over="ignore"):
-        total_pos = float(np.sum(pos))
+    total_pos = _total(pos)
     if problem.budget > total_pos:
         case, slack, scale = L1Case.SURPLUS, problem.budget - total_pos, None
         particular = pos + slack / problem.n
@@ -324,7 +382,7 @@ def is_l1_optimal(problem: ContributionProblem, candidate) -> bool:
     if _plan_error(cand, problem.budget) is not None:
         return False
     pos = problem.positive_parts()
-    if problem.budget > float(np.sum(pos)):
+    if problem.budget > _total(pos):
         return bool(np.all(cand >= pos - FEAS_TOL))
     return bool(np.all(cand <= pos + FEAS_TOL))
 
@@ -368,13 +426,29 @@ def l1_optimal_value(problem: ContributionProblem) -> ObjectiveValue:
 
     budget - sum(deltas) in the surplus case, sum|deltas| - budget in the
     deficit case; clamped at zero in case float cancellation dips below.
+    A sum that overflows is taken again scaled by the largest |delta|, so
+    the value is inf only when it passes the float64 maximum itself.
     """
-    pos_total = float(np.sum(problem.positive_parts()))
-    if problem.budget > pos_total:
-        value = problem.budget - float(np.sum(problem.deltas))
-    else:
-        value = float(np.sum(np.abs(problem.deltas))) - problem.budget
+    surplus = problem.budget > _total(problem.positive_parts())
+    value = _l1_value(problem.deltas, problem.budget, surplus)
+    if not math.isfinite(value):
+        top = float(np.max(np.abs(problem.deltas)))
+        value = _l1_value(problem.deltas / top, problem.budget / top, surplus) * top
     return ObjectiveValue(Norm.L1, max(value, 0.0))
+
+
+def _l1_value(deltas: np.ndarray, budget: float, surplus: bool) -> float:
+    with np.errstate(over="ignore"):
+        if surplus:
+            return budget - float(np.sum(deltas))
+        return float(np.sum(np.abs(deltas))) - budget
+
+
+def _total(parts: np.ndarray) -> float:
+    """The sum of nonnegative ``parts``: inf, with no overflow warning, when
+    it passes the float64 maximum."""
+    with np.errstate(over="ignore"):
+        return float(np.sum(parts))
 
 
 def _check_length(problem: ContributionProblem, candidate) -> np.ndarray:

@@ -154,6 +154,31 @@ def test_parse_normalize_arbitrary_weights():
     assert portfolio.targets.tolist() == [0.75, 0.25]
 
 
+def test_parse_normalize_weights_whose_sum_overflows(tmp_path, capsys):
+    # finite weights whose sum passes the float64 maximum are normalized
+    # at the scale of the largest one, not refused with a traceback
+    seed = MASTER_SEED + 101
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(0.9e308, 1.7e308, 3).tolist()
+    text = "id,value,target\n" + "".join(f"A{i},100,{w!r}\n" for i, w in enumerate(weights))
+    portfolio = parse_portfolio(text, normalize=True)
+    scaled = [w / max(weights) for w in weights]
+    np.testing.assert_allclose(portfolio.targets, [w / sum(scaled) for w in scaled], rtol=1e-15, err_msg=f"seed={seed}")
+    path = tmp_path / "weights.csv"
+    path.write_text(text, encoding="utf-8")
+    assert run_rebalance_command(["--input", str(path), "--contribution", "10", "--normalize"]) == 0, f"seed={seed}"
+    assert capsys.readouterr().err == ""
+
+
+def test_rebalance_refuses_values_whose_total_overflows(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text("id,value,target\nA,1e308,0.5\nB,1e308,0.5\n", encoding="utf-8")
+    assert run_rebalance_command(["--input", str(path), "--contribution", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the asset values are each finite, but their total passes the float64 maximum\n"
+
+
 def test_parse_allow_short_flag():
     text = "id,value,target\nA,-50,0.5\nB,150,0.5"
     with pytest.raises(ValueError, match="allow_short"):

@@ -1,6 +1,8 @@
 """The solvers, the oracles and the vectorized grid scan must agree with
 the pure-Python reference loops in ``reference_kernels``."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -36,7 +38,9 @@ def test_threshold_scan_pair_agreement():
 
 @pytest.mark.parametrize("max_rounds", [0, 1])
 def test_threshold_scan_fallback_agreement(monkeypatch, max_rounds):
-    # a round cap of 0 or 1 sends solve_l2 to its sort-the-survivors scan
+    # up to _SAMPLE assets one sorted scan is the whole solve, whatever the
+    # round cap (test_threshold_scan_capped_fallback_above_the_sample
+    # reaches the cap)
     scans = []
     prefix_scan = solvers._prefix_scan
 
@@ -51,6 +55,96 @@ def test_threshold_scan_fallback_agreement(monkeypatch, max_rounds):
         assert len(scans) == 300
     else:
         assert scans
+
+
+def _assert_matches_loop(deltas, budget, msg):
+    problem = ContributionProblem(deltas, budget)
+    solution = solve_l2(problem)
+    k_loop, lam_loop = threshold_scan_loop(np.ascontiguousarray(np.sort(deltas)[::-1]), budget)
+    assert solution.active_count == k_loop, msg
+    assert solution.threshold == pytest.approx(lam_loop, rel=1e-12, abs=1e-12), msg
+    assert kkt_check_l2(problem, solution.adjustments, solution.threshold), msg
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_threshold_scan_at_the_sample_size(offset):
+    # up to _SAMPLE assets the sorted sample is the whole vector and its
+    # scan is the answer; one asset more and it samples every second gap
+    n = solvers._SAMPLE + offset
+    seed = MASTER_SEED + 110 + offset
+    rng = np.random.default_rng(seed)
+    deltas = rng.uniform(-10.0, 10.0, n)
+    for budget in 10.0 ** rng.uniform(-6.0, 6.0, 8):
+        _assert_matches_loop(deltas, float(budget), f"seed={seed} n={n} budget={budget!r}")
+
+
+@pytest.mark.parametrize("max_rounds", [0, 1])
+def test_threshold_scan_capped_fallback_above_the_sample(monkeypatch, max_rounds):
+    # above _SAMPLE assets _prefix_scan runs only in the fallback past the
+    # round cap, on the sorted live gaps
+    scans = []
+    prefix_scan = solvers._prefix_scan
+
+    def counted(ascending, budget):
+        scans.append(ascending.size)
+        return prefix_scan(ascending, budget)
+
+    monkeypatch.setattr(solvers, "_MAX_ROUNDS", max_rounds)
+    monkeypatch.setattr(solvers, "_prefix_scan", counted)
+    seed = MASTER_SEED + 114
+    rng = np.random.default_rng(seed)
+    n = 3 * solvers._SAMPLE + 7
+    for trial in range(6):
+        deltas = rng.uniform(-10.0, 10.0, n)
+        budget = float(10.0 ** rng.uniform(-3.0, 5.0))
+        _assert_matches_loop(deltas, budget, f"seed={seed} trial={trial} budget={budget!r}")
+    if max_rounds == 0:
+        assert len(scans) == 6
+    else:
+        assert scans
+
+
+@pytest.mark.parametrize("top", ["sampled", "unsampled"])
+def test_threshold_scan_sample_placement(monkeypatch, top):
+    # every sampled (step-th) gap lies in [0, 10], every other one in
+    # [9, 20], or the other way round.  When the sample holds the small
+    # gaps it sees more of them than the vector has, so its cut falls
+    # short of t and the subset bound cuts again; when it misses them, its
+    # cut is too high, which the bound accepts at once
+    cuts = []
+    below = solvers._below
+
+    def spied(gaps, cut):
+        cuts.append(cut)
+        return below(gaps, cut)
+
+    monkeypatch.setattr(solvers, "_below", spied)
+    seed = MASTER_SEED + 115
+    rng = np.random.default_rng(seed)
+    step = 10
+    n = step * solvers._SAMPLE
+    small, large = rng.uniform(0.0, 10.0, n), rng.uniform(9.0, 20.0, n)
+    gaps = large.copy() if top == "sampled" else small.copy()
+    gaps[::step] = (small if top == "sampled" else large)[::step]
+    _assert_matches_loop(-gaps, 51200.0, f"seed={seed} top={top}")
+    assert len(cuts) == (2 if top == "sampled" else 1), cuts
+    assert cuts == sorted(cuts)
+
+
+@pytest.mark.parametrize("n", [solvers._SAMPLE // 2, 2 * solvers._SAMPLE + 3])
+def test_threshold_scan_huge_gaps_warn_nothing(n):
+    # gaps between deltas of opposite sign near 1e308 overflow to inf, in
+    # the sorted sample and in the scan of the whole vector
+    seed = MASTER_SEED + 116
+    rng = np.random.default_rng(seed)
+    for budget in (1.0, 1e300):
+        deltas = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5e308, 1.7e308, n)
+        problem = ContributionProblem(deltas, budget)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = solve_l2(problem)
+            assert kkt_check_l2(problem, solution.adjustments, solution.threshold), f"seed={seed} n={n}"
+        assert solution.active_count == np.count_nonzero(solution.adjustments), f"seed={seed} n={n}"
 
 
 def _starving_levels(count, unit, bump=1e-12):

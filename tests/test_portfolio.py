@@ -67,6 +67,22 @@ def test_portfolio_short_positions():
     assert np.all(plan.adjustments >= 0)
 
 
+def test_portfolio_rejects_overflowing_total():
+    # each value is finite but their total is not: the portfolio says so,
+    # with no overflow warning, instead of failing later on its deltas
+    seed = MASTER_SEED + 100
+    rng = np.random.default_rng(seed)
+    for trial in range(5):
+        values = rng.uniform(0.9e308, 1.7e308, 2).tolist()
+        assets = (ns.Asset("a", values[0], 0.5), ns.Asset("b", values[1], 0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="total passes the float64 maximum"):
+                ns.Portfolio(assets)
+        # a total that fits is kept
+        assert ns.Portfolio(assets[:1] + (ns.Asset("b", -values[1], 0.5),), allow_short=True).total == values[0] - values[1], f"seed={seed} trial={trial}"
+
+
 def test_portfolio_arrays_built_once(golden_portfolio):
     values, targets = golden_portfolio.values, golden_portfolio.targets
     assert golden_portfolio.values is values and golden_portfolio.targets is targets

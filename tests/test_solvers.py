@@ -199,17 +199,29 @@ def test_l2_opposite_sign_extreme_deltas(deltas, plan):
     assert ns.kkt_check_l2(problem, solution.adjustments, solution.threshold)
 
 
-def test_l2_default_path_does_not_sort(monkeypatch, worked_problem):
-    # a full sort is only the fallback past the round cap
-    def no_sort(*args, **kwargs):
-        raise AssertionError("np.sort called")
+def test_l2_sorts_no_more_than_the_sample(monkeypatch, worked_problem):
+    # np.sort sees the whole vector up to _SAMPLE assets and a strided
+    # sample of at most _SAMPLE gaps above; only the fallback past the
+    # round cap sorts more
+    sizes = []
+    sort = np.sort
 
-    monkeypatch.setattr(np, "sort", no_sort)
+    def recorded(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "sort", recorded)
     rng = np.random.default_rng(MASTER_SEED + 9)
-    problems = [worked_problem, ns.ContributionProblem(rng.uniform(-1e4, 1e4, 100_000), 1e3)]
+    problems = [
+        worked_problem,
+        ns.ContributionProblem(rng.uniform(-1e4, 1e4, 100_000), 1e3),
+        ns.ContributionProblem(-rng.exponential(1e3, 1_000_000), 1e6),
+    ]
     for problem in problems:
+        sizes.clear()
         solution = ns.solve_l2(problem)
         assert ns.kkt_check_l2(problem, solution.adjustments, solution.threshold)
+        assert len(sizes) == 1 and sizes[0] <= min(problem.n, solvers._SAMPLE)
 
 
 # -- solve_l1 ----------------------------------------------------------------
@@ -265,8 +277,20 @@ def test_l1_overflowing_positive_mass_scales(deltas, budget, particular):
     assert family.case is ns.L1Case.DEFICIT
     np.testing.assert_allclose(family.particular, particular, rtol=1e-14)
     assert family.scale == pytest.approx(budget / sum(d / 1e308 for d in deltas if d > 0) / 1e308, rel=1e-12)
-    with np.errstate(over="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         assert ns.is_l1_optimal(problem, family.particular)
+        assert ns.l1_optimal_value(problem).value == np.inf
+
+
+def test_l1_optimal_value_past_an_overflowing_sum():
+    # sum|deltas| overflows but the optimal value sum|deltas| - budget fits
+    problem = ns.ContributionProblem([1e308, 1e308, -1.0], 1.5e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = ns.l1_optimal_value(problem).value
+    assert value == pytest.approx(5e307, rel=1e-15)
+    assert ns.l1_objective(problem, ns.solve_l1(problem).particular).value == pytest.approx(value, rel=1e-15)
 
 
 # -- is_l1_optimal -----------------------------------------------------------
