@@ -23,7 +23,7 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -147,14 +147,37 @@ def _sig10(x: float) -> float:
     raise ValueError(f"the JSON report cannot hold the non-finite number {x!r}")
 
 
-def _money(x: float) -> str:
-    if x < 0:
-        return f"-${abs(x):,.0f}"
-    return f"${x:,.0f}"
+#: The exponents at which the text ``"%.10g" % x`` is not ``repr(_sig10(x))``
+#: up to a ``.0`` after an integral text.  Distinct 10-digit decimals lie
+#: about 1e-10 apart relative to their size, so repr of the rounded float
+#: keeps exactly their digits, except at exponents +10..+15, which repr
+#: writes positionally; at +308, where the rounding can overflow; and at
+#: -308 and below, where subnormal floats are coarser than 10 digits.
+#: The texts inf and nan, the only ones with an ``n``, differ as well.
+_NOT_REPR_EXPONENT = re.compile(r"e(?:\+(?:1[0-5]|308)|-3(?:0[89]|[12]\d))$", re.MULTILINE)
 
 
-def _pct(fraction: float) -> str:
-    return f"{fraction * 100.0:.0f}%"
+def _sig10_texts(column: List[float]) -> List[str]:
+    """``repr(_sig10(x))`` for every ``x`` of ``column``: one ``%.10g`` text
+    per number, checked in one pass over the whole column.  If repr would
+    write any of them otherwise, the whole column takes the scalar rule,
+    which also refuses a non-finite number."""
+    texts = list(map("%.10g".__mod__, column))
+    joined = "\n".join(texts)
+    if "n" in joined or _NOT_REPR_EXPONENT.search(joined):
+        return [repr(_sig10(x)) for x in column]
+    return [text if "." in text or "e" in text else text + ".0" for text in texts]
+
+
+def _money(column: List[float]) -> List[str]:
+    """Whole dollars, one text per number."""
+    return [f"-${-x:,.0f}" if x < 0 else f"${x:,.0f}" for x in column]
+
+
+def _pct(column: List[float]) -> List[str]:
+    """Whole percents of fractions, one text per number (the ``%`` format
+    is ``f`` of ``x * 100.0``, then ``%``)."""
+    return [f"{x:.0%}" for x in column]
 
 
 #: Per-asset fields of the JSON report, in output order.
@@ -169,92 +192,58 @@ _ASSET_OBJECT = (
 )
 
 
-def _asset_rows(portfolio: Portfolio, plan: RebalancePlan) -> List[tuple]:
-    """One tuple of plain Python scalars per asset, in _ASSET_FIELDS order."""
-    return [
-        (
-            asset_id, _sig10(value), _sig10(target),
-            _sig10(naive), _sig10(adjustment), cents, _sig10(final),
-        )
-        for asset_id, value, target, naive, adjustment, cents, final in zip(
-            portfolio.ids,
-            portfolio.values.tolist(),
-            portfolio.targets.tolist(),
-            plan.naive.tolist(),
-            plan.adjustments.tolist(),
-            plan.rounded_cents.tolist(),
-            plan.final_allocations.tolist(),
-        )
-    ]
-
-
-def _report(
-    portfolio: Portfolio,
-    plan: RebalancePlan,
-    samples: Optional[List[np.ndarray]],
-    asset_entry: Callable[[tuple], Any],
-    member_entry: Callable[[List[float]], Any],
-) -> dict:
-    """The report document.  The header members (norm, budget, and the
-    certificate or the l1 case) come first, then the list of assets and, if
-    samples were drawn, the list of sampled members.  ``asset_entry`` turns
-    each _asset_rows tuple, and ``member_entry`` each member's list of
-    floats, into its list entry."""
-    doc: dict = {"norm": plan.norm.value, "budget": _sig10(plan.budget)}
-    if isinstance(plan.solution, L2Solution):
-        doc["certificate"] = {
-            "k_star": plan.solution.active_count,
-            "lambda_star": _sig10(plan.solution.threshold),
-        }
-    else:
-        doc["case"] = plan.solution.case.value
-        if plan.solution.case is L1Case.DEFICIT:
-            doc["alpha"] = _sig10(plan.solution.scale)
-        else:
-            doc["slack"] = _sig10(plan.solution.slack)
-    doc["assets"] = [asset_entry(row) for row in _asset_rows(portfolio, plan)]
-    if samples is not None:
-        doc["samples"] = [member_entry([_sig10(v) for v in member.tolist()]) for member in samples]
-    return doc
-
-
-def plan_to_dict(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[List[np.ndarray]] = None) -> dict:
-    """Build the JSON document: full precision plus the optimality
-    certificate (k*/lambda* for l2, case/alpha or case/slack for l1)."""
-    return _report(portfolio, plan, samples, lambda row: dict(zip(_ASSET_FIELDS, row)), list)
-
-
 def _json_array(items: List[str], indent: str) -> str:
     """A list of encoded items laid out as ``json.dumps(..., indent=2)`` lays
     it out at the depth whose indentation is ``indent``."""
     if not items:
         return "[]"
     inner = indent + "  "
-    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
-
-
-def _encode_asset(row: tuple) -> str:
-    return _ASSET_OBJECT % (encode_basestring_ascii(row[0]), *row[1:])
-
-
-def _encode_member(values: List[float]) -> str:
-    return _json_array(list(map(repr, values)), "    ")
+    separator = ",\n" + inner
+    return f"[\n{inner}{separator.join(items)}\n{indent}]"
 
 
 def render_json(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[List[np.ndarray]] = None) -> str:
-    """The JSON report, byte for byte ``json.dumps(plan_to_dict(...),
-    indent=2) + "\\n"``.  The header goes through json.dumps; the lists,
-    which hold a number per asset, are encoded directly with json's own
-    rules for strings, floats and ints."""
-    doc = _report(portfolio, plan, samples, _encode_asset, _encode_member)
-    header = {key: value for key, value in doc.items() if not isinstance(value, list)}
-    # json.dumps(header) ends with "\n}"; the lists follow the header members.
-    parts = [json.dumps(header, indent=2)[:-2]]
-    for key, items in doc.items():
-        if isinstance(items, list):
-            parts.append(f",\n  {encode_basestring_ascii(key)}: {_json_array(items, '  ')}")
+    """The JSON report: full precision at 10 significant digits, plus the
+    optimality certificate (k*/lambda* for l2, case/alpha or case/slack for
+    l1), laid out byte for byte as ``json.dumps(..., indent=2) + "\\n"``.
+
+    The header members go through json.dumps.  The lists, which hold a
+    number per asset, are encoded a column at a time with json's own rules
+    for strings, floats and ints.
+    """
+    header: dict = {"norm": plan.norm.value, "budget": _sig10(plan.budget)}
+    if isinstance(plan.solution, L2Solution):
+        header["certificate"] = {
+            "k_star": plan.solution.active_count,
+            "lambda_star": _sig10(plan.solution.threshold),
+        }
+    else:
+        header["case"] = plan.solution.case.value
+        if plan.solution.case is L1Case.DEFICIT:
+            header["alpha"] = _sig10(plan.solution.scale)
+        else:
+            header["slack"] = _sig10(plan.solution.slack)
+    assets = list(map(_ASSET_OBJECT.__mod__, zip(
+        map(encode_basestring_ascii, portfolio.ids),
+        _sig10_texts(portfolio.values.tolist()),
+        _sig10_texts(portfolio.targets.tolist()),
+        _sig10_texts(plan.naive.tolist()),
+        _sig10_texts(plan.adjustments.tolist()),
+        map(str, plan.rounded_cents.tolist()),
+        _sig10_texts(plan.final_allocations.tolist()),
+    )))
+    # json.dumps(header) ends with "\n}"; the lists follow the header members
+    parts = [json.dumps(header, indent=2)[:-2], ',\n  "assets": ', _json_array(assets, "  ")]
+    if samples is not None:
+        members = [_json_array(_sig10_texts(member.tolist()), "    ") for member in samples]
+        parts += [',\n  "samples": ', _json_array(members, "  ")]
     parts.append("\n}\n")
     return "".join(parts)
+
+
+def plan_to_dict(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[List[np.ndarray]] = None) -> dict:
+    """The JSON report (see :func:`render_json`) as a document."""
+    return json.loads(render_json(portfolio, plan, samples))
 
 
 def render_table(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[List[np.ndarray]] = None) -> str:
@@ -265,17 +254,17 @@ def render_table(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Li
     values = portfolio.values.tolist()
     columns = [
         [*portfolio.ids, "total"],
-        [_money(v) for v in values] + [_money(total)],
-        ([_pct(v / total) for v in values] + [_pct(1.0)]) if total else ["n/a"] * (len(values) + 1),
-        [_pct(t) for t in portfolio.targets.tolist()] + [_pct(float(np.sum(portfolio.targets)))],
-        [_money(v) for v in plan.naive.tolist()] + [_money(float(np.sum(plan.naive)))],
-        [_money(v) for v in plan.adjustments.tolist()] + [_money(float(np.sum(plan.adjustments)))],
-        [_pct(v) for v in plan.final_allocations.tolist()] + [_pct(float(np.sum(plan.final_allocations)))],
+        _money([*values, total]),
+        _pct([v / total for v in values] + [1.0]) if total else ["n/a"] * (len(values) + 1),
+        _pct([*portfolio.targets.tolist(), float(portfolio.targets.sum())]),
+        _money([*plan.naive.tolist(), float(plan.naive.sum())]),
+        _money([*plan.adjustments.tolist(), float(plan.adjustments.sum())]),
+        _pct([*plan.final_allocations.tolist(), float(plan.final_allocations.sum())]),
     ]
     widths = [max(len(name), *map(len, column)) for name, column in zip(header, columns)]
     row_format = "  ".join([f"%-{widths[0]}s"] + [f"%{w}s" for w in widths[1:]])
     rule = "  ".join("-" * w for w in widths)
-    rows = [row_format % row for row in zip(*columns)]
+    rows = list(map(row_format.__mod__, zip(*columns)))
     lines = [row_format % header, rule, *rows[:-1], rule, rows[-1]]
     if isinstance(plan.solution, L2Solution):
         certificate = f"k* = {plan.solution.active_count}, lambda* = {plan.solution.threshold:.10g}"
@@ -285,7 +274,7 @@ def render_table(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Li
         certificate = f"case = surplus, slack = {plan.solution.slack:.10g}"
     lines.append("")
     lines.append(
-        f"contribution {_money(plan.budget)} allocated under {plan.norm.value}; {certificate}"
+        f"contribution {_money([plan.budget])[0]} allocated under {plan.norm.value}; {certificate}"
     )
     if samples:
         lines.append("")
@@ -369,7 +358,7 @@ def run_project_simplex_command(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    sys.stdout.write(",".join(f"{v:.10f}" for v in projected) + "\n")
+    sys.stdout.write(",".join(map("{:.10f}".format, projected.tolist())) + "\n")
     return 0
 
 

@@ -281,12 +281,12 @@ def _sampled_solve(gaps: np.ndarray, sample: np.ndarray, budget: float):
     cut = min(float(sample[i]), budget) if i < m else budget
     live, in_place = _below(gaps, cut)
     reordered = in_place and live.size < gaps.size
-    t = (float(live.sum()) + budget) / live.size
+    t = _level(live, float(live.sum()), budget)
     if cut < t and cut < budget:
         # the bound does not prove the cut: cut again at the bound itself
         live, in_place = _below(gaps, min(t, budget))
         reordered = reordered or (in_place and live.size < gaps.size)
-        t = (float(live.sum()) + budget) / live.size
+        t = _level(live, float(live.sum()), budget)
     for _ in range(_MAX_ROUNDS):
         # a subnormal budget can round t to 0; the funded gaps are then
         # the zero ones, which the smallest positive float still counts
@@ -296,7 +296,7 @@ def _sampled_solve(gaps: np.ndarray, sample: np.ndarray, budget: float):
         reordered = reordered or in_place
         live.partition(k - 1)
         live = live[:k]
-        t = (float(live.sum()) + budget) / k
+        t = _level(live, float(live.sum()), budget)
     else:
         k, t = _prefix_scan(np.sort(live), budget)
     return k, t, reordered
@@ -327,6 +327,14 @@ def _prefix_count(ascending: np.ndarray, budget: float):
     lhs = np.arange(1, ascending.size + 1, dtype=np.float64)
     lhs *= ascending
     lhs -= sums
+    if not math.isfinite(lhs[-1]):
+        # k e_k or a prefix sum passed the float64 maximum (or a gap is
+        # inf): take the entries that did again as k (e_k - S_k / k), with
+        # the sums taken at a power-of-two scale that keeps them finite
+        counts = np.arange(1, ascending.size + 1, dtype=np.float64)
+        scale = 2.0 ** -ascending.size.bit_length()
+        means = np.cumsum(ascending * scale) / (counts * scale)
+        lhs = np.where(np.isfinite(lhs), lhs, counts * (ascending - means))
     # lhs is non-decreasing in exact arithmetic; take the last qualifying
     # index rather than counting, in case rounding breaks that order
     qualifying = (lhs < budget).nonzero()[0]
@@ -337,7 +345,21 @@ def _prefix_scan(ascending: np.ndarray, budget: float):
     """``(k, t)`` for sorted gaps that start with the zero gap:
     ``t = (sum_{j<=k} e_j + budget) / k``, with k as in _prefix_count."""
     k, sums = _prefix_count(ascending, budget)
-    return k, (float(sums[k - 1]) + budget) / k
+    return k, _level(ascending[:k], float(sums[k - 1]), budget)
+
+
+def _level(live: np.ndarray, total: float, budget: float) -> float:
+    """The water level ``(total + budget) / k`` of the k finite ``live``
+    gaps, whose sum is ``total``.  Where that is not finite (the sum, or
+    the sum plus the budget, passed the float64 maximum) it is taken again
+    as ``S / k + budget / k``, with S / k summed at a power-of-two scale
+    that keeps it finite; t <= budget, so that cannot overflow."""
+    k = live.size
+    t = (total + budget) / k
+    if math.isfinite(t):
+        return t
+    scale = 2.0 ** -k.bit_length()
+    return float((live * scale).sum()) / (k * scale) + budget / k
 
 
 def solve_l1(problem: ContributionProblem) -> L1SolutionFamily:

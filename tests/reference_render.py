@@ -1,15 +1,63 @@
-"""Reference table renderer for the differential tests in test_cli.py.
+"""Reference renderers for the differential tests in test_cli.py.
 
-A cell-by-cell implementation of the ``rebalance`` table report: each
-number is read from the numpy arrays one element at a time and each cell
-is padded with ``ljust``/``rjust``.  ``nosell.cli.render_table`` must
-produce the same text.  (The JSON report needs no reference here: its
-reference is ``json.dumps(plan_to_dict(...), indent=2) + "\\n"``.)
+``reference_render_table`` is a cell-by-cell implementation of the
+``rebalance`` table report: each number is read from the numpy arrays one
+element at a time and each cell is padded with ``ljust``/``rjust``.
+``nosell.cli.render_table`` must produce the same text.
+
+``reference_plan_to_dict`` builds the JSON report's document one number
+at a time with the scalar 10-digit rule; ``nosell.cli.render_json`` must
+produce ``json.dumps(reference_plan_to_dict(...), indent=2) + "\\n"``.
 """
+
+import math
 
 import numpy as np
 
 from nosell import L1Case, L2Solution
+
+ASSET_FIELDS = ("id", "value", "target", "naive", "adjustment", "adjustment_cents", "final_allocation")
+
+
+def _sig10(x):
+    """x at 10 significant digits; unrounded where the rounding overflows."""
+    x = float(x)
+    rounded = float("%.10g" % x)
+    if math.isfinite(rounded):
+        return rounded
+    if math.isfinite(x):
+        return x
+    raise ValueError(f"the JSON report cannot hold the non-finite number {x!r}")
+
+
+def reference_plan_to_dict(portfolio, plan, samples=None):
+    doc = {"norm": plan.norm.value, "budget": _sig10(plan.budget)}
+    if isinstance(plan.solution, L2Solution):
+        doc["certificate"] = {
+            "k_star": plan.solution.active_count,
+            "lambda_star": _sig10(plan.solution.threshold),
+        }
+    elif plan.solution.case is L1Case.DEFICIT:
+        doc["case"] = "deficit"
+        doc["alpha"] = _sig10(plan.solution.scale)
+    else:
+        doc["case"] = "surplus"
+        doc["slack"] = _sig10(plan.solution.slack)
+    doc["assets"] = []
+    for i, asset in enumerate(portfolio.assets):
+        row = (
+            asset.id,
+            _sig10(asset.value),
+            _sig10(asset.target),
+            _sig10(plan.naive[i]),
+            _sig10(plan.adjustments[i]),
+            int(plan.rounded_cents[i]),
+            _sig10(plan.final_allocations[i]),
+        )
+        doc["assets"].append(dict(zip(ASSET_FIELDS, row)))
+    if samples is not None:
+        doc["samples"] = [[_sig10(v) for v in member] for member in samples]
+    return doc
 
 
 def _money(x):

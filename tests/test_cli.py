@@ -2,6 +2,7 @@
 exit codes, and the sampling flags."""
 
 import json
+import math
 import os
 import re
 import shutil
@@ -27,7 +28,7 @@ from nosell.cli import (
 )
 
 from helpers import MASTER_SEED, random_portfolio
-from reference_render import reference_render_table
+from reference_render import reference_plan_to_dict, reference_render_table
 
 GOLDEN_CSV = """\
 # five-asset test portfolio, total 10000
@@ -433,13 +434,19 @@ def _report_cases():
     empty = ns.Portfolio((ns.Asset("a", 0.0, 0.25), ns.Asset("b", 0.0, 0.75)))
     yield "no holdings", empty, ns.rebalance(empty, 99.99), None
     yield "no samples", empty, ns.rebalance(empty, 99.99, "l1"), []
+    # a subnormal value and one that rounds to 1e+10 at 10 digits: the JSON
+    # value column takes the scalar rule
+    edge = ns.Portfolio((ns.Asset("sub", 1.5e-320, 0.25), ns.Asset("big", 9999999999.7, 0.5),
+                         ns.Asset("c", 1234.5, 0.25)))
+    yield "subnormal and 9999999999.7", edge, ns.rebalance(edge, 500.0), None
 
 
 def test_render_json_matches_json_dumps():
     kinds = set()
     for label, portfolio, plan, samples in _report_cases():
-        expected = json.dumps(plan_to_dict(portfolio, plan, samples), indent=2) + "\n"
-        assert render_json(portfolio, plan, samples) == expected, label
+        reference = reference_plan_to_dict(portfolio, plan, samples)
+        assert render_json(portfolio, plan, samples) == json.dumps(reference, indent=2) + "\n", label
+        assert plan_to_dict(portfolio, plan, samples) == reference, label
         kinds.add(plan.solution.case.value if plan.norm is ns.Norm.L1 else "l2")
     assert kinds == {"l2", "deficit", "surplus"}
 
@@ -463,6 +470,58 @@ def test_render_table_matches_reference():
         tables.append(render_table(portfolio, plan, samples))
         assert tables[-1] == reference_render_table(portfolio, plan, samples), label
     assert any("n/a" in table for table in tables)
+
+
+# -- the JSON report's column encoder ----------------------------------------
+
+FLOAT_MAX = 1.7976931348623157e308
+
+
+def _encoder_values(rng):
+    """Log-uniform magnitudes over the whole finite range with both signs,
+    whole dollars, whole cents, and the edges of the 10-digit rule."""
+    count = 20_000
+    log_uniform = rng.choice([-1.0, 1.0], count) * 10.0 ** rng.uniform(-323.3, 308.25, count)
+    dollars = rng.integers(-10**12, 10**12, 2000).astype(np.float64)
+    cents = rng.integers(-10**14, 10**14, 2000) / 100.0
+    edges = [0.0, -0.0, 9999999999.7, -9999999999.7, 999999999.97, 1e16, 5e-324, 2.2250738585072014e-308,
+             FLOAT_MAX, -FLOAT_MAX]
+    near_max = rng.uniform(1.7976931345e308, FLOAT_MAX, 20)
+    return [*log_uniform.tolist(), *dollars.tolist(), *cents.tolist(), *edges, *near_max.tolist()]
+
+
+def test_sig10_texts_match_the_scalar_rule():
+    seed = MASTER_SEED + 93
+    rng = np.random.default_rng(seed)
+    values = _encoder_values(rng)
+
+    def check(column):
+        assert cli._sig10_texts(column) == [repr(cli._sig10(x)) for x in column], f"seed={seed}"
+
+    # one number per column, seeded runs of 1..50 numbers, and one long column
+    for x in values:
+        check([x])
+    start = 0
+    while start < len(values):
+        size = int(rng.integers(1, 51))
+        check(values[start:start + size])
+        start += size
+    check(values)
+    # short columns that mix one value the scalar rule must write with
+    # ordinary ones
+    ordinary = [1234.5, 0.25, 3.0, -17.125, 1e-05]
+    reached = set()
+    for x in values:
+        match = cli._NOT_REPR_EXPONENT.search("%.10g" % x)
+        if match:
+            reached.add(match.group()[:3])
+            where = int(rng.integers(0, len(ordinary) + 1))
+            check(ordinary[:where] + [x] + ordinary[where:])
+    # every alternative of the exponent check is reached: +10..+15, +308, -308 and below
+    assert reached == {"e+1", "e+3", "e-3"}, f"seed={seed} reached={reached}"
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="the JSON report cannot hold the non-finite number"):
+            cli._sig10_texts([1.5, bad, 2.0])
 
 
 # -- JSON never carries NaN or Infinity --------------------------------------
@@ -597,6 +656,17 @@ def test_project_simplex_symmetric(capsys):
 def test_project_simplex_clip(capsys):
     assert run_project_simplex_command(["--values", "1.2,-0.1"]) == 0
     assert capsys.readouterr().out == "1.0000000000,0.0000000000\n"
+
+
+def test_project_simplex_output_bytes(capsys):
+    # 1000 values near the simplex, most of them kept positive: the
+    # output is each projected float64 at 10 decimals, comma-separated
+    seed = MASTER_SEED + 94
+    rng = np.random.default_rng(seed)
+    values = rng.dirichlet(np.ones(1000)) + rng.normal(0.0, 1e-4, 1000)
+    assert run_project_simplex_command(["--values", ",".join(map(repr, values.tolist()))]) == 0
+    expected = ",".join(f"{v:.10f}" for v in ns.simplex_mle(values)) + "\n"
+    assert capsys.readouterr().out == expected, f"seed={seed}"
 
 
 def test_project_simplex_file_input(tmp_path, capsys):

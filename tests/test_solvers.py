@@ -199,6 +199,34 @@ def test_l2_opposite_sign_extreme_deltas(deltas, plan):
     assert ns.kkt_check_l2(problem, solution.adjustments, solution.threshold)
 
 
+@pytest.mark.parametrize("n", [2, 2 * solvers._SAMPLE + 3])
+def test_l2_budget_near_float_max_with_large_gaps(n):
+    # k e_k, the prefix sums and sum + budget pass the float64 maximum
+    # although the plan does not: [1e308, 0] at budget 1.5e308 is
+    # [1.25e308, 2.5e307].  n = 2 is the whole-vector scan; the larger n
+    # (the same input padded with zeros) runs the sampled cut and Michelot.
+    seed = MASTER_SEED + 11
+    rng = np.random.default_rng(seed)
+    cases = [(np.pad([1e308, 0.0], (0, n - 2)), 1.5e308)]
+    for _ in range(4):
+        deltas = rng.uniform(-0.7e308, 0.3e308, n)
+        deltas[rng.integers(n)] = 1e308
+        cases.append((deltas, float(rng.uniform(1e308, 1.7e308))))
+    for i, (deltas, budget) in enumerate(cases):
+        msg = f"seed={seed} n={n} case={i} budget={budget!r}"
+        problem = ns.ContributionProblem(deltas, budget)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = ns.solve_l2(problem)
+            assert ns.kkt_check_l2(problem, solution.adjustments, solution.threshold), msg
+        exact, _ = water_fill_exact(deltas, budget)
+        error = np.abs(solution.adjustments - np.array([float(x) for x in exact]))
+        assert float(np.max(error)) <= 1e-12 * budget, msg
+        assert solution.active_count == sum(x > 0 for x in exact), msg
+        if n == 2 and i == 0:
+            assert solution.adjustments.tolist() == [1.25e308, 2.5e307]
+
+
 def test_l2_sorts_no_more_than_the_sample(monkeypatch, worked_problem):
     # np.sort sees the whole vector up to _SAMPLE assets and a strided
     # sample of at most _SAMPLE gaps above; only the fallback past the
