@@ -191,6 +191,13 @@ _ASSET_OBJECT = (
     + "\n    }"
 )
 
+#: The report's opening brace and header members as ``json.dumps(...,
+#: indent=2)`` lays them out, up to the comma before the assets: the
+#: certificate of an l2 plan, and the case of an l1 plan with its alpha or
+#: slack.  ``%r`` writes a float as json does.
+_L2_HEADER = '{\n  "norm": "%s",\n  "budget": %r,\n  "certificate": {\n    "k_star": %d,\n    "lambda_star": %r\n  }'
+_L1_HEADER = '{\n  "norm": "%s",\n  "budget": %r,\n  "case": "%s",\n  "%s": %r'
+
 
 def _json_array(items: List[str], indent: str) -> str:
     """A list of encoded items laid out as ``json.dumps(..., indent=2)`` lays
@@ -207,22 +214,18 @@ def render_json(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Lis
     optimality certificate (k*/lambda* for l2, case/alpha or case/slack for
     l1), laid out byte for byte as ``json.dumps(..., indent=2) + "\\n"``.
 
-    The header members go through json.dumps.  The lists, which hold a
+    The header is filled into a fixed layout.  The lists, which hold a
     number per asset, are encoded a column at a time with json's own rules
     for strings, floats and ints.
     """
-    header: dict = {"norm": plan.norm.value, "budget": _sig10(plan.budget)}
-    if isinstance(plan.solution, L2Solution):
-        header["certificate"] = {
-            "k_star": plan.solution.active_count,
-            "lambda_star": _sig10(plan.solution.threshold),
-        }
+    solution = plan.solution
+    budget = _sig10(plan.budget)
+    if isinstance(solution, L2Solution):
+        header = _L2_HEADER % (plan.norm.value, budget, solution.active_count, _sig10(solution.threshold))
+    elif solution.case is L1Case.DEFICIT:
+        header = _L1_HEADER % (plan.norm.value, budget, solution.case.value, "alpha", _sig10(solution.scale))
     else:
-        header["case"] = plan.solution.case.value
-        if plan.solution.case is L1Case.DEFICIT:
-            header["alpha"] = _sig10(plan.solution.scale)
-        else:
-            header["slack"] = _sig10(plan.solution.slack)
+        header = _L1_HEADER % (plan.norm.value, budget, solution.case.value, "slack", _sig10(solution.slack))
     assets = list(map(_ASSET_OBJECT.__mod__, zip(
         map(encode_basestring_ascii, portfolio.ids),
         _sig10_texts(portfolio.values.tolist()),
@@ -232,8 +235,7 @@ def render_json(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Lis
         map(str, plan.rounded_cents.tolist()),
         _sig10_texts(plan.final_allocations.tolist()),
     )))
-    # json.dumps(header) ends with "\n}"; the lists follow the header members
-    parts = [json.dumps(header, indent=2)[:-2], ',\n  "assets": ', _json_array(assets, "  ")]
+    parts = [header, ',\n  "assets": ', _json_array(assets, "  ")]
     if samples is not None:
         members = [_json_array(_sig10_texts(member.tolist()), "    ") for member in samples]
         parts += [',\n  "samples": ', _json_array(members, "  ")]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import contextlib
 import enum
+import functools
 import math
 import mmap
 from dataclasses import dataclass
@@ -31,14 +32,15 @@ import numpy as np
 FEAS_TOL = 1e-9
 #: Michelot rounds before solve_l2 sorts the live gaps instead, which bounds
 #: its worst case.  Started from the proven cut of the sorted sample, the
-#: million_l2 inputs at n = 1e6 (seeds 1-3) take at most 9 rounds (median
-#: 4); 5847 copies of 171 gap levels built so that plain Michelot drops one
+#: million_l2 inputs at n = 1e6 (seeds 1-3, 540 solves on both routes) take
+#: at most 9 rounds (median 4), counting the last one, which drops nothing;
+#: 5847 copies of 171 gap levels built so that plain Michelot drops one
 #: level per round take 2.
 _MAX_ROUNDS = 32
 #: Gaps in the sorted sample that seeds solve_l2: up to this many assets the
 #: sample is the whole vector and its scan is the answer.  At n = 1e6 the
-#: sample costs about 0.06 ms against 2-2.5 ms per Michelot partition of
-#: the whole gap buffer.
+#: sample costs about 0.06 ms against 2-2.5 ms for one partition of the
+#: whole gap buffer.
 _SAMPLE = 4096
 #: Arrays of this many bytes or more get a map of their own (see _empty);
 #: numpy hints huge pages from the same size on.
@@ -100,8 +102,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _empty(n: int) -> np.ndarray:
-    """An uninitialised float64 array of length n.
+def _empty(n: int, zero: bool = False) -> np.ndarray:
+    """A float64 array of length n, uninitialised unless ``zero``.
 
     From _MAPPED_BYTES on, where the platform has transparent huge pages,
     the array gets a private anonymous map of its own, rounded up to whole
@@ -112,11 +114,12 @@ def _empty(n: int) -> np.ndarray:
     pages; and glibc can hand the heap back to the system after a large
     solve, so that the next solve faults them in again.  At n = 1e6 that
     was 400 or 900 faults per array, by where the process's heap happened
-    to start, and about a millisecond between the two.
+    to start, and about a millisecond between the two.  A fresh anonymous
+    map reads as zeros, so ``zero`` costs nothing there.
     """
     nbytes = 8 * n
     if nbytes < _MAPPED_BYTES or not hasattr(mmap, "MADV_HUGEPAGE"):
-        return np.empty(n)
+        return np.zeros(n) if zero else np.empty(n)
     size = -(-nbytes // _HUGE_PAGE) * _HUGE_PAGE
     buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     # a kernel built without transparent huge pages rejects the hint; the
@@ -243,80 +246,129 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
     until no gap is dropped; t only falls and never below its final value.
     After ``_MAX_ROUNDS`` rounds the live gaps are sorted and scanned.
 
+    Where the sample puts at most one gap in 64 below the cut, the gaps
+    below it are found from the deltas, and only theirs are computed and
+    written into the plan; otherwise all n gaps are (see _sampled_solve).
+
     Expected O(n) time; the worst case adds one sort of the live gaps.
     Raises ValueError rather than return a plan that breaks the buy-only
     plan rule.
     """
     budget = problem.budget
-    n = problem.n
-    d_max = float(problem.deltas.max())
+    deltas = problem.deltas
+    d_max = float(deltas.max())
     # a gap between deltas of opposite sign near 1e308 overflows to inf,
     # which is >= any budget, so it is never funded; a scan that meets it
     # computes inf - inf, a NaN that never qualifies either.  A plan whose
     # sum overflows fails the plan check without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        gaps = np.subtract(d_max, problem.deltas, out=_empty(n))
-        step = -(-n // _SAMPLE)
-        sample = np.sort(gaps[::step])
-        if step == 1:
-            k, t = _prefix_scan(sample, budget)
+        if deltas.size <= _SAMPLE:
+            gaps = d_max - deltas
+            k, t = _prefix_scan(np.sort(gaps), budget)
+            adjustments = _fund(t, gaps)
         else:
-            k, t, reordered = _sampled_solve(gaps, sample, budget)
-            if reordered:
-                # the selection reordered the buffer; refill it in input order
-                np.subtract(d_max, problem.deltas, out=gaps)
-        adjustments = np.subtract(t, gaps, out=gaps)
-        np.maximum(adjustments, 0.0, out=adjustments)
+            k, t, adjustments = _sampled_solve(deltas, d_max, budget)
         _check_plan(adjustments, budget)
     return L2Solution(adjustments=adjustments, threshold=d_max - t, active_count=k)
 
 
-def _sampled_solve(gaps: np.ndarray, sample: np.ndarray, budget: float):
-    """``(k, t, reordered)`` for the gaps, from their sorted sample (see
-    solve_l2); ``reordered`` says whether the selection reordered ``gaps``."""
+def _sampled_solve(deltas: np.ndarray, d_max: float, budget: float):
+    """``(k, t, adjustments)`` above ``_SAMPLE`` assets (see solve_l2).
+
+    The sorted sample places the cut and picks the route.  If at most one
+    sampled gap in 64 lies at or below the cut, the candidates are taken
+    from the deltas (_candidates) and the plan is zeros with the
+    candidates' entries written in; should they be more than one in 64
+    after all, the solve starts again on the dense route.  That route
+    computes every gap into one buffer and selects in it in place
+    (_below); the buffer, refilled in input order unless every gap is
+    funded, becomes the plan.
+    """
+    n = deltas.size
+    sample = np.sort(np.subtract(d_max, deltas[:: -(-n // _SAMPLE)]))
     m = sample.size
     # a subnormal budget can scale to 0; the sample scan then counts none
-    k, _ = _prefix_count(sample, budget * (m / gaps.size))
+    k, _ = _prefix_count(sample, budget * (m / n))
     i = k + 2 * math.isqrt(k) + 2
     cut = min(float(sample[i]), budget) if i < m else budget
-    live, in_place = _below(gaps, cut)
-    reordered = in_place and live.size < gaps.size
-    t = _level(live, float(live.sum()), budget)
-    if cut < t and cut < budget:
-        # the bound does not prove the cut: cut again at the bound itself
-        live, in_place = _below(gaps, min(t, budget))
-        reordered = reordered or (in_place and live.size < gaps.size)
+    if 64 * int(sample.searchsorted(cut, "right")) <= m:
+        settled = _settle(functools.partial(_candidates, deltas, d_max), cut, budget)
+        if settled is not None:
+            k, t, idx = settled
+            adjustments = _empty(n, zero=True)
+            adjustments[idx] = _fund(t, np.subtract(d_max, deltas.take(idx)))
+            return k, t, adjustments
+    gaps = np.subtract(d_max, deltas, out=_empty(n))
+    k, t, _ = _settle(functools.partial(_below, gaps), cut, budget)
+    if k < n:
+        # the selection reordered the buffer; refill it in input order
+        np.subtract(d_max, deltas, out=gaps)
+    return k, t, _fund(t, gaps)
+
+
+def _settle(cut_at, cut: float, budget: float):
+    """``(k, t, tag)`` from the gaps that ``cut_at(cut)`` finds at or below
+    ``cut`` (see solve_l2): the cut proven, or taken again at the bound,
+    then Michelot rounds.  ``tag`` is what ``cut_at`` returned beside the
+    live gaps of the cut kept.  None where ``cut_at`` returns None.
+    """
+    for _ in range(2):
+        found = cut_at(cut)
+        if found is None:
+            return None
+        live, tag = found
         t = _level(live, float(live.sum()), budget)
+        if t <= cut or cut >= budget:
+            break
+        # the bound does not prove the cut: cut again at the bound itself
+        cut = min(t, budget)
     for _ in range(_MAX_ROUNDS):
         # a subnormal budget can round t to 0; the funded gaps are then
         # the zero ones, which the smallest positive float still counts
-        k = int(np.count_nonzero(live < max(t, math.ulp(0.0))))
+        kept = live < max(t, math.ulp(0.0))
+        k = int(np.count_nonzero(kept))
         if k == live.size:
             break
-        reordered = reordered or in_place
-        live.partition(k - 1)
-        live = live[:k]
+        # drop in place: the kept gaps past the new end fill the slots of
+        # the dropped gaps before it
+        head, tail = live[:k], live[k:]
+        head[~kept[:k]] = tail[kept[k:]]
+        live = head
         t = _level(live, float(live.sum()), budget)
     else:
         k, t = _prefix_scan(np.sort(live), budget)
-    return k, t, reordered
+    return k, t, tag
+
+
+def _candidates(deltas: np.ndarray, d_max: float, cut: float):
+    """``(gaps, idx)``: the gaps of the deltas at ``idx``, which hold every
+    gap ``<= cut``, while that is at most one delta in 64; None otherwise.
+
+    Found in delta space, as ``d_i >= c`` for the float c = max(d) - cut.
+    No float lies between c and the exact difference, the float nearest
+    it, so a delta left out lies below the exact difference, and its gap,
+    rounded, is at least the cut: never funded while t <= cut.
+    """
+    idx = np.flatnonzero(deltas >= d_max - cut)
+    if 64 * idx.size > deltas.size:
+        return None
+    return np.subtract(d_max, deltas.take(idx)), idx
 
 
 def _below(gaps: np.ndarray, cut: float):
-    """The gaps ``<= cut``, and whether they are a prefix of ``gaps``.
-
-    A few of them are gathered into an array of their own, which leaves
-    ``gaps`` in input order; many are partitioned to the front of
-    ``gaps`` in place, which costs less than numpy's boolean gather there.
-    The result always holds the zero gap of the largest delta.
-    """
-    mask = gaps <= cut
-    k = int(np.count_nonzero(mask))
-    if 64 * k <= gaps.size:
-        return gaps[mask], False
+    """The dense route's cut: ``(live, None)``, the gaps ``<= cut``
+    partitioned to the front of ``gaps`` in place.  They always hold the
+    zero gap of the largest delta."""
+    k = int(np.count_nonzero(gaps <= cut))
     if k < gaps.size:
         gaps.partition(k - 1)
-    return gaps[:k], True
+    return gaps[:k], None
+
+
+def _fund(t: float, gaps: np.ndarray) -> np.ndarray:
+    """The plan entries ``max(t - e, 0)`` of ``gaps``, in place."""
+    np.subtract(t, gaps, out=gaps)
+    return np.maximum(gaps, 0.0, out=gaps)
 
 
 def _prefix_count(ascending: np.ndarray, budget: float):

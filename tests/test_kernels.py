@@ -10,7 +10,7 @@ from nosell import ContributionProblem, active_set_l2_oracle, kkt_check_l2, solv
 from nosell.oracles import _grid_l1_scan
 
 from helpers import MASTER_SEED
-from reference_kernels import active_set_scan_loop, grid_l1_scan_loop, threshold_scan_loop
+from reference_kernels import active_set_scan_loop, grid_l1_scan_loop, threshold_scan_loop, water_fill_exact
 
 
 def _random_case(rng, max_n=8):
@@ -110,15 +110,26 @@ def test_threshold_scan_sample_placement(monkeypatch, top):
     # [9, 20], or the other way round.  When the sample holds the small
     # gaps it sees more of them than the vector has, so its cut falls
     # short of t and the subset bound cuts again; when it misses them, its
-    # cut is too high, which the bound accepts at once
+    # cut is too high, which the bound accepts at once.  Budget 51200
+    # funds about half of the gaps, and the cuts take the dense route;
+    # budget 5 funds a few dozen, and the sample predicts the sparse
+    # route.  That holds when the sample holds the small gaps; when it
+    # misses them, nine gaps in ten lie below its cut, and the solve falls
+    # back to the dense route at the same cut
     cuts = []
-    below = solvers._below
 
-    def spied(gaps, cut):
-        cuts.append(cut)
-        return below(gaps, cut)
+    def spy(name):
+        helper = getattr(solvers, name)
 
-    monkeypatch.setattr(solvers, "_below", spied)
+        def recorded(*args):
+            found = helper(*args)
+            cuts.append((name, args[-1], found is not None))
+            return found
+
+        monkeypatch.setattr(solvers, name, recorded)
+
+    spy("_candidates")
+    spy("_below")
     seed = MASTER_SEED + 115
     rng = np.random.default_rng(seed)
     step = 10
@@ -126,9 +137,18 @@ def test_threshold_scan_sample_placement(monkeypatch, top):
     small, large = rng.uniform(0.0, 10.0, n), rng.uniform(9.0, 20.0, n)
     gaps = large.copy() if top == "sampled" else small.copy()
     gaps[::step] = (small if top == "sampled" else large)[::step]
-    _assert_matches_loop(-gaps, 51200.0, f"seed={seed} top={top}")
-    assert len(cuts) == (2 if top == "sampled" else 1), cuts
-    assert cuts == sorted(cuts)
+    for budget, route in ((51200.0, "_below"), (5.0, "_candidates")):
+        cuts.clear()
+        _assert_matches_loop(-gaps, budget, f"seed={seed} top={top} budget={budget!r}")
+        routes = [(name, found) for name, _, found in cuts]
+        if top == "sampled":
+            assert routes == [(route, True)] * 2, cuts
+            assert cuts[0][1] < cuts[1][1], cuts
+        elif route == "_below":
+            assert routes == [(route, True)], cuts
+        else:
+            assert routes == [("_candidates", False), ("_below", True)], cuts
+            assert cuts[0][1] == cuts[1][1], cuts
 
 
 @pytest.mark.parametrize("n", [solvers._SAMPLE // 2, 2 * solvers._SAMPLE + 3])
@@ -145,6 +165,38 @@ def test_threshold_scan_huge_gaps_warn_nothing(n):
             solution = solve_l2(problem)
             assert kkt_check_l2(problem, solution.adjustments, solution.threshold), f"seed={seed} n={n}"
         assert solution.active_count == np.count_nonzero(solution.adjustments), f"seed={seed} n={n}"
+
+
+@pytest.mark.parametrize("kind", ["near_2_53", "near_float_max", "clustered"])
+def test_threshold_scan_sparse_cuts_at_rounding_boundaries(kind):
+    # budgets that fund a few dozen of n assets, so the sample places its
+    # cut among the smallest gaps.  Near 2^53 the deltas are integers (even
+    # ones above 2^53), so max(d) - cut rounds for a fractional budget or an
+    # odd gap; near +-1e308 the gaps between deltas of opposite sign
+    # overflow; clustered deltas 1000 +- 1e-3 have gaps near 1e-7
+    seed = MASTER_SEED + 117
+    rng = np.random.default_rng(seed)
+    n = 3 * solvers._SAMPLE + 7
+    if kind == "near_2_53":
+        deltas = 2.0**53 + rng.uniform(-3000.0, 3000.0, n)
+        budgets = [0.3, 1.5, 2.5] + list(10.0 ** rng.uniform(0.0, 3.0, 3))
+    elif kind == "near_float_max":
+        deltas = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5e308, 1.7e308, n)
+        budgets = [1.0] + list(10.0 ** rng.uniform(300.0, 307.0, 5))
+    else:
+        deltas = 1000.0 + rng.uniform(-1e-3, 1e-3, n)
+        budgets = list(10.0 ** rng.uniform(-9.0, -4.0, 6))
+    for budget in budgets:
+        msg = f"seed={seed} kind={kind} budget={budget!r}"
+        problem = ContributionProblem(deltas, budget)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solution = solve_l2(problem)
+            assert kkt_check_l2(problem, solution.adjustments, solution.threshold), msg
+        exact, _ = water_fill_exact(deltas, budget)
+        exact = np.array([float(x) for x in exact])
+        assert solution.active_count == np.count_nonzero(exact) <= n // 64, msg
+        assert float(np.max(np.abs(solution.adjustments - exact))) <= 1e-12 * budget, msg
 
 
 def _starving_levels(count, unit, bump=1e-12):

@@ -60,7 +60,10 @@ def _is_mapped(arr):
 def test_large_arrays_get_their_own_map(monkeypatch, worked_problem):
     # from 4 MiB on, the problem's copy and the l2 plan live in maps of
     # their own where the platform has transparent huge pages; the answers
-    # are the same bits as with heap arrays
+    # are the same bits as with heap arrays.  Budget 1e3 funds a few
+    # hundred of the 524288 assets (the sparse route, whose plan is zeros
+    # with the funded entries written in), budget 1e8 tens of thousands
+    # (the dense route, whose plan is the gap buffer)
     raw = np.random.default_rng(MASTER_SEED + 10).uniform(-1e4, 1e4, (512, 2048))[:, ::2]
     expected = raw.flatten()
     problem = ns.ContributionProblem(raw, 1e3)
@@ -68,22 +71,26 @@ def test_large_arrays_get_their_own_map(monkeypatch, worked_problem):
     np.testing.assert_array_equal(problem.deltas, expected)
     with pytest.raises(ValueError):
         problem.deltas[0] = 0.0
-    solution = ns.solve_l2(problem)
-    assert ns.kkt_check_l2(problem, solution.adjustments, solution.threshold)
-    with pytest.raises(ValueError):
-        solution.adjustments[0] = 1.0
     mapped = hasattr(mmap, "MADV_HUGEPAGE")
     assert _is_mapped(problem.deltas) == mapped
-    assert _is_mapped(solution.adjustments) == mapped
+    problems = (problem, ns.ContributionProblem(expected, 1e8))
+    solutions = [ns.solve_l2(p) for p in problems]
+    for p, solution, sparse in zip(problems, solutions, (True, False)):
+        assert ns.kkt_check_l2(p, solution.adjustments, solution.threshold)
+        assert (64 * solution.active_count <= p.n) == sparse
+        with pytest.raises(ValueError):
+            solution.adjustments[0] = 1.0
+        assert _is_mapped(solution.adjustments) == mapped
     assert not _is_mapped(worked_problem.deltas)
     assert not _is_mapped(ns.solve_l2(worked_problem).adjustments)
 
     monkeypatch.setattr(solvers, "_MAPPED_BYTES", 1 << 62)
-    heap_problem = ns.ContributionProblem(expected, 1e3)
-    heap_solution = ns.solve_l2(heap_problem)
-    assert not _is_mapped(heap_problem.deltas) and not _is_mapped(heap_solution.adjustments)
-    assert heap_solution.adjustments.tobytes() == solution.adjustments.tobytes()
-    assert (heap_solution.threshold, heap_solution.active_count) == (solution.threshold, solution.active_count)
+    for p, solution in zip(problems, solutions):
+        heap_problem = ns.ContributionProblem(expected, p.budget)
+        heap_solution = ns.solve_l2(heap_problem)
+        assert not _is_mapped(heap_problem.deltas) and not _is_mapped(heap_solution.adjustments)
+        assert heap_solution.adjustments.tobytes() == solution.adjustments.tobytes()
+        assert (heap_solution.threshold, heap_solution.active_count) == (solution.threshold, solution.active_count)
 
 
 # -- solve_l2 ----------------------------------------------------------------
