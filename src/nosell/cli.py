@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import re
 import sys
@@ -31,11 +30,13 @@ from .portfolio import Portfolio, RebalancePlan, _RowError, rebalance
 from .solvers import L1Case, L2Solution, sample_l1_member, simplex_mle
 
 _NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
-_NUMBER_RE = re.compile(_NUMBER)
+#: ASCII, so that \d is 0-9 alone: in a str pattern it matches any Unicode
+#: decimal digit, and float() reads those too.
+_NUMBER_RE = re.compile(_NUMBER, re.ASCII)
 #: Finds the first line that is not a number, so that a column joined by
 #: line breaks is checked in one search.  A lookahead, unlike a repeated
 #: group, keeps no backtracking state per line.
-_NOT_A_NUMBER_LINE = re.compile(rf"^(?!{_NUMBER}$)", re.MULTILINE)
+_NOT_A_NUMBER_LINE = re.compile(rf"^(?!{_NUMBER}$)", re.MULTILINE | re.ASCII)
 
 _HEADER = ("id", "value", "target")
 
@@ -126,7 +127,14 @@ def serialize_portfolio(portfolio: Portfolio) -> str:
     """
     lines = [",".join(_HEADER)]
     for asset_id, value, target in zip(portfolio.ids, portfolio.values.tolist(), portfolio.targets.tolist()):
-        if "," in asset_id or "\n" in asset_id or asset_id.startswith("#") or asset_id != asset_id.strip():
+        # the parser splits lines with str.splitlines, which breaks at \r,
+        # \x1c and \u2028 among others, not only at \n
+        if (
+            "," in asset_id
+            or asset_id.splitlines() != [asset_id]
+            or asset_id.startswith("#")
+            or asset_id != asset_id.strip()
+        ):
             raise ValueError(f"asset id {asset_id!r} cannot be serialized")
         lines.append(f"{asset_id},{value:.10g},{target:.10g}")
     return "\n".join(lines) + "\n"
@@ -241,11 +249,6 @@ def render_json(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Lis
         parts += [',\n  "samples": ', _json_array(members, "  ")]
     parts.append("\n}\n")
     return "".join(parts)
-
-
-def plan_to_dict(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[List[np.ndarray]] = None) -> dict:
-    """The JSON report (see :func:`render_json`) as a document."""
-    return json.loads(render_json(portfolio, plan, samples))
 
 
 def render_table(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[List[np.ndarray]] = None) -> str:

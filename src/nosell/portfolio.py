@@ -242,6 +242,6 @@ def round_to_cents(adjustments, budget: float) -> np.ndarray:
     if leftover < 0 or leftover > adj.size:
         raise ValueError("rounding leftover out of range; inputs inconsistent")
     if leftover:
-        order = np.lexsort((np.arange(adj.size), -remainders))
+        order = np.argsort(-remainders, kind="stable")
         floors[order[:leftover]] += 1
     return floors

@@ -275,14 +275,12 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
 def _sampled_solve(deltas: np.ndarray, d_max: float, budget: float):
     """``(k, t, adjustments)`` above ``_SAMPLE`` assets (see solve_l2).
 
-    The sorted sample places the cut and picks the route.  If at most one
-    sampled gap in 64 lies at or below the cut, the candidates are taken
-    from the deltas (_candidates) and the plan is zeros with the
-    candidates' entries written in; should they be more than one in 64
-    after all, the solve starts again on the dense route.  That route
-    computes every gap into one buffer and selects in it in place
-    (_below); the buffer, refilled in input order unless every gap is
-    funded, becomes the plan.
+    The sorted sample places the cut and picks the route, once.  If at
+    most one sampled gap in 64 lies at or below the cut, the candidates are
+    taken from the deltas (_candidates) and the plan is zeros with the
+    candidates' entries written in.  Otherwise every gap is computed into
+    one buffer and selected in place (_below); the buffer, refilled in
+    input order unless every gap is funded, becomes the plan.
     """
     n = deltas.size
     sample = np.sort(np.subtract(d_max, deltas[:: -(-n // _SAMPLE)]))
@@ -292,12 +290,10 @@ def _sampled_solve(deltas: np.ndarray, d_max: float, budget: float):
     i = k + 2 * math.isqrt(k) + 2
     cut = min(float(sample[i]), budget) if i < m else budget
     if 64 * int(sample.searchsorted(cut, "right")) <= m:
-        settled = _settle(functools.partial(_candidates, deltas, d_max), cut, budget)
-        if settled is not None:
-            k, t, idx = settled
-            adjustments = _empty(n, zero=True)
-            adjustments[idx] = _fund(t, np.subtract(d_max, deltas.take(idx)))
-            return k, t, adjustments
+        k, t, idx = _settle(functools.partial(_candidates, deltas, d_max), cut, budget)
+        adjustments = _empty(n, zero=True)
+        adjustments[idx] = _fund(t, np.subtract(d_max, deltas.take(idx)))
+        return k, t, adjustments
     gaps = np.subtract(d_max, deltas, out=_empty(n))
     k, t, _ = _settle(functools.partial(_below, gaps), cut, budget)
     if k < n:
@@ -310,13 +306,10 @@ def _settle(cut_at, cut: float, budget: float):
     """``(k, t, tag)`` from the gaps that ``cut_at(cut)`` finds at or below
     ``cut`` (see solve_l2): the cut proven, or taken again at the bound,
     then Michelot rounds.  ``tag`` is what ``cut_at`` returned beside the
-    live gaps of the cut kept.  None where ``cut_at`` returns None.
+    live gaps of the cut kept.
     """
     for _ in range(2):
-        found = cut_at(cut)
-        if found is None:
-            return None
-        live, tag = found
+        live, tag = cut_at(cut)
         t = _level(live, float(live.sum()), budget)
         if t <= cut or cut >= budget:
             break
@@ -342,7 +335,7 @@ def _settle(cut_at, cut: float, budget: float):
 
 def _candidates(deltas: np.ndarray, d_max: float, cut: float):
     """``(gaps, idx)``: the gaps of the deltas at ``idx``, which hold every
-    gap ``<= cut``, while that is at most one delta in 64; None otherwise.
+    gap ``<= cut``.
 
     Found in delta space, as ``d_i >= c`` for the float c = max(d) - cut.
     No float lies between c and the exact difference, the float nearest
@@ -350,8 +343,6 @@ def _candidates(deltas: np.ndarray, d_max: float, cut: float):
     rounded, is at least the cut: never funded while t <= cut.
     """
     idx = np.flatnonzero(deltas >= d_max - cut)
-    if 64 * idx.size > deltas.size:
-        return None
     return np.subtract(d_max, deltas.take(idx)), idx
 
 

@@ -19,7 +19,6 @@ from nosell import cli
 from nosell.cli import (
     PortfolioFormatError,
     parse_portfolio,
-    plan_to_dict,
     render_json,
     render_table,
     run_project_simplex_command,
@@ -81,7 +80,10 @@ def test_parse_thousands_separator_rejected():
 
 
 @pytest.mark.parametrize(
-    "cell", ["nan", "inf", "-inf", "1.2.3", "0x10", "", "two", "1e"]
+    "cell",
+    # the last four hold non-ASCII decimal digits, which float() reads
+    ["nan", "inf", "-inf", "1.2.3", "0x10", "", "two", "1e",
+     "\u0663\u0660", "\uff11\uff10", "1e\u0662", "1.\u0665"],
 )
 def test_parse_strict_numeric_grammar(cell):
     text = f"id,value,target\nA,{cell},1.0"
@@ -211,9 +213,13 @@ def test_round_trip_exact_at_10_digits():
 
 
 def test_serialize_rejects_unparseable_ids():
-    asset = ns.Asset("a,b", 1.0, 1.0)
-    with pytest.raises(ValueError, match="serialized"):
-        serialize_portfolio(ns.Portfolio((asset,)))
+    # a comma, and every line break that str.splitlines, and so the
+    # parser, splits on
+    for asset_id in ["a,b", "a\nb", "a\rb", "a\r\nb", "a\vb", "a\fb", "a\x1cb", "a\x1db",
+                     "a\x1eb", "a\x85b", "a\u2028b", "a\u2029b"]:
+        asset = ns.Asset(asset_id, 1.0, 1.0)
+        with pytest.raises(ValueError, match="serialized"):
+            serialize_portfolio(ns.Portfolio((asset,)))
 
 
 # -- rebalance command -------------------------------------------------------
@@ -343,7 +349,7 @@ def test_rebalance_sampling_in_table(golden_file, capsys):
 def test_table_and_json_encode_identical_numbers(golden_file, capsys):
     plan = ns.rebalance(parse_portfolio(GOLDEN_CSV), 1000.0)
     portfolio = parse_portfolio(GOLDEN_CSV)
-    doc = plan_to_dict(portfolio, plan)
+    doc = json.loads(render_json(portfolio, plan))
     table = render_table(portfolio, plan)
     for row, asset in zip(doc["assets"], portfolio.assets):
         assert row["adjustment"] == pytest.approx(
@@ -370,7 +376,7 @@ def test_render_surplus_family_report():
         rounded_cents=ns.round_to_cents(family.particular, 3.0),
         solution=family,
     )
-    doc = plan_to_dict(portfolio, plan)
+    doc = json.loads(render_json(portfolio, plan))
     assert doc["case"] == "surplus"
     assert doc["slack"] == pytest.approx(2.0)
     assert "case = surplus" in render_table(portfolio, plan)
@@ -446,7 +452,7 @@ def test_render_json_matches_json_dumps():
     for label, portfolio, plan, samples in _report_cases():
         reference = reference_plan_to_dict(portfolio, plan, samples)
         assert render_json(portfolio, plan, samples) == json.dumps(reference, indent=2) + "\n", label
-        assert plan_to_dict(portfolio, plan, samples) == reference, label
+        assert json.loads(render_json(portfolio, plan, samples)) == reference, label
         kinds.add(plan.solution.case.value if plan.norm is ns.Norm.L1 else "l2")
     assert kinds == {"l2", "deficit", "surplus"}
 
@@ -682,6 +688,9 @@ def test_project_simplex_errors(tmp_path, capsys):
     # two numbers on two lines of one field are not one number
     assert run_project_simplex_command(["--values", "0.5,0.5\n0.5"]) == 2
     assert "error: value 2: '0.5\\n0.5' is not a plain decimal number" in capsys.readouterr().err
+    # non-ASCII decimal digits, which float() reads, are not plain decimals
+    assert run_project_simplex_command(["--values", "\u0661,\u0662"]) == 2
+    assert "error: value 1: '\u0661' is not a plain decimal number" in capsys.readouterr().err
     assert run_project_simplex_command(["--values", ""]) == 2
     capsys.readouterr()
     assert run_project_simplex_command([]) == 2  # one source required

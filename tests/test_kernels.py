@@ -114,8 +114,8 @@ def test_threshold_scan_sample_placement(monkeypatch, top):
     # funds about half of the gaps, and the cuts take the dense route;
     # budget 5 funds a few dozen, and the sample predicts the sparse
     # route.  That holds when the sample holds the small gaps; when it
-    # misses them, nine gaps in ten lie below its cut, and the solve falls
-    # back to the dense route at the same cut
+    # misses them, nine gaps in ten lie below its cut, and the sparse route
+    # still answers at that cut: the sample's route is final
     cuts = []
 
     def spy(name):
@@ -147,8 +147,7 @@ def test_threshold_scan_sample_placement(monkeypatch, top):
         elif route == "_below":
             assert routes == [(route, True)], cuts
         else:
-            assert routes == [("_candidates", False), ("_below", True)], cuts
-            assert cuts[0][1] == cuts[1][1], cuts
+            assert routes == [("_candidates", True)], cuts
 
 
 @pytest.mark.parametrize("n", [solvers._SAMPLE // 2, 2 * solvers._SAMPLE + 3])
