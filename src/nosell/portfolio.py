@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
@@ -148,12 +147,6 @@ class Portfolio:
     def n(self) -> int:
         return len(self.ids)
 
-    # Built on first access and kept: the instance is frozen.
-    @cached_property
-    def assets(self) -> Tuple[Asset, ...]:
-        """The rows as Asset objects."""
-        return tuple(map(Asset, self.ids, self.values.tolist(), self.targets.tolist()))
-
 
 @dataclass(frozen=True)
 class RebalancePlan:
@@ -174,13 +167,23 @@ def naive_adjustments(portfolio: Portfolio, budget: float) -> np.ndarray:
     delta_i = target_i * (total + budget) - value_i.  Negative entries
     mark assets already above their ideal share; the vector always sums
     to the budget (up to float rounding) because targets sum to 1.
-    Raises ValueError unless total + budget (the wealth to split) is positive.
+    Raises ValueError unless total + budget (the wealth to split) is
+    positive and finite, or if an entry passes the float64 maximum, which
+    only a short position can make happen: long-only entries lie in
+    [-total, wealth].
     """
     budget = _check_budget(budget)
     wealth = portfolio.total + budget
-    if not wealth > 0.0:
-        raise ValueError(f"portfolio total plus budget must be positive, got {wealth!r}")
-    return portfolio.targets * wealth - portfolio.values
+    if not (wealth > 0.0 and math.isfinite(wealth)):
+        raise ValueError(f"portfolio total plus budget must be positive and finite, got {wealth!r}")
+    if not portfolio.allow_short:
+        return portfolio.targets * wealth - portfolio.values
+    with np.errstate(over="ignore"):
+        naive = portfolio.targets * wealth - portfolio.values
+    if not np.isfinite(naive).all():
+        row = int(np.isinf(naive).argmax())
+        raise ValueError(f"asset {portfolio.ids[row]!r}: its naive adjustment passes the float64 maximum")
+    return naive
 
 
 def rebalance(portfolio: Portfolio, budget: float, norm: Union[Norm, str] = Norm.L2) -> RebalancePlan:

@@ -166,12 +166,6 @@ class ContributionProblem:
 
 
 @dataclass(frozen=True)
-class ObjectiveValue:
-    norm: Norm
-    value: float
-
-
-@dataclass(frozen=True)
 class L2Solution:
     """Unique l2 minimizer plus its certificate.
 
@@ -472,41 +466,6 @@ def kkt_check_l2(problem: ContributionProblem, candidate, threshold: float) -> b
     if np.any(np.abs(cand[positive] - (problem.deltas[positive] - threshold)) > tol):
         return False
     return bool(np.all(problem.deltas[~positive] <= threshold + tol))
-
-
-def l2_objective(problem: ContributionProblem, candidate) -> ObjectiveValue:
-    """Squared Euclidean distance of a candidate from the shortfalls."""
-    cand = _check_length(problem, candidate)
-    diff = cand - problem.deltas
-    return ObjectiveValue(Norm.L2, float(np.dot(diff, diff)))
-
-
-def l1_objective(problem: ContributionProblem, candidate) -> ObjectiveValue:
-    cand = _check_length(problem, candidate)
-    return ObjectiveValue(Norm.L1, float(np.sum(np.abs(cand - problem.deltas))))
-
-
-def l1_optimal_value(problem: ContributionProblem) -> ObjectiveValue:
-    """Optimal l1 objective without materializing a solution.
-
-    budget - sum(deltas) in the surplus case, sum|deltas| - budget in the
-    deficit case; clamped at zero in case float cancellation dips below.
-    A sum that overflows is taken again scaled by the largest |delta|, so
-    the value is inf only when it passes the float64 maximum itself.
-    """
-    surplus = problem.budget > _total(problem.positive_parts())
-    value = _l1_value(problem.deltas, problem.budget, surplus)
-    if not math.isfinite(value):
-        top = float(np.max(np.abs(problem.deltas)))
-        value = _l1_value(problem.deltas / top, problem.budget / top, surplus) * top
-    return ObjectiveValue(Norm.L1, max(value, 0.0))
-
-
-def _l1_value(deltas: np.ndarray, budget: float, surplus: bool) -> float:
-    with np.errstate(over="ignore"):
-        if surplus:
-            return budget - float(np.sum(deltas))
-        return float(np.sum(np.abs(deltas))) - budget
 
 
 def _total(parts: np.ndarray) -> float:

@@ -39,3 +39,8 @@ def random_portfolio(rng, max_n: int = 6) -> Portfolio:
         for i in range(n)
     )
     return Portfolio(assets=assets)
+
+
+def assets_of(portfolio: Portfolio):
+    """The portfolio's rows as Asset objects."""
+    return tuple(map(Asset, portfolio.ids, portfolio.values.tolist(), portfolio.targets.tolist()))

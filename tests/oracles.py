@@ -1,11 +1,12 @@
-"""Brute-force verification oracles.
+"""Brute-force verification oracles, and the l1 and l2 objectives.
 
 These deliberately solve the same problems as :mod:`nosell.solvers` by
-exhaustive search, so the fast closed-form paths can be checked against an
-independent implementation.  Exponential or combinatorial cost is the
-point; both oracles refuse sizes where that stops being practical.  The
-l2 oracle is a plain Python loop over all 2^n - 1 supports at about 20
-microseconds each on a 2-vCPU x86 machine: 1 ms at n = 6, 1.2 s at n = 16.
+exhaustive search, so the tests can check the fast closed-form paths
+against an independent implementation.  Exponential or combinatorial
+cost is the point; both oracles refuse sizes where that stops being
+practical.  The l2 oracle is a plain Python loop over all 2^n - 1
+supports at about 20 microseconds each on a 2-vCPU x86 machine: 1 ms at
+n = 6, 1.2 s at n = 16.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from .solvers import FEAS_TOL, ContributionProblem
+from nosell.solvers import FEAS_TOL, ContributionProblem, _check_length, _total
 
 #: Subset enumeration is 2^n supports; n = 20 takes about 20 s.
 MAX_ACTIVE_SET_N = 20
@@ -109,6 +110,41 @@ def grid_l1_oracle(problem: ContributionProblem, resolution: int) -> OracleRepor
     objective = float(np.sum(np.abs(candidate - deltas)))
     examined = math.comb(resolution + problem.n - 1, problem.n - 1)
     return OracleReport(candidate, objective, examined)
+
+
+def l2_objective(problem: ContributionProblem, candidate) -> float:
+    """Squared Euclidean distance of a candidate from the shortfalls."""
+    cand = _check_length(problem, candidate)
+    diff = cand - problem.deltas
+    return float(np.dot(diff, diff))
+
+
+def l1_objective(problem: ContributionProblem, candidate) -> float:
+    cand = _check_length(problem, candidate)
+    return float(np.sum(np.abs(cand - problem.deltas)))
+
+
+def l1_optimal_value(problem: ContributionProblem) -> float:
+    """Optimal l1 objective without materializing a solution.
+
+    budget - sum(deltas) in the surplus case, sum|deltas| - budget in the
+    deficit case; clamped at zero in case float cancellation dips below.
+    A sum that overflows is taken again scaled by the largest |delta|, so
+    the value is inf only when it passes the float64 maximum itself.
+    """
+    surplus = problem.budget > _total(problem.positive_parts())
+    value = _l1_value(problem.deltas, problem.budget, surplus)
+    if not math.isfinite(value):
+        top = float(np.max(np.abs(problem.deltas)))
+        value = _l1_value(problem.deltas / top, problem.budget / top, surplus) * top
+    return max(value, 0.0)
+
+
+def _l1_value(deltas: np.ndarray, budget: float, surplus: bool) -> float:
+    with np.errstate(over="ignore"):
+        if surplus:
+            return budget - float(np.sum(deltas))
+        return float(np.sum(np.abs(deltas))) - budget
 
 
 def _grid_l1_scan(deltas, budget, resolution):

@@ -1,8 +1,8 @@
-"""Pure-Python reference forms of the package's numeric scans.
+"""Pure-Python reference forms of the solvers' and the oracles' scans.
 
 Plain scalar loops, written independently of the vectorized code in
-``nosell.solvers`` and ``nosell.oracles`` so the tests can cross-check
-the two.  They take contiguous float64 arrays.
+``nosell.solvers`` and in the tests' ``oracles`` module so the tests can
+cross-check the two.  They take contiguous float64 arrays.
 """
 
 from fractions import Fraction

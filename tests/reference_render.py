@@ -16,6 +16,8 @@ import numpy as np
 
 from nosell import L1Case, L2Solution
 
+from helpers import assets_of
+
 ASSET_FIELDS = ("id", "value", "target", "naive", "adjustment", "adjustment_cents", "final_allocation")
 
 
@@ -44,7 +46,7 @@ def reference_plan_to_dict(portfolio, plan, samples=None):
         doc["case"] = "surplus"
         doc["slack"] = _sig10(plan.solution.slack)
     doc["assets"] = []
-    for i, asset in enumerate(portfolio.assets):
+    for i, asset in enumerate(assets_of(portfolio)):
         row = (
             asset.id,
             _sig10(asset.value),
@@ -74,7 +76,7 @@ def reference_render_table(portfolio, plan, samples=None):
     total = portfolio.total
     header = ["asset", "value", "current", "target", "naive", "buy", "final"]
     body = []
-    for i, asset in enumerate(portfolio.assets):
+    for i, asset in enumerate(assets_of(portfolio)):
         body.append([
             asset.id,
             _money(asset.value),

@@ -20,6 +20,7 @@ import pytest
 import nosell as ns
 
 from helpers import MASTER_SEED, describe, instance_stream
+from oracles import active_set_l2_oracle, grid_l1_oracle, l1_objective, l1_optimal_value, l2_objective
 
 WORKED_HEAD = (900.0, 650.0, 250.0)
 INSTANCE_COUNT = 1000
@@ -46,8 +47,8 @@ def warm_kernels():
     # pull first-call costs (imports, numpy dispatch setup) out of the timed sections
     problem = ns.ContributionProblem([3.0, 1.0, -2.0], 2.0)
     ns.solve_l2(problem)
-    ns.active_set_l2_oracle(problem)
-    ns.grid_l1_oracle(problem, 4)
+    active_set_l2_oracle(problem)
+    grid_l1_oracle(problem, 4)
     ns.solve_l2(ns.ContributionProblem(np.arange(1000.0) - 500.0, 10.0))
 
 
@@ -108,10 +109,10 @@ def test_c4_oracle_equivalence(instances):
     failures = []
     for i, problem in instances:
         solution = ns.solve_l2(problem)
-        report = ns.active_set_l2_oracle(problem)
+        report = active_set_l2_oracle(problem)
         candidate_gap = float(np.max(np.abs(solution.adjustments - report.best_candidate)))
         objective_gap = abs(
-            ns.l2_objective(problem, solution.adjustments).value - report.best_objective
+            l2_objective(problem, solution.adjustments) - report.best_objective
         )
         if candidate_gap > 1e-9 or objective_gap > 1e-9:
             failures.append((describe(i, problem), candidate_gap, objective_gap))
@@ -128,11 +129,11 @@ def test_c5_l1_value_identities_and_grid(instances):
     grid_checked = 0
     for i, problem in instances:
         family = ns.solve_l1(problem)
-        optimum = ns.l1_optimal_value(problem).value
-        particular_value = ns.l1_objective(problem, family.particular).value
+        optimum = l1_optimal_value(problem)
+        particular_value = l1_objective(problem, family.particular)
         assert abs(particular_value - optimum) <= 1e-9, describe(i, problem)
         if problem.n <= 4:
-            report = ns.grid_l1_oracle(problem, resolution)
+            report = grid_l1_oracle(problem, resolution)
             slack = 2.0 * problem.n * problem.budget / resolution
             assert report.best_objective >= optimum - 1e-9, describe(i, problem)
             assert report.best_objective <= optimum + slack, describe(i, problem)
@@ -146,12 +147,12 @@ def test_c5_l1_value_identities_and_grid(instances):
 def test_c6_family_soundness(instances):
     for i, problem in instances:
         family = ns.solve_l1(problem)
-        optimum = ns.l1_optimal_value(problem).value
+        optimum = l1_optimal_value(problem)
         rng = np.random.default_rng(MASTER_SEED + 1_000_000 + i)
         for j in range(100):
             member = ns.sample_l1_member(family, rng)
             assert ns.is_l1_optimal(problem, member), f"{describe(i, problem)} member={j}"
-            value = ns.l1_objective(problem, member).value
+            value = l1_objective(problem, member)
             assert abs(value - optimum) <= 1e-9, (
                 f"{describe(i, problem)} member={j} value={value!r} optimum={optimum!r}"
             )

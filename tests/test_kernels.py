@@ -6,10 +6,10 @@ import warnings
 import numpy as np
 import pytest
 
-from nosell import ContributionProblem, active_set_l2_oracle, kkt_check_l2, solve_l2, solvers
-from nosell.oracles import _grid_l1_scan
+from nosell import ContributionProblem, kkt_check_l2, solve_l2, solvers
 
 from helpers import MASTER_SEED
+from oracles import _grid_l1_scan, active_set_l2_oracle
 from reference_kernels import active_set_scan_loop, grid_l1_scan_loop, threshold_scan_loop, water_fill_exact
 
 

@@ -10,6 +10,14 @@ import pytest
 import nosell as ns
 
 from helpers import MASTER_SEED, describe, instance_stream
+from oracles import (
+    active_set_l2_oracle,
+    grid_l1_oracle,
+    iter_active_set_candidates,
+    l1_objective,
+    l1_optimal_value,
+    l2_objective,
+)
 
 WORKED_DELTAS = (900.0, 650.0, 250.0, -300.0, -500.0)
 
@@ -22,13 +30,13 @@ def worked_problem():
 # -- active-set oracle -------------------------------------------------------
 
 def test_active_set_worked_example(worked_problem):
-    report = ns.active_set_l2_oracle(worked_problem)
+    report = active_set_l2_oracle(worked_problem)
     np.testing.assert_allclose(report.best_candidate, [625.0, 375.0, 0.0, 0.0, 0.0], atol=1e-9)
     assert report.candidates_examined == 2**5 - 1
 
 
 def test_active_set_single_asset():
-    report = ns.active_set_l2_oracle(ns.ContributionProblem([7.0], 5.0))
+    report = active_set_l2_oracle(ns.ContributionProblem([7.0], 5.0))
     assert report.best_candidate.tolist() == [5.0]
     assert report.candidates_examined == 1
 
@@ -36,7 +44,7 @@ def test_active_set_single_asset():
 def test_active_set_hand_enumerated():
     # all 7 subsets of (3, 1, -2) with budget 2; the winner is {1} with
     # candidate (2, 0, 0) and objective 1 + 1 + 4 = 6
-    report = ns.active_set_l2_oracle(ns.ContributionProblem([3.0, 1.0, -2.0], 2.0))
+    report = active_set_l2_oracle(ns.ContributionProblem([3.0, 1.0, -2.0], 2.0))
     np.testing.assert_allclose(report.best_candidate, [2.0, 0.0, 0.0], atol=1e-12)
     assert report.best_objective == pytest.approx(6.0, abs=1e-12)
     assert report.candidates_examined == 7
@@ -44,20 +52,20 @@ def test_active_set_hand_enumerated():
 
 def test_active_set_size_guard():
     with pytest.raises(ValueError, match="n <= 20"):
-        ns.active_set_l2_oracle(ns.ContributionProblem(np.ones(21), 1.0))
+        active_set_l2_oracle(ns.ContributionProblem(np.ones(21), 1.0))
 
 
 def test_active_set_report_consistency():
     # best_objective always equals the objective of best_candidate, and a
     # feasible candidate is returned for every instance
     for i, problem in instance_stream(150, seed=MASTER_SEED + 20):
-        report = ns.active_set_l2_oracle(problem)
+        report = active_set_l2_oracle(problem)
         msg = describe(i, problem, MASTER_SEED + 20)
         assert np.all(report.best_candidate >= -ns.FEAS_TOL), msg
         assert abs(float(np.sum(report.best_candidate)) - problem.budget) <= ns.sum_tolerance(
             problem.budget
         ), msg
-        recomputed = ns.l2_objective(problem, report.best_candidate).value
+        recomputed = l2_objective(problem, report.best_candidate)
         assert report.best_objective == pytest.approx(recomputed, abs=1e-9), msg
 
 
@@ -66,14 +74,14 @@ def test_iter_candidates_matches_oracle():
     for i, problem in instance_stream(60, seed=MASTER_SEED + 21, max_n=6):
         best_obj = math.inf
         best = None
-        for _, _, candidate, feasible in ns.iter_active_set_candidates(problem):
+        for _, _, candidate, feasible in iter_active_set_candidates(problem):
             if not feasible:
                 continue
-            obj = ns.l2_objective(problem, candidate).value
+            obj = l2_objective(problem, candidate)
             if obj < best_obj:
                 best_obj = obj
                 best = candidate
-        report = ns.active_set_l2_oracle(problem)
+        report = active_set_l2_oracle(problem)
         msg = describe(i, problem, MASTER_SEED + 21)
         np.testing.assert_allclose(report.best_candidate, best, atol=1e-9, err_msg=msg)
         assert report.best_objective == pytest.approx(best_obj, abs=1e-9), msg
@@ -112,10 +120,10 @@ def test_kkt_uniqueness_among_enumerated_candidates():
     # Across every feasible stationary candidate of every support, the KKT
     # checker accepts exactly the optimum: optimality is unique
     for i, problem in instance_stream(80, seed=MASTER_SEED + 22, max_n=6):
-        report = ns.active_set_l2_oracle(problem)
+        report = active_set_l2_oracle(problem)
         msg = describe(i, problem, MASTER_SEED + 22)
         accepted = 0
-        for _, lam, candidate, feasible in ns.iter_active_set_candidates(problem):
+        for _, lam, candidate, feasible in iter_active_set_candidates(problem):
             if not feasible:
                 continue
             verdict = ns.kkt_check_l2(problem, candidate, lam)
@@ -130,7 +138,7 @@ def test_kkt_uniqueness_among_enumerated_candidates():
 # -- grid oracle -------------------------------------------------------------
 
 def test_grid_surplus_instance():
-    report = ns.grid_l1_oracle(ns.ContributionProblem([1.0, -1.0], 3.0), 300)
+    report = grid_l1_oracle(ns.ContributionProblem([1.0, -1.0], 3.0), 300)
     assert abs(report.best_objective - 3.0) <= 0.02
     assert report.candidates_examined == 301
 
@@ -138,35 +146,35 @@ def test_grid_surplus_instance():
 def test_grid_flat_instance():
     # every feasible point has objective exactly 2
     for resolution in (1, 7, 64):
-        report = ns.grid_l1_oracle(ns.ContributionProblem([0.0, 0.0], 2.0), resolution)
+        report = grid_l1_oracle(ns.ContributionProblem([0.0, 0.0], 2.0), resolution)
         assert report.best_objective == pytest.approx(2.0, abs=1e-12)
 
 
 def test_grid_four_asset_truncation():
     problem = ns.ContributionProblem([900.0, 650.0, 250.0, -300.0], 1000.0)
-    report = ns.grid_l1_oracle(problem, 200)
+    report = grid_l1_oracle(problem, 200)
     assert abs(report.best_objective - 1100.0) <= 10.0
     assert report.candidates_examined == math.comb(203, 3)
 
 
 def test_grid_guards():
     with pytest.raises(ValueError, match="n <= 4"):
-        ns.grid_l1_oracle(ns.ContributionProblem(np.ones(5), 1.0), 10)
+        grid_l1_oracle(ns.ContributionProblem(np.ones(5), 1.0), 10)
     with pytest.raises(ValueError, match="resolution"):
-        ns.grid_l1_oracle(ns.ContributionProblem([1.0], 1.0), 0)
+        grid_l1_oracle(ns.ContributionProblem([1.0], 1.0), 0)
 
 
 def test_grid_never_beats_true_optimum():
     for i, problem in instance_stream(120, seed=MASTER_SEED + 23, max_n=4):
         resolution = 50
-        report = ns.grid_l1_oracle(problem, resolution)
-        optimum = ns.l1_optimal_value(problem).value
+        report = grid_l1_oracle(problem, resolution)
+        optimum = l1_optimal_value(problem)
         msg = describe(i, problem, MASTER_SEED + 23)
         assert report.best_objective >= optimum - ns.FEAS_TOL, msg
         slack = 2.0 * problem.n * problem.budget / resolution
         assert report.best_objective <= optimum + slack, msg
         # report consistency
-        recomputed = ns.l1_objective(problem, report.best_candidate).value
+        recomputed = l1_objective(problem, report.best_candidate)
         assert report.best_objective == pytest.approx(recomputed, abs=1e-9), msg
         assert abs(float(np.sum(report.best_candidate)) - problem.budget) <= 1e-9 * max(
             1.0, problem.budget

@@ -9,6 +9,7 @@ import pytest
 import nosell as ns
 
 from helpers import MASTER_SEED, random_portfolio
+from oracles import active_set_l2_oracle
 
 GOLDEN_ASSETS = (
     ns.Asset("growth", 1850.0, 0.25),
@@ -121,6 +122,19 @@ def test_rebalance_rejects_nonpositive_wealth():
     for budget in (100.0, 50.0):
         with pytest.raises(ValueError, match="total plus budget"):
             ns.rebalance(short, budget)
+    # a total plus budget that passes the float64 maximum is refused too,
+    # and so is an entry of a short portfolio that does so with finite wealth
+    huge = ns.Portfolio((ns.Asset("a", 1.7e308, 0.5), ns.Asset("b", 0.0, 0.5)))
+    spread = ns.Portfolio(
+        (ns.Asset("a", -1.7e308, 1.0), ns.Asset("b", 1.7e308, 0.0), ns.Asset("c", 1e308, 0.0)),
+        allow_short=True,
+    )
+    for portfolio, budget, match in ((huge, 1e308, "total plus budget"), (spread, 1.0, "asset 'a'")):
+        for call in (ns.naive_adjustments, ns.rebalance):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=match):
+                    call(portfolio, budget)
 
 
 def test_rebalance_refuses_non_finite_final_allocations():
@@ -257,7 +271,7 @@ def test_rebalance_l2_optimal_in_allocation_space():
         budget = float(rng.uniform(10.0, 3000.0))
         plan = ns.rebalance(portfolio, budget)
         problem = ns.ContributionProblem(plan.naive, budget)
-        report = ns.active_set_l2_oracle(problem)
+        report = active_set_l2_oracle(problem)
         scale = max(1.0, float(np.max(np.abs(plan.naive))))
         np.testing.assert_allclose(
             plan.adjustments,
