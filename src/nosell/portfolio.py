@@ -176,8 +176,6 @@ def naive_adjustments(portfolio: Portfolio, budget: float) -> np.ndarray:
     wealth = portfolio.total + budget
     if not (wealth > 0.0 and math.isfinite(wealth)):
         raise ValueError(f"portfolio total plus budget must be positive and finite, got {wealth!r}")
-    if not portfolio.allow_short:
-        return portfolio.targets * wealth - portfolio.values
     with np.errstate(over="ignore"):
         naive = portfolio.targets * wealth - portfolio.values
     if not np.isfinite(naive).all():
