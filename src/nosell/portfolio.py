@@ -23,6 +23,7 @@ from .solvers import (
     _check_budget,
     _check_plan,
     _frozen,
+    _to_float,
     solve_l1,
     solve_l2,
 )
@@ -62,7 +63,7 @@ class Asset:
     target: float
 
     def __post_init__(self):
-        value, target = float(self.value), float(self.target)
+        value, target = _to_float(self.value), _to_float(self.target)
         error = _asset_error(self.id, value, target)
         if error is not None:
             raise ValueError(error)

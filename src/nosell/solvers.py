@@ -23,7 +23,8 @@ import enum
 import functools
 import math
 import mmap
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 from typing import Optional, Union
 
 import numpy as np
@@ -46,6 +47,11 @@ _SAMPLE = 4096
 #: numpy hints huge pages from the same size on.
 _MAPPED_BYTES = 1 << 22
 _HUGE_PAGE = 1 << 21
+#: Freed maps that _empty keeps for reuse, at most.
+_FREE_MAPS = 2
+#: Deltas that ContributionProblem copies and checks at a time: 512 KiB,
+#: which stays in cache between the copy and the check.
+_BLOCK = 1 << 16
 
 
 def sum_tolerance(budget: float) -> float:
@@ -69,30 +75,49 @@ def _as_norm(norm: Union[Norm, str]) -> Norm:
     return Norm(str(norm).lower())
 
 
+def _to_float(value) -> float:
+    """``float(value)``, with an int too large for float64 read as inf, so
+    that it meets the same finiteness check as an infinite float."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _check_budget(budget: float) -> float:
-    budget = float(budget)
+    budget = _to_float(budget)
     if not math.isfinite(budget) or budget <= 0.0:
         raise ValueError("budget must be a positive finite number")
     return budget
 
 
-def _plan_error(plan: np.ndarray, budget: float) -> Optional[str]:
-    """The buy-only plan rule: every entry finite, none below -FEAS_TOL, and
-    the sum within sum_tolerance(budget).  Returns why ``plan`` breaks it,
-    or None.  A NaN or infinite entry makes the sum non-finite.
-    """
-    total = float(plan.sum())
+def _sum_error(total: float, budget: float) -> Optional[str]:
+    """The sum half of the buy-only plan rule: why a plan whose entries sum
+    to ``total`` breaks it, or None.  A NaN or infinite entry makes the sum
+    non-finite."""
     if not math.isfinite(total):
         return "an entry or the sum is not finite"
-    if plan.size and plan.min() < -FEAS_TOL:
-        return "an entry is negative"
     if abs(total - budget) > sum_tolerance(budget):
         return f"the entries sum to {total!r}, not to the budget {budget!r}"
     return None
 
 
+def _plan_error(plan: np.ndarray, budget: float) -> Optional[str]:
+    """The buy-only plan rule: every entry finite, none below -FEAS_TOL, and
+    the sum within sum_tolerance(budget).  Returns why ``plan`` breaks it,
+    or None.
+    """
+    total = float(plan.sum())
+    if math.isfinite(total) and plan.size and plan.min() < -FEAS_TOL:
+        return "an entry is negative"
+    return _sum_error(total, budget)
+
+
 def _check_plan(plan: np.ndarray, budget: float) -> None:
-    reason = _plan_error(plan, budget)
+    _refuse(_plan_error(plan, budget))
+
+
+def _refuse(reason: Optional[str]) -> None:
     if reason is not None:
         raise ValueError(f"infeasible plan: {reason}")
 
@@ -100,6 +125,12 @@ def _check_plan(plan: np.ndarray, budget: float) -> None:
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+#: (size, map) of freed _empty arrays, newest last, at most _FREE_MAPS.
+#: Only list.append, list.pop and one slice deletion touch it, each atomic,
+#: so a finalizer that runs inside _empty, or in another thread, takes no lock.
+_free: list = []
 
 
 def _empty(n: int, zero: bool = False) -> np.ndarray:
@@ -114,19 +145,71 @@ def _empty(n: int, zero: bool = False) -> np.ndarray:
     pages; and glibc can hand the heap back to the system after a large
     solve, so that the next solve faults them in again.  At n = 1e6 that
     was 400 or 900 faults per array, by where the process's heap happened
-    to start, and about a millisecond between the two.  A fresh anonymous
-    map reads as zeros, so ``zero`` costs nothing there.
+    to start, and about a millisecond between the two.
+
+    A fresh map still costs its faults, and the kernel zeroes each huge
+    page before handing it over: copying a million deltas into a fresh map
+    takes about 1.1 ms, into a recycled one 0.7 ms (best of 60).  Solves
+    of one size tend to come in runs (a benchmark loop, or the projection
+    inside a projected-gradient method), so when an array from here is
+    freed its map goes onto a free list, and the next request of the same
+    rounded size takes it with no fault at all.  The list keeps the two
+    newest maps, the problem's copy and the plan of one solve, and drops
+    older ones to the system.  A kept map is given back with MADV_FREE
+    where the platform has it, so the kernel may still reclaim its pages
+    under memory pressure.  A map returns to the list only once its array
+    is gone, and a view of the array keeps the array alive, so a live
+    array is never handed out again.  A fresh map reads as zeros, so
+    ``zero`` costs nothing there; a recycled one is filled with zeros.
     """
     nbytes = 8 * n
     if nbytes < _MAPPED_BYTES or not hasattr(mmap, "MADV_HUGEPAGE"):
         return np.zeros(n) if zero else np.empty(n)
     size = -(-nbytes // _HUGE_PAGE) * _HUGE_PAGE
-    buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-    # a kernel built without transparent huge pages rejects the hint; the
-    # map then works with 4 KiB pages
-    with contextlib.suppress(OSError):
-        buf.madvise(mmap.MADV_HUGEPAGE)
-    return np.frombuffer(buf, dtype=np.float64, count=n)
+    try:
+        kept, buf = _free.pop()
+    except IndexError:
+        kept = 0
+    if kept == size:
+        arr = np.frombuffer(buf, dtype=np.float64, count=n)
+        if zero:
+            arr.fill(0.0)
+    else:
+        buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+        # a kernel built without transparent huge pages rejects the hint; the
+        # map then works with 4 KiB pages
+        with contextlib.suppress(OSError):
+            buf.madvise(mmap.MADV_HUGEPAGE)
+        arr = np.frombuffer(buf, dtype=np.float64, count=n)
+    weakref.finalize(arr, _keep, size, buf).atexit = False
+    return arr
+
+
+def _keep(size: int, buf: mmap.mmap) -> None:
+    """Put the map of a freed _empty array on the free list."""
+    if hasattr(mmap, "MADV_FREE"):
+        # before the append: once listed, the map may be refilled at once
+        with contextlib.suppress(OSError):
+            buf.madvise(mmap.MADV_FREE)
+    _free.append((size, buf))
+    del _free[:-_FREE_MAPS]
+
+
+def _finite_max(block: np.ndarray) -> float:
+    """``max(block)``; ValueError if an entry is not finite.  NaN carries
+    through min and max, so finite ends mean finite entries."""
+    lo, hi = block.min(), block.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError("deltas must be finite")
+    return hi
+
+
+def _copy_block(arr: np.ndarray, src: np.ndarray, start: int) -> float:
+    """Copy up to _BLOCK entries of ``src`` from ``start`` into ``arr``,
+    and return their _finite_max."""
+    block = arr[start : start + _BLOCK]
+    np.copyto(block, src[start : start + _BLOCK])
+    return _finite_max(block)
 
 
 @dataclass(frozen=True)
@@ -144,17 +227,27 @@ class ContributionProblem:
 
     deltas: np.ndarray
     budget: float
+    _d_max: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        src = np.asarray(self.deltas, dtype=np.float64).reshape(-1)
-        arr = _empty(src.size)
-        np.copyto(arr, src)
-        if arr.size == 0:
+        try:
+            src = np.asarray(self.deltas, dtype=np.float64).reshape(-1)
+        except OverflowError:
+            # a Python int beyond the float64 range
+            raise ValueError("deltas must be finite") from None
+        n = src.size
+        if n == 0:
             raise ValueError("deltas must be non-empty")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("deltas must be finite")
+        arr = _empty(n)
+        if n <= _BLOCK:
+            np.copyto(arr, src)
+            d_max = _finite_max(arr)
+        else:
+            # one pass: each block is checked while its copy is in cache
+            d_max = max(_copy_block(arr, src, start) for start in range(0, n, _BLOCK))
         object.__setattr__(self, "deltas", _frozen(arr))
         object.__setattr__(self, "budget", _check_budget(self.budget))
+        object.__setattr__(self, "_d_max", float(d_max))
 
     @property
     def n(self) -> int:
@@ -250,7 +343,7 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
     """
     budget = problem.budget
     deltas = problem.deltas
-    d_max = float(deltas.max())
+    d_max = problem._d_max
     # a gap between deltas of opposite sign near 1e308 overflows to inf,
     # which is >= any budget, so it is never funded; a scan that meets it
     # computes inf - inf, a NaN that never qualifies either.  A plan whose
@@ -262,7 +355,9 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
             adjustments = _fund(t, gaps)
         else:
             k, t, adjustments = _sampled_solve(deltas, d_max, budget)
-        _check_plan(adjustments, budget)
+        # every entry comes out of np.maximum(..., 0.0), so none is
+        # negative, and a NaN entry shows in the sum: the sum is the rule
+        _refuse(_sum_error(float(adjustments.sum()), budget))
     return L2Solution(adjustments=adjustments, threshold=d_max - t, active_count=k)
 
 

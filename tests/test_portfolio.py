@@ -42,6 +42,27 @@ def test_asset_rejects_bad_fields():
         ns.Asset("a", 1.0, np.nan)
 
 
+_HUGE = 10**400  # a Python int beyond the float64 range
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ns.ContributionProblem([_HUGE, 1.0], 1.0), "deltas must be finite"),
+        (lambda: ns.ContributionProblem([1.0], _HUGE), "budget must be a positive finite number"),
+        (lambda: ns.rebalance(ns.Portfolio(GOLDEN_ASSETS), _HUGE), "budget must be a positive finite number"),
+        (lambda: ns.round_to_cents([1.0], _HUGE), "budget must be a positive finite number"),
+        (lambda: ns.Asset("a", _HUGE, 1.0), "value must be finite"),
+    ],
+    ids=["deltas", "budget", "rebalance", "round_to_cents", "asset_value"],
+)
+def test_int_beyond_float64_reads_as_non_finite(call, message):
+    # float() raises OverflowError on such an int; each entry point gives
+    # the message it gives for inf instead
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_portfolio_rejects_duplicates_and_empty():
     with pytest.raises(ValueError, match="at least one"):
         ns.Portfolio(())
