@@ -47,8 +47,10 @@ _SAMPLE = 4096
 #: numpy hints huge pages from the same size on.
 _MAPPED_BYTES = 1 << 22
 _HUGE_PAGE = 1 << 21
-#: Freed maps that _empty keeps for reuse, at most.
+#: Freed maps that _empty keeps for reuse, at most, and the largest map it
+#: keeps (two million float64): the free list never holds more than 32 MiB.
 _FREE_MAPS = 2
+_FREE_MAP_BYTES = 4 * _MAPPED_BYTES
 #: Deltas that ContributionProblem copies and checks at a time: 512 KiB,
 #: which stays in cache between the copy and the check.
 _BLOCK = 1 << 16
@@ -150,17 +152,23 @@ def _empty(n: int, zero: bool = False) -> np.ndarray:
     A fresh map still costs its faults, and the kernel zeroes each huge
     page before handing it over: copying a million deltas into a fresh map
     takes about 1.1 ms, into a recycled one 0.7 ms (best of 60).  Solves
-    of one size tend to come in runs (a benchmark loop, or the projection
-    inside a projected-gradient method), so when an array from here is
-    freed its map goes onto a free list, and the next request of the same
-    rounded size takes it with no fault at all.  The list keeps the two
-    newest maps, the problem's copy and the plan of one solve, and drops
-    older ones to the system.  A kept map is given back with MADV_FREE
-    where the platform has it, so the kernel may still reclaim its pages
-    under memory pressure.  A map returns to the list only once its array
-    is gone, and a view of the array keeps the array alive, so a live
-    array is never handed out again.  A fresh map reads as zeros, so
-    ``zero`` costs nothing there; a recycled one is filled with zeros.
+    of one size tend to come in runs, so when an array from here of at
+    most _FREE_MAP_BYTES is freed its map goes onto a free list, and the
+    next request of the same rounded size takes it with no fault at all.
+    The list keeps the two newest maps, the problem's copy and the plan of
+    one solve, and drops older ones to the system; a larger map goes back
+    to the system as soon as its array is freed.  So after a run of solves
+    up to 32 MiB stays mapped until it is reused or pushed out.
+    A kept map is given back with MADV_FREE where the platform has it: it
+    counts in the process's resident size until the kernel, under memory
+    pressure, reclaims its pages.  Sizes that alternate gain nothing: a
+    request takes the newest map and drops it if its size differs, and
+    each solve's two maps push the other size's out of the list.
+
+    A map returns to the list only once its array is gone, and a view of
+    the array keeps the array alive, so a live array is never handed out
+    again.  A fresh map reads as zeros, so ``zero`` costs nothing there; a
+    recycled one is filled with zeros.
     """
     nbytes = 8 * n
     if nbytes < _MAPPED_BYTES or not hasattr(mmap, "MADV_HUGEPAGE"):
@@ -181,7 +189,8 @@ def _empty(n: int, zero: bool = False) -> np.ndarray:
         with contextlib.suppress(OSError):
             buf.madvise(mmap.MADV_HUGEPAGE)
         arr = np.frombuffer(buf, dtype=np.float64, count=n)
-    weakref.finalize(arr, _keep, size, buf).atexit = False
+    if size <= _FREE_MAP_BYTES:
+        weakref.finalize(arr, _keep, size, buf).atexit = False
     return arr
 
 
@@ -202,14 +211,6 @@ def _finite_max(block: np.ndarray) -> float:
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("deltas must be finite")
     return hi
-
-
-def _copy_block(arr: np.ndarray, src: np.ndarray, start: int) -> float:
-    """Copy up to _BLOCK entries of ``src`` from ``start`` into ``arr``,
-    and return their _finite_max."""
-    block = arr[start : start + _BLOCK]
-    np.copyto(block, src[start : start + _BLOCK])
-    return _finite_max(block)
 
 
 @dataclass(frozen=True)
@@ -239,12 +240,12 @@ class ContributionProblem:
         if n == 0:
             raise ValueError("deltas must be non-empty")
         arr = _empty(n)
-        if n <= _BLOCK:
-            np.copyto(arr, src)
-            d_max = _finite_max(arr)
-        else:
-            # one pass: each block is checked while its copy is in cache
-            d_max = max(_copy_block(arr, src, start) for start in range(0, n, _BLOCK))
+        d_max = -math.inf
+        # one pass: each block is checked while its copy is in cache
+        for start in range(0, n, _BLOCK):
+            block = arr[start : start + _BLOCK]
+            np.copyto(block, src[start : start + _BLOCK])
+            d_max = max(d_max, _finite_max(block))
         object.__setattr__(self, "deltas", _frozen(arr))
         object.__setattr__(self, "budget", _check_budget(self.budget))
         object.__setattr__(self, "_d_max", float(d_max))

@@ -86,6 +86,17 @@ def test_free_list_keeps_two_maps():
 
 
 @mapped
+def test_map_above_the_bound_goes_back_at_once():
+    big = solvers._empty(solvers._FREE_MAP_BYTES // 8 + 1)
+    listed = list(solvers._free)
+    del big
+    assert solvers._free == listed
+    at_bound = solvers._empty(solvers._FREE_MAP_BYTES // 8)
+    del at_bound
+    assert solvers._free[-1][0] == solvers._FREE_MAP_BYTES
+
+
+@mapped
 def test_sparse_plan_on_a_recycled_dense_plan_matches_a_fresh_process():
     problem = ns.ContributionProblem(_deltas(1), SPARSE)
     dense = ns.solve_l2(ns.ContributionProblem(_deltas(0), DENSE))
