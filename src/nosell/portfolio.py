@@ -21,9 +21,12 @@ from .solvers import (
     Norm,
     _as_norm,
     _check_budget,
-    _check_plan,
     _frozen,
+    _plan_error,
+    _refuse,
     _to_float,
+    _to_floats,
+    _total,
     solve_l1,
     solve_l2,
 )
@@ -121,8 +124,7 @@ class Portfolio:
         if not allow_short and values.min() < 0.0:
             row = int((values < 0.0).argmax())
             raise _RowError(row, f"asset {ids[row]!r} has negative value {values[row]:.10g}; pass allow_short to permit this")
-        with np.errstate(over="ignore"):
-            total = float(np.sum(values))
+        total = _total(values)
         if not math.isfinite(total):
             raise ValueError("the asset values are each finite, but their total passes the float64 maximum")
         object.__setattr__(self, "ids", ids)
@@ -149,7 +151,7 @@ class Portfolio:
         return len(self.ids)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RebalancePlan:
     """Everything the rebalance computed, in portfolio asset order."""
 
@@ -231,11 +233,11 @@ def round_to_cents(adjustments, budget: float) -> np.ndarray:
     sum_tolerance.  The budget may hold at most 2**53 cents (about
     $9.0e13): float64 holds every whole number of cents only up to there.
     """
-    adj = np.asarray(adjustments, dtype=np.float64).reshape(-1)
+    adj = _to_floats(adjustments)
     budget = _check_budget(budget)
     if budget * 100.0 > _MAX_CENTS:
         raise ValueError(f"budget {budget!r} exceeds 2**53 cents, too large to round to whole cents")
-    _check_plan(adj, budget)
+    _refuse(_plan_error(adj, budget))
     cents = adj * 100.0
     floors = np.floor(cents).astype(np.int64)
     remainders = cents - floors

@@ -58,7 +58,7 @@ _BLOCK = 1 << 16
 
 def sum_tolerance(budget: float) -> float:
     """Tolerance for budget-conservation checks, relative for large budgets."""
-    return 1e-9 * max(1.0, abs(budget))
+    return 1e-9 * max(1.0, abs(_to_float(budget)))
 
 
 class Norm(enum.Enum):
@@ -84,6 +84,14 @@ def _to_float(value) -> float:
         return float(value)
     except OverflowError:
         return math.inf
+
+
+def _to_floats(values) -> np.ndarray:
+    """``values`` as a flat float64 array, each entry read as by _to_float."""
+    try:
+        return np.asarray(values, dtype=np.float64).reshape(-1)
+    except OverflowError:
+        return np.array([_to_float(v) for v in np.asarray(values, dtype=object).reshape(-1)])
 
 
 def _check_budget(budget: float) -> float:
@@ -113,10 +121,6 @@ def _plan_error(plan: np.ndarray, budget: float) -> Optional[str]:
     if math.isfinite(total) and plan.size and plan.min() < -FEAS_TOL:
         return "an entry is negative"
     return _sum_error(total, budget)
-
-
-def _check_plan(plan: np.ndarray, budget: float) -> None:
-    _refuse(_plan_error(plan, budget))
 
 
 def _refuse(reason: Optional[str]) -> None:
@@ -213,7 +217,7 @@ def _finite_max(block: np.ndarray) -> float:
     return hi
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContributionProblem:
     """A validated problem instance.
 
@@ -228,14 +232,10 @@ class ContributionProblem:
 
     deltas: np.ndarray
     budget: float
-    _d_max: float = field(init=False, compare=False, repr=False)
+    _d_max: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        try:
-            src = np.asarray(self.deltas, dtype=np.float64).reshape(-1)
-        except OverflowError:
-            # a Python int beyond the float64 range
-            raise ValueError("deltas must be finite") from None
+        src = _to_floats(self.deltas)
         n = src.size
         if n == 0:
             raise ValueError("deltas must be non-empty")
@@ -259,7 +259,7 @@ class ContributionProblem:
         return np.maximum(self.deltas, 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class L2Solution:
     """Unique l2 minimizer plus its certificate.
 
@@ -276,7 +276,7 @@ class L2Solution:
         object.__setattr__(self, "adjustments", _frozen(np.asarray(self.adjustments, dtype=np.float64)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class L1SolutionFamily:
     """Generators of the (generally non-unique) l1 solution set.
 
@@ -518,7 +518,8 @@ def solve_l1(problem: ContributionProblem) -> L1SolutionFamily:
         total_parts = float(np.sum(parts))
         case, slack, scale = L1Case.DEFICIT, 0.0, (problem.budget / top) / total_parts
         particular = parts * (problem.budget / total_parts)
-    _check_plan(particular, problem.budget)
+    # nonnegative parts, scaled or raised by a positive slack: as in solve_l2
+    _refuse(_sum_error(_total(particular), problem.budget))
     return L1SolutionFamily(
         case=case, particular=particular, positive_parts=pos, slack=slack, scale=scale
     )
@@ -553,7 +554,7 @@ def kkt_check_l2(problem: ContributionProblem, candidate, threshold: float) -> b
     once the deltas pass 2^21.
     """
     cand = _check_length(problem, candidate)
-    threshold = float(threshold)
+    threshold = _to_float(threshold)
     if _plan_error(cand, problem.budget) is not None or not math.isfinite(threshold):
         return False
     scale = max(float(np.max(np.abs(problem.deltas))), abs(threshold))
@@ -565,14 +566,14 @@ def kkt_check_l2(problem: ContributionProblem, candidate, threshold: float) -> b
 
 
 def _total(parts: np.ndarray) -> float:
-    """The sum of nonnegative ``parts``: inf, with no overflow warning, when
-    it passes the float64 maximum."""
+    """The sum of ``parts``, with no overflow warning where it passes the
+    float64 maximum: it is then not finite."""
     with np.errstate(over="ignore"):
         return float(np.sum(parts))
 
 
 def _check_length(problem: ContributionProblem, candidate) -> np.ndarray:
-    cand = np.asarray(candidate, dtype=np.float64).reshape(-1)
+    cand = _to_floats(candidate)
     if cand.size != problem.n:
         raise ValueError("candidate length does not match problem size")
     return cand
@@ -608,20 +609,15 @@ def sample_l1_member(family: L1SolutionFamily, rng=None) -> np.ndarray:
     for _ in range(3):
         members.append(_greedy_fill(family.positive_parts, budget, rng))
     weights = rng.dirichlet(np.ones(len(members)))
-    out = np.zeros(n)
-    for w, member in zip(weights, members):
-        out += w * member
-    return out
+    return sum(w * member for w, member in zip(weights, members))
 
 
 def _greedy_fill(capacities: np.ndarray, budget: float, rng) -> np.ndarray:
     """Fill assets to capacity in random order until the budget runs out."""
-    out = np.zeros_like(capacities)
-    remaining = budget
-    for i in rng.permutation(capacities.size):
-        if remaining <= 0.0:
-            break
-        take = min(float(capacities[i]), remaining)
-        out[i] = take
-        remaining -= take
+    order = rng.permutation(capacities.size)
+    caps = capacities[order]
+    out = np.empty_like(capacities)
+    # capacities that sum past the float64 maximum lie past the budget
+    with np.errstate(over="ignore"):
+        out[order] = np.clip(budget - (np.cumsum(caps) - caps), 0.0, caps)
     return out

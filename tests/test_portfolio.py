@@ -1,6 +1,7 @@
 """Domain layer: portfolio validation, naive adjustments, plans, rounding."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -52,15 +53,48 @@ _HUGE = 10**400  # a Python int beyond the float64 range
         (lambda: ns.ContributionProblem([1.0], _HUGE), "budget must be a positive finite number"),
         (lambda: ns.rebalance(ns.Portfolio(GOLDEN_ASSETS), _HUGE), "budget must be a positive finite number"),
         (lambda: ns.round_to_cents([1.0], _HUGE), "budget must be a positive finite number"),
+        (lambda: ns.round_to_cents([_HUGE], 1.0), "infeasible plan"),
         (lambda: ns.Asset("a", _HUGE, 1.0), "value must be finite"),
     ],
-    ids=["deltas", "budget", "rebalance", "round_to_cents", "asset_value"],
+    ids=["deltas", "budget", "rebalance", "round_to_cents", "round_to_cents_plan", "asset_value"],
 )
 def test_int_beyond_float64_reads_as_non_finite(call, message):
     # float() raises OverflowError on such an int; each entry point gives
     # the message it gives for inf instead
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda problem: ns.is_l1_optimal(problem, [_HUGE, 0.0]),
+        lambda problem: ns.kkt_check_l2(problem, [_HUGE, 0.0], 1.0),
+        lambda problem: ns.kkt_check_l2(problem, [0.0, 1.0], _HUGE),
+    ],
+    ids=["l1_candidate", "l2_candidate", "l2_threshold"],
+)
+def test_certificates_read_int_beyond_float64_as_inf(check):
+    assert check(ns.ContributionProblem([1.0, 2.0], 1.0)) is False
+    assert ns.sum_tolerance(_HUGE) == ns.sum_tolerance(math.inf)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ns.ContributionProblem([1.0, 2.0], 1.0),
+        lambda: ns.solve_l2(ns.ContributionProblem([1.0, 2.0], 1.0)),
+        lambda: ns.solve_l1(ns.ContributionProblem([1.0, 2.0], 1.0)),
+        lambda: ns.rebalance(ns.Portfolio(GOLDEN_ASSETS), 1000.0),
+    ],
+    ids=["problem", "l2_solution", "l1_family", "rebalance_plan"],
+)
+def test_array_holders_compare_and_hash_by_identity(make):
+    # an array field makes a generated == raise for n >= 2
+    a, b = make(), make()
+    assert (a == b) is False
+    assert (a == a) is True
+    assert isinstance(hash(a), int)
 
 
 def test_portfolio_rejects_duplicates_and_empty():

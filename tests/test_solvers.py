@@ -316,6 +316,7 @@ def test_l1_overflowing_positive_mass_scales(deltas, budget, particular):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert ns.is_l1_optimal(problem, family.particular)
+        assert ns.is_l1_optimal(problem, ns.sample_l1_member(family, 0))
         assert l1_optimal_value(problem) == np.inf
 
 
