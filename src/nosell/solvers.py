@@ -617,7 +617,7 @@ def _greedy_fill(capacities: np.ndarray, budget: float, rng) -> np.ndarray:
     order = rng.permutation(capacities.size)
     caps = capacities[order]
     out = np.empty_like(capacities)
-    # capacities that sum past the float64 maximum lie past the budget
+    # the budget left before each asset, subtracted in sequence; past zero it only falls
     with np.errstate(over="ignore"):
-        out[order] = np.clip(budget - (np.cumsum(caps) - caps), 0.0, caps)
+        out[order] = np.clip(np.cumsum(np.concatenate(([budget], -caps)))[:-1], 0.0, caps)
     return out

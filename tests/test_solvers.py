@@ -320,6 +320,23 @@ def test_l1_overflowing_positive_mass_scales(deltas, budget, particular):
         assert l1_optimal_value(problem) == np.inf
 
 
+@pytest.mark.parametrize(
+    "deltas, budget",
+    [([1e308, 1e308], 1.5e308), ([0.003, 1e8], 0.01)],
+    ids=["running-sum-overflows", "shortfall-1e10-times-budget"],
+)
+def test_l1_sampled_members_spend_the_budget(deltas, budget):
+    # a greedy fill owes each asset what the earlier ones left of the
+    # budget, not the budget less a capacity sum that overflowed or lost
+    # the small capacities to rounding
+    problem = ns.ContributionProblem(deltas, budget)
+    family = ns.solve_l1(problem)
+    assert family.case is ns.L1Case.DEFICIT
+    for seed in range(8):
+        member = ns.sample_l1_member(family, seed)
+        assert ns.is_l1_optimal(problem, member), (seed, member)
+
+
 def test_l1_optimal_value_past_an_overflowing_sum():
     # sum|deltas| overflows but the optimal value sum|deltas| - budget fits
     problem = ns.ContributionProblem([1e308, 1e308, -1.0], 1.5e308)
