@@ -18,11 +18,10 @@ The l2 solver doubles as a Euclidean projection onto the simplex of size
 
 from __future__ import annotations
 
-import contextlib
 import enum
 import functools
 import math
-import mmap
+import sys
 import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -43,14 +42,14 @@ _MAX_ROUNDS = 32
 #: sample costs about 0.06 ms against 2-2.5 ms for one partition of the
 #: whole gap buffer.
 _SAMPLE = 4096
-#: Arrays of this many bytes or more get a map of their own (see _empty);
-#: numpy hints huge pages from the same size on.
-_MAPPED_BYTES = 1 << 22
+#: Arrays of this many bytes or more come from the pool (see _empty); numpy
+#: hints huge pages from the same size on.
+_POOLED_BYTES = 1 << 22
 _HUGE_PAGE = 1 << 21
-#: Freed maps that _empty keeps for reuse, at most, and the largest map it
-#: keeps (two million float64): the free list never holds more than 32 MiB.
-_FREE_MAPS = 2
-_FREE_MAP_BYTES = 4 * _MAPPED_BYTES
+#: Freed buffers that _empty keeps for reuse, at most, and the largest buffer
+#: it keeps (two million float64): the free list never holds more than 32 MiB.
+_FREE_BUFFERS = 2
+_FREE_BUFFER_BYTES = 4 * _POOLED_BYTES
 #: Deltas that ContributionProblem copies and checks at a time: 512 KiB,
 #: which stays in cache between the copy and the check.
 _BLOCK = 1 << 16
@@ -133,7 +132,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-#: (size, map) of freed _empty arrays, newest last, at most _FREE_MAPS.
+#: (size, buffer) of freed _empty arrays, newest last, at most _FREE_BUFFERS.
 #: Only list.append, list.pop and one slice deletion touch it, each atomic,
 #: so a finalizer that runs inside _empty, or in another thread, takes no lock.
 _free: list = []
@@ -142,70 +141,46 @@ _free: list = []
 def _empty(n: int, zero: bool = False) -> np.ndarray:
     """A float64 array of length n, uninitialised unless ``zero``.
 
-    From _MAPPED_BYTES on, where the platform has transparent huge pages,
-    the array gets a private anonymous map of its own, rounded up to whole
-    huge pages.  Linux aligns such a map to a huge page, so huge pages back
-    all of it and filling it takes one page fault per 2 MiB.  np.empty gets
-    the same huge page hint from numpy, but its array starts wherever malloc
-    puts it, so the partial huge pages at either end fall back to 4 KiB
-    pages; and glibc can hand the heap back to the system after a large
-    solve, so that the next solve faults them in again.  At n = 1e6 that
-    was 400 or 900 faults per array, by where the process's heap happened
-    to start, and about a millisecond between the two.
+    From _POOLED_BYTES on, the array starts on a huge page boundary and its
+    buffer is rounded up to whole huge pages, so the huge pages that numpy
+    hints for it back all of it.  Solves of one size tend to come in runs,
+    so when an array from here of at most _FREE_BUFFER_BYTES is freed its
+    buffer goes onto a free list, and the next request of the same rounded
+    size takes it, already paged in.  The list keeps the two newest
+    buffers, the problem's copy and the plan of one solve, and drops older
+    ones; a larger buffer is dropped as soon as its array is freed.  Sizes
+    that alternate gain nothing: a request takes the newest buffer and
+    drops it if its size differs.
 
-    A fresh map still costs its faults, and the kernel zeroes each huge
-    page before handing it over: copying a million deltas into a fresh map
-    takes about 1.1 ms, into a recycled one 0.7 ms (best of 60).  Solves
-    of one size tend to come in runs, so when an array from here of at
-    most _FREE_MAP_BYTES is freed its map goes onto a free list, and the
-    next request of the same rounded size takes it with no fault at all.
-    The list keeps the two newest maps, the problem's copy and the plan of
-    one solve, and drops older ones to the system; a larger map goes back
-    to the system as soon as its array is freed.  So after a run of solves
-    up to 32 MiB stays mapped until it is reused or pushed out.
-    A kept map is given back with MADV_FREE where the platform has it: it
-    counts in the process's resident size until the kernel, under memory
-    pressure, reclaims its pages.  Sizes that alternate gain nothing: a
-    request takes the newest map and drops it if its size differs, and
-    each solve's two maps push the other size's out of the list.
-
-    A map returns to the list only once its array is gone, and a view of
-    the array keeps the array alive, so a live array is never handed out
-    again.  A fresh map reads as zeros, so ``zero`` costs nothing there; a
-    recycled one is filled with zeros.
+    The buffer is a memoryview, not an array, so numpy does not collapse a
+    view's base past the returned array: a view keeps the array alive, and
+    a buffer returns to the list only once its array is gone.  A fresh
+    buffer from np.zeros reads as zeros; a recycled one is filled with them.
     """
     nbytes = 8 * n
-    if nbytes < _MAPPED_BYTES or not hasattr(mmap, "MADV_HUGEPAGE"):
+    if nbytes < _POOLED_BYTES:
         return np.zeros(n) if zero else np.empty(n)
     size = -(-nbytes // _HUGE_PAGE) * _HUGE_PAGE
     try:
         kept, buf = _free.pop()
     except IndexError:
         kept = 0
-    if kept == size:
-        arr = np.frombuffer(buf, dtype=np.float64, count=n)
-        if zero:
-            arr.fill(0.0)
-    else:
-        buf = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
-        # a kernel built without transparent huge pages rejects the hint; the
-        # map then works with 4 KiB pages
-        with contextlib.suppress(OSError):
-            buf.madvise(mmap.MADV_HUGEPAGE)
-        arr = np.frombuffer(buf, dtype=np.float64, count=n)
-    if size <= _FREE_MAP_BYTES:
+    if kept != size:
+        raw = (np.zeros if zero else np.empty)(size + _HUGE_PAGE, dtype=np.uint8)
+        start = -raw.ctypes.data % _HUGE_PAGE
+        buf = memoryview(raw[start : start + size])
+    arr = np.frombuffer(buf, dtype=np.float64, count=n)
+    if zero and kept == size:
+        arr.fill(0.0)
+    if size <= _FREE_BUFFER_BYTES:
         weakref.finalize(arr, _keep, size, buf).atexit = False
     return arr
 
 
-def _keep(size: int, buf: mmap.mmap) -> None:
-    """Put the map of a freed _empty array on the free list."""
-    if hasattr(mmap, "MADV_FREE"):
-        # before the append: once listed, the map may be refilled at once
-        with contextlib.suppress(OSError):
-            buf.madvise(mmap.MADV_FREE)
+def _keep(size: int, buf: memoryview) -> None:
+    """Put the buffer of a freed _empty array on the free list."""
     _free.append((size, buf))
-    del _free[:-_FREE_MAPS]
+    del _free[:-_FREE_BUFFERS]
 
 
 def _finite_max(block: np.ndarray) -> float:
@@ -510,7 +485,11 @@ def solve_l1(problem: ContributionProblem) -> L1SolutionFamily:
         particular = pos + slack / problem.n
     elif math.isfinite(total_pos):
         case, slack, scale = L1Case.DEFICIT, 0.0, problem.budget / total_pos
-        particular = scale * pos
+        if scale >= sys.float_info.min:
+            particular = scale * pos
+        else:
+            # a subnormal scale has lost bits (or is 0): scale the shares instead
+            particular = (pos / total_pos) * problem.budget
     else:
         # the positive parts overflow when summed: sum them scaled by the largest
         top = float(pos.max())

@@ -1,16 +1,15 @@
-"""Large arrays: recycled maps and the problem's one-pass validation.
+"""Large arrays: recycled buffers and the problem's one-pass validation.
 
-From 4 MiB on, the problem's copy and the l2 plan live in maps of their
-own, and a freed map is handed to the next array of its size (see
-solvers._empty).  These tests pin what that must never change: a live
-array keeps its bytes, a recycled plan holds the bytes of a fresh one,
-and the free list stays bounded, also under threads.  ContributionProblem
-copies and checks the deltas a block at a time; the validation tests put
-a non-finite value at each block edge.
+From 4 MiB on, the problem's copy and the l2 plan live in 2 MiB-aligned
+buffers from a pool, and a freed buffer is handed to the next array of
+its size (see solvers._empty).  These tests pin what that must never
+change: a live array keeps its bytes, a recycled plan holds the bytes of
+a fresh one, and the free list stays bounded, also under threads.
+ContributionProblem copies and checks the deltas a block at a time; the
+validation tests put a non-finite value at each block edge.
 """
 
 import hashlib
-import mmap
 import os
 import subprocess
 import sys
@@ -25,9 +24,7 @@ from nosell import solvers
 
 from helpers import MASTER_SEED
 
-mapped = pytest.mark.skipif(not hasattr(mmap, "MADV_HUGEPAGE"), reason="no transparent huge pages: arrays come from the heap")
-
-#: 4 MiB of float64: the smallest size that gets a map
+#: 4 MiB of float64: the smallest size that comes from the pool
 N = 1 << 19
 #: budgets that fund a few hundred assets of uniform +-1e4 deltas (the
 #: sparse route) and tens of thousands (the dense route, whose plan is its
@@ -43,7 +40,7 @@ def _digest(solution):
     return hashlib.sha256(solution.adjustments.tobytes() + repr((solution.threshold, solution.active_count)).encode()).hexdigest()
 
 
-# -- recycled maps -----------------------------------------------------------
+# -- recycled buffers --------------------------------------------------------
 
 def test_live_solution_and_its_view_keep_their_bytes():
     problem = ns.ContributionProblem(_deltas(0), SPARSE)
@@ -56,14 +53,13 @@ def test_live_solution_and_its_view_keep_their_bytes():
     assert solution.adjustments.tobytes() == whole
     assert not any(np.shares_memory(solution.adjustments, s.adjustments) for s in later)
     del solution, later
-    # the view alone still holds the plan's map
+    # the view alone still holds the plan's buffer
     for k in (3, 4):
         for budget in (DENSE, SPARSE):
             assert not np.shares_memory(view, ns.solve_l2(ns.ContributionProblem(_deltas(k), budget)).adjustments)
     assert view.tobytes() == part and np.count_nonzero(view)
 
 
-@mapped
 def test_freed_map_goes_to_the_next_array_of_its_size():
     arr = solvers._empty(N)
     arr.fill(7.0)
@@ -72,31 +68,32 @@ def test_freed_map_goes_to_the_next_array_of_its_size():
     again = solvers._empty(N, zero=True)
     assert again.ctypes.data == address
     assert not again.any()
+    # a view keeps the array alive, so its buffer stays off the list
+    view = again[1:]
     del again
-    # another rounded size takes a map of its own
+    assert solvers._empty(N).ctypes.data != address
+    del view
+    # another rounded size takes a buffer of its own
     bigger = solvers._empty(2 * N)
     assert bigger.ctypes.data != address and bigger.size == 2 * N
 
 
-@mapped
 def test_free_list_keeps_two_maps():
     arrays = [solvers._empty(N) for _ in range(5)]
     del arrays
-    assert len(solvers._free) == solvers._FREE_MAPS == 2
+    assert len(solvers._free) == solvers._FREE_BUFFERS == 2
 
 
-@mapped
 def test_map_above_the_bound_goes_back_at_once():
-    big = solvers._empty(solvers._FREE_MAP_BYTES // 8 + 1)
+    big = solvers._empty(solvers._FREE_BUFFER_BYTES // 8 + 1)
     listed = list(solvers._free)
     del big
     assert solvers._free == listed
-    at_bound = solvers._empty(solvers._FREE_MAP_BYTES // 8)
+    at_bound = solvers._empty(solvers._FREE_BUFFER_BYTES // 8)
     del at_bound
-    assert solvers._free[-1][0] == solvers._FREE_MAP_BYTES
+    assert solvers._free[-1][0] == solvers._FREE_BUFFER_BYTES
 
 
-@mapped
 def test_sparse_plan_on_a_recycled_dense_plan_matches_a_fresh_process():
     problem = ns.ContributionProblem(_deltas(1), SPARSE)
     dense = ns.solve_l2(ns.ContributionProblem(_deltas(0), DENSE))
@@ -105,7 +102,7 @@ def test_sparse_plan_on_a_recycled_dense_plan_matches_a_fresh_process():
     del dense
     sparse = ns.solve_l2(problem)
     assert 64 * sparse.active_count <= N
-    # the plan of zeros was filled into the map that held the dense plan
+    # the plan of zeros was filled into the buffer that held the dense plan
     assert sparse.adjustments.ctypes.data == address
 
     script = (
@@ -143,7 +140,7 @@ def test_threads_match_serial_bytes():
         thread.join()
     assert len(inputs) == 20
     assert results == {"a": serial, "b": serial}
-    assert len(solvers._free) <= solvers._FREE_MAPS
+    assert len(solvers._free) <= solvers._FREE_BUFFERS
 
 
 # -- one-pass validation -----------------------------------------------------

@@ -169,6 +169,9 @@ def test_portfolio_equality_compares_every_column(golden_portfolio):
         ns.Portfolio(GOLDEN_ASSETS, allow_short=True),
     ):
         assert other != golden_portfolio
+    assert hash(ns.Portfolio(GOLDEN_ASSETS)) == hash(golden_portfolio)
+    # another type is not equal, by way of NotImplemented
+    assert (golden_portfolio == "x") is False
 
 
 def test_rebalance_rejects_nonpositive_wealth():
@@ -362,6 +365,9 @@ def test_round_to_cents_precondition():
         ([np.nan, 1.0], 1.0, "finite"),
         # float64 holds whole cents only up to 2**53 of them
         ([1e14], 1e14, r"2\*\*53"),
+        # 900 over the budget passes the plan rule (sum_tolerance(1e12) is
+        # 1000) but leaves a leftover of -90000 cents
+        ([1e12 + 900.0], 1e12, "leftover out of range"),
     ]
     for adjustments, budget, reason in cases:
         with pytest.raises(ValueError, match=reason):

@@ -5,7 +5,6 @@ property suite) live in test_acceptance.py; this file covers the exact
 worked examples and the edge semantics.
 """
 
-import mmap
 import warnings
 
 import numpy as np
@@ -54,17 +53,19 @@ def test_problem_copies_and_freezes_input():
         problem.deltas[0] = 0.0
 
 
-def _is_mapped(arr):
-    return isinstance(arr.base, memoryview) and isinstance(arr.base.obj, mmap.mmap)
+def _is_pooled(arr):
+    """From _empty's pool: a buffer that numpy sees as a memoryview,
+    starting on a 2 MiB boundary."""
+    return isinstance(arr.base, memoryview) and arr.ctypes.data % (1 << 21) == 0
 
 
 def test_large_arrays_get_their_own_map(monkeypatch, worked_problem):
-    # from 4 MiB on, the problem's copy and the l2 plan live in maps of
-    # their own where the platform has transparent huge pages; the answers
-    # are the same bits as with heap arrays.  Budget 1e3 funds a few
-    # hundred of the 524288 assets (the sparse route, whose plan is zeros
-    # with the funded entries written in), budget 1e8 tens of thousands
-    # (the dense route, whose plan is the gap buffer)
+    # from 4 MiB on, the problem's copy and the l2 plan live in 2 MiB-aligned
+    # buffers from the pool; the answers are the same bits as with heap
+    # arrays.  Budget 1e3 funds a few hundred of the 524288 assets (the
+    # sparse route, whose plan is zeros with the funded entries written
+    # in), budget 1e8 tens of thousands (the dense route, whose plan is the
+    # gap buffer)
     raw = np.random.default_rng(MASTER_SEED + 10).uniform(-1e4, 1e4, (512, 2048))[:, ::2]
     expected = raw.flatten()
     problem = ns.ContributionProblem(raw, 1e3)
@@ -72,8 +73,7 @@ def test_large_arrays_get_their_own_map(monkeypatch, worked_problem):
     np.testing.assert_array_equal(problem.deltas, expected)
     with pytest.raises(ValueError):
         problem.deltas[0] = 0.0
-    mapped = hasattr(mmap, "MADV_HUGEPAGE")
-    assert _is_mapped(problem.deltas) == mapped
+    assert _is_pooled(problem.deltas)
     problems = (problem, ns.ContributionProblem(expected, 1e8))
     solutions = [ns.solve_l2(p) for p in problems]
     for p, solution, sparse in zip(problems, solutions, (True, False)):
@@ -81,15 +81,15 @@ def test_large_arrays_get_their_own_map(monkeypatch, worked_problem):
         assert (64 * solution.active_count <= p.n) == sparse
         with pytest.raises(ValueError):
             solution.adjustments[0] = 1.0
-        assert _is_mapped(solution.adjustments) == mapped
-    assert not _is_mapped(worked_problem.deltas)
-    assert not _is_mapped(ns.solve_l2(worked_problem).adjustments)
+        assert _is_pooled(solution.adjustments)
+    assert not _is_pooled(worked_problem.deltas)
+    assert not _is_pooled(ns.solve_l2(worked_problem).adjustments)
 
-    monkeypatch.setattr(solvers, "_MAPPED_BYTES", 1 << 62)
+    monkeypatch.setattr(solvers, "_POOLED_BYTES", 1 << 62)
     for p, solution in zip(problems, solutions):
         heap_problem = ns.ContributionProblem(expected, p.budget)
         heap_solution = ns.solve_l2(heap_problem)
-        assert not _is_mapped(heap_problem.deltas) and not _is_mapped(heap_solution.adjustments)
+        assert not _is_pooled(heap_problem.deltas) and not _is_pooled(heap_solution.adjustments)
         assert heap_solution.adjustments.tobytes() == solution.adjustments.tobytes()
         assert (heap_solution.threshold, heap_solution.active_count) == (solution.threshold, solution.active_count)
 
@@ -335,6 +335,24 @@ def test_l1_sampled_members_spend_the_budget(deltas, budget):
     for seed in range(8):
         member = ns.sample_l1_member(family, seed)
         assert ns.is_l1_optimal(problem, member), (seed, member)
+
+
+@pytest.mark.parametrize(
+    "deltas, budget",
+    [([2.0], 5e-324), ([809771476.0], 1e-300)],
+    ids=["scale-rounds-to-zero", "scale-loses-bits"],
+)
+def test_l1_particular_at_a_subnormal_scale(deltas, budget):
+    # budget / total_pos is subnormal: scale * pos spent nothing of the
+    # budget, or missed it by 6 eps; the shares times the budget spend it
+    problem = ns.ContributionProblem(deltas, budget)
+    family = ns.solve_l1(problem)
+    assert family.case is ns.L1Case.DEFICIT
+    assert family.particular.tolist() == [budget]
+    assert ns.is_l1_optimal(problem, family.particular)
+    member = ns.sample_l1_member(family, 0)
+    assert ns.is_l1_optimal(problem, member)
+    assert float(np.sum(member)) == budget
 
 
 def test_l1_optimal_value_past_an_overflowing_sum():
