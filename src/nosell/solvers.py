@@ -138,8 +138,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 _free: list = []
 
 
-def _empty(n: int, zero: bool = False) -> np.ndarray:
-    """A float64 array of length n, uninitialised unless ``zero``.
+def _empty(n: int) -> np.ndarray:
+    """An uninitialised float64 array of length n.
 
     From _POOLED_BYTES on, the array starts on a huge page boundary and its
     buffer is rounded up to whole huge pages, so the huge pages that numpy
@@ -154,24 +154,21 @@ def _empty(n: int, zero: bool = False) -> np.ndarray:
 
     The buffer is a memoryview, not an array, so numpy does not collapse a
     view's base past the returned array: a view keeps the array alive, and
-    a buffer returns to the list only once its array is gone.  A fresh
-    buffer from np.zeros reads as zeros; a recycled one is filled with them.
+    a buffer returns to the list only once its array is gone.
     """
     nbytes = 8 * n
     if nbytes < _POOLED_BYTES:
-        return np.zeros(n) if zero else np.empty(n)
+        return np.empty(n)
     size = -(-nbytes // _HUGE_PAGE) * _HUGE_PAGE
     try:
         kept, buf = _free.pop()
     except IndexError:
         kept = 0
     if kept != size:
-        raw = (np.zeros if zero else np.empty)(size + _HUGE_PAGE, dtype=np.uint8)
+        raw = np.empty(size + _HUGE_PAGE, dtype=np.uint8)
         start = -raw.ctypes.data % _HUGE_PAGE
         buf = memoryview(raw[start : start + size])
     arr = np.frombuffer(buf, dtype=np.float64, count=n)
-    if zero and kept == size:
-        arr.fill(0.0)
     if size <= _FREE_BUFFER_BYTES:
         weakref.finalize(arr, _keep, size, buf).atexit = False
     return arr
@@ -328,12 +325,9 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
         if deltas.size <= _SAMPLE:
             gaps = d_max - deltas
             k, t = _prefix_scan(np.sort(gaps), budget)
-            adjustments = _fund(t, gaps)
+            adjustments = _fund(t, gaps, budget)
         else:
             k, t, adjustments = _sampled_solve(deltas, d_max, budget)
-        # every entry comes out of np.maximum(..., 0.0), so none is
-        # negative, and a NaN entry shows in the sum: the sum is the rule
-        _refuse(_sum_error(float(adjustments.sum()), budget))
     return L2Solution(adjustments=adjustments, threshold=d_max - t, active_count=k)
 
 
@@ -356,15 +350,16 @@ def _sampled_solve(deltas: np.ndarray, d_max: float, budget: float):
     cut = min(float(sample[i]), budget) if i < m else budget
     if 64 * int(sample.searchsorted(cut, "right")) <= m:
         k, t, idx = _settle(functools.partial(_candidates, deltas, d_max), cut, budget)
-        adjustments = _empty(n, zero=True)
-        adjustments[idx] = _fund(t, np.subtract(d_max, deltas.take(idx)))
+        adjustments = _empty(n)
+        adjustments.fill(0.0)
+        adjustments[idx] = _fund(t, np.subtract(d_max, deltas.take(idx)), budget)
         return k, t, adjustments
     gaps = np.subtract(d_max, deltas, out=_empty(n))
     k, t, _ = _settle(functools.partial(_below, gaps), cut, budget)
     if k < n:
         # the selection reordered the buffer; refill it in input order
         np.subtract(d_max, deltas, out=gaps)
-    return k, t, _fund(t, gaps)
+    return k, t, _fund(t, gaps, budget)
 
 
 def _settle(cut_at, cut: float, budget: float):
@@ -421,10 +416,14 @@ def _below(gaps: np.ndarray, cut: float):
     return gaps[:k], None
 
 
-def _fund(t: float, gaps: np.ndarray) -> np.ndarray:
-    """The plan entries ``max(t - e, 0)`` of ``gaps``, in place."""
+def _fund(t: float, gaps: np.ndarray, budget: float) -> np.ndarray:
+    """The plan entries ``max(t - e, 0)`` of ``gaps``, in place, checked
+    against ``budget``: they come out of np.maximum, so none is negative,
+    and a NaN entry shows in the sum, so the sum alone is the rule."""
     np.subtract(t, gaps, out=gaps)
-    return np.maximum(gaps, 0.0, out=gaps)
+    np.maximum(gaps, 0.0, out=gaps)
+    _refuse(_sum_error(float(gaps.sum()), budget))
+    return gaps
 
 
 def _prefix_count(ascending: np.ndarray, budget: float):
@@ -497,7 +496,7 @@ def solve_l1(problem: ContributionProblem) -> L1SolutionFamily:
         total_parts = float(np.sum(parts))
         case, slack, scale = L1Case.DEFICIT, 0.0, (problem.budget / top) / total_parts
         particular = parts * (problem.budget / total_parts)
-    # nonnegative parts, scaled or raised by a positive slack: as in solve_l2
+    # nonnegative parts, scaled or raised by a positive slack: as in _fund
     _refuse(_sum_error(_total(particular), problem.budget))
     return L1SolutionFamily(
         case=case, particular=particular, positive_parts=pos, slack=slack, scale=scale

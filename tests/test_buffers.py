@@ -65,9 +65,8 @@ def test_freed_map_goes_to_the_next_array_of_its_size():
     arr.fill(7.0)
     address = arr.ctypes.data
     del arr
-    again = solvers._empty(N, zero=True)
+    again = solvers._empty(N)
     assert again.ctypes.data == address
-    assert not again.any()
     # a view keeps the array alive, so its buffer stays off the list
     view = again[1:]
     del again

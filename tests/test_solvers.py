@@ -365,6 +365,45 @@ def test_l1_optimal_value_past_an_overflowing_sum():
     assert l1_objective(problem, ns.solve_l1(problem).particular) == pytest.approx(value, rel=1e-15)
 
 
+# -- refusal -----------------------------------------------------------------
+
+def _skew_level(monkeypatch):
+    # every water level 1% high: the plan overspends the budget
+    level = solvers._level
+    monkeypatch.setattr(solvers, "_level", lambda *args: 1.01 * level(*args))
+
+
+def _skew_first_total(monkeypatch):
+    # the positive mass 1% high: the deficit scale underspends the budget
+    total = solvers._total
+    factors = iter([1.01])
+    monkeypatch.setattr(solvers, "_total", lambda parts: total(parts) * next(factors, 1.0))
+
+
+@pytest.mark.parametrize(
+    "solve, n, budget, route, skew",
+    [
+        (ns.solve_l2, 50, 1e3, "scan", _skew_level),
+        (ns.solve_l2, 50, 1e8, "scan", _skew_level),
+        (ns.solve_l2, 1 << 19, 1e3, "sparse", _skew_level),
+        (ns.solve_l2, 1 << 19, 1e8, "dense", _skew_level),
+        (ns.solve_l1, 50, 1e3, "deficit", _skew_first_total),
+    ],
+    ids=["l2-scan-1e3", "l2-scan-1e8", "l2-sparse", "l2-dense", "l1-deficit"],
+)
+def test_solvers_refuse_a_plan_that_breaks_the_rule(monkeypatch, solve, n, budget, route, skew):
+    problem = ns.ContributionProblem(np.random.default_rng((MASTER_SEED, 17, n)).uniform(-1e4, 1e4, n), budget)
+    answer = solve(problem)
+    if route == "deficit":
+        assert answer.case is ns.L1Case.DEFICIT
+    elif route != "scan":
+        # the sparse route takes at most one asset in 64 (see _sampled_solve)
+        assert (64 * answer.active_count <= n) == (route == "sparse")
+    skew(monkeypatch)
+    with pytest.raises(ValueError, match="infeasible plan"):
+        solve(problem)
+
+
 # -- is_l1_optimal -----------------------------------------------------------
 
 def test_is_l1_optimal_particular(worked_problem):
