@@ -120,13 +120,15 @@ def parse_portfolio(text: str, normalize: bool = False, allow_short: bool = Fals
 
 
 def serialize_portfolio(portfolio: Portfolio) -> str:
-    """Inverse of :func:`parse_portfolio`, 10 significant digits per number.
+    """Inverse of :func:`parse_portfolio`, each number written as the JSON
+    report writes it: at 10 significant digits, by _sig10's rule.
 
     parse(serialize(p)) reproduces every value to the emitted precision
     and serialize is a fixed point on the result.
     """
     lines = [",".join(_HEADER)]
-    for asset_id, value, target in zip(portfolio.ids, portfolio.values.tolist(), portfolio.targets.tolist()):
+    values, targets = _sig10_texts(portfolio.values.tolist()), _sig10_texts(portfolio.targets.tolist())
+    for asset_id, value, target in zip(portfolio.ids, values, targets):
         # the parser splits lines with str.splitlines, which breaks at \r,
         # \x1c and \u2028 among others, not only at \n
         if (
@@ -136,12 +138,12 @@ def serialize_portfolio(portfolio: Portfolio) -> str:
             or asset_id != asset_id.strip()
         ):
             raise ValueError(f"asset id {asset_id!r} cannot be serialized")
-        lines.append(f"{asset_id},{value:.10g},{target:.10g}")
+        lines.append(f"{asset_id},{value},{target}")
     return "\n".join(lines) + "\n"
 
 
 def _sig10(x: float) -> float:
-    """``x`` at 10 significant digits, for the JSON report.
+    """``x`` at 10 significant digits, for the JSON report and the CSV file.
 
     A finite ``x`` whose rounding overflows (it lies above 1.797693135e308)
     is returned unrounded.  A non-finite ``x`` raises ValueError: strict

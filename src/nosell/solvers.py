@@ -482,20 +482,17 @@ def solve_l1(problem: ContributionProblem) -> L1SolutionFamily:
     if problem.budget > total_pos:
         case, slack, scale = L1Case.SURPLUS, problem.budget - total_pos, None
         particular = pos + slack / problem.n
-    elif math.isfinite(total_pos):
-        case, slack, scale = L1Case.DEFICIT, 0.0, problem.budget / total_pos
-        if scale >= sys.float_info.min:
-            particular = scale * pos
-        else:
-            # a subnormal scale has lost bits (or is 0): scale the shares instead
-            particular = (pos / total_pos) * problem.budget
     else:
-        # the positive parts overflow when summed: sum them scaled by the largest
-        top = float(pos.max())
-        parts = pos / top
-        total_parts = float(np.sum(parts))
-        case, slack, scale = L1Case.DEFICIT, 0.0, (problem.budget / top) / total_parts
-        particular = parts * (problem.budget / total_parts)
+        parts, total, top = pos, total_pos, 1.0
+        if not math.isfinite(total):
+            # the positive parts overflow when summed: sum them scaled by the largest
+            top = float(pos.max())
+            parts = pos / top
+            total = float(np.sum(parts))
+        share = problem.budget / total
+        case, slack, scale = L1Case.DEFICIT, 0.0, (problem.budget / top) / total
+        # a subnormal share has lost bits (or is 0): scale the shares instead
+        particular = share * parts if share >= sys.float_info.min else (parts / total) * problem.budget
     # nonnegative parts, scaled or raised by a positive slack: as in _fund
     _refuse(_sum_error(_total(particular), problem.budget))
     return L1SolutionFamily(
@@ -575,19 +572,23 @@ def sample_l1_member(family: L1SolutionFamily, rng=None) -> np.ndarray:
     spread the slack with Dirichlet weights on top of the positive parts.
     Deficit members mix the uniform-scaling particular solution with
     random greedy fills (vertices of the solution polytope); any convex
-    combination of members is a member.
+    combination of members is a member.  Raises ValueError rather than
+    return a member whose sum misses the particular's.
     """
     rng = np.random.default_rng(rng)
     n = family.particular.size
+    budget = _total(family.particular)
     if family.case is L1Case.SURPLUS:
-        eps = family.slack * rng.dirichlet(np.ones(n))
-        return family.positive_parts + eps
-    budget = float(np.sum(family.particular))
-    members = [family.particular]
-    for _ in range(3):
-        members.append(_greedy_fill(family.positive_parts, budget, rng))
-    weights = rng.dirichlet(np.ones(len(members)))
-    return sum(w * member for w, member in zip(weights, members))
+        member = family.positive_parts + family.slack * rng.dirichlet(np.ones(n))
+    else:
+        members = [family.particular]
+        for _ in range(3):
+            members.append(_greedy_fill(family.positive_parts, budget, rng))
+        weights = rng.dirichlet(np.ones(len(members)))
+        member = sum(w * fill for w, fill in zip(weights, members))
+    # nonnegative parts, raised or mixed with nonnegative weights: as in _fund
+    _refuse(_sum_error(_total(member), budget))
+    return member
 
 
 def _greedy_fill(capacities: np.ndarray, budget: float, rng) -> np.ndarray:

@@ -3,16 +3,22 @@
 hypothesis draws short delta lists anywhere in +-1e300, subnormals
 included, and budgets from 1e-300 to 1e300.  Every l2 plan must match the
 exact water-filling plan (Fraction arithmetic) and pass kkt_check_l2.
-Runs are derandomized, so tier-1 stays deterministic.
+Every l1 particular, on deltas over the whole finite range, must pass
+is_l1_optimal and spend the budget to a few eps, and every portfolio the
+serializer accepts must read back to its 10-digit numbers.  Runs are
+derandomized, so tier-1 stays deterministic.
 """
 
+import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import nosell as ns
 from nosell import solvers
+from nosell.cli import parse_portfolio, serialize_portfolio
 
 from reference_kernels import water_fill_exact
 
@@ -55,3 +61,72 @@ def _counted(routes, route, cut_at):
         return cut_at(*args)
 
     return counted
+
+
+MAX = sys.float_info.max
+FULL_DELTAS = st.lists(st.floats(min_value=-MAX, max_value=MAX), min_size=1, max_size=MAX_N)
+#: Above 1e300 a plan's float sum can round past the float64 maximum, and
+#: the solvers refuse such a plan.
+L1_BUDGETS = st.floats(min_value=5e-324, max_value=1e300)
+
+
+def test_l1_particular_spends_the_budget():
+    # the positive parts' sum overflows (the rescale), or budget / sum is
+    # subnormal (the shares times the budget); both must be reached
+    reached = {"rescale": 0, "subnormal share": 0}
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(deltas=FULL_DELTAS, budget=L1_BUDGETS)
+    def check(deltas, budget):
+        problem = ns.ContributionProblem(deltas, budget)
+        family = ns.solve_l1(problem)
+        assert ns.is_l1_optimal(problem, family.particular)
+        n = len(deltas)
+        error = abs(sum(map(Fraction, family.particular.tolist())) - Fraction(budget))
+        assert error <= 4 * n * Fraction(EPS) * Fraction(budget) + n * Fraction(math.ulp(0.0))
+        exact_pos = sum(Fraction(d) for d in deltas if d > 0)
+        reached["rescale"] += exact_pos > MAX
+        reached["subnormal share"] += exact_pos >= budget and Fraction(budget) < exact_pos * Fraction(sys.float_info.min)
+
+    check()
+    assert all(reached.values()), reached
+
+
+def _serializable(asset_id):
+    # the serializer's rule: no comma, no line break that str.splitlines
+    # splits on, no leading #, no surrounding whitespace
+    return "," not in asset_id and asset_id.splitlines() == [asset_id] and not asset_id.startswith("#") and asset_id == asset_id.strip()
+
+
+IDS = st.lists(st.text(min_size=1).filter(_serializable), min_size=1, max_size=MAX_N, unique=True)
+
+
+@st.composite
+def portfolios(draw):
+    """Ids the serializer accepts, values anywhere in the finite range
+    with a finite total, and targets from nonnegative weights."""
+    ids = draw(IDS)
+    n = len(ids)
+    allow_short = draw(st.booleans())
+    values = draw(st.lists(st.floats(min_value=-MAX if allow_short else 0.0, max_value=MAX), min_size=n, max_size=n))
+    weights = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=n, max_size=n))
+    assume(math.isfinite(solvers._total(values)) and any(weights))
+    total = math.fsum(weights)
+    return ns.Portfolio(map(ns.Asset, ids, values, [w / total for w in weights]), allow_short=allow_short)
+
+
+def _ten_digits(x):
+    """``x`` at 10 significant digits, or ``x`` itself where that overflows."""
+    rounded = float(f"{x:.10g}")
+    return rounded if math.isfinite(rounded) else x
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(portfolio=portfolios())
+def test_serialized_portfolio_reads_back_at_10_digits(portfolio):
+    text = serialize_portfolio(portfolio)
+    reparsed = parse_portfolio(text, allow_short=portfolio.allow_short)
+    assert reparsed.ids == portfolio.ids
+    assert reparsed.values.tolist() == list(map(_ten_digits, portfolio.values.tolist()))
+    assert reparsed.targets.tolist() == list(map(_ten_digits, portfolio.targets.tolist()))
+    assert serialize_portfolio(reparsed) == text

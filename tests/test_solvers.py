@@ -5,6 +5,7 @@ property suite) live in test_acceptance.py; this file covers the exact
 worked examples and the edge semantics.
 """
 
+import math
 import warnings
 
 import numpy as np
@@ -355,6 +356,24 @@ def test_l1_particular_at_a_subnormal_scale(deltas, budget):
     assert float(np.sum(member)) == budget
 
 
+@pytest.mark.parametrize(
+    "deltas, budget",
+    [([1.5e308, 1.131e308], 8.4e-323), ([1.5e308, 6.255e307, 1.107e308, 1.338e308], 2e-323)],
+    ids=["two-parts", "four-parts"],
+)
+def test_l1_overflowing_parts_at_a_subnormal_share(deltas, budget):
+    # the positive parts overflow when summed and budget / sum is
+    # subnormal: the rescaled parts' shares times the budget spend it
+    # exactly, where the subnormal share times the parts missed it by
+    # whole ulps of zero.  Sampled members are not checked: their
+    # Dirichlet mix rounds to whole ulps of zero as well.
+    problem = ns.ContributionProblem(deltas, budget)
+    family = ns.solve_l1(problem)
+    assert family.case is ns.L1Case.DEFICIT
+    assert math.fsum(family.particular.tolist()) == budget
+    assert ns.is_l1_optimal(problem, family.particular)
+
+
 def test_l1_optimal_value_past_an_overflowing_sum():
     # sum|deltas| overflows but the optimal value sum|deltas| - budget fits
     problem = ns.ContributionProblem([1e308, 1e308, -1.0], 1.5e308)
@@ -567,6 +586,24 @@ def test_sample_l1_member_surplus():
         member = ns.sample_l1_member(family, rng)
         assert ns.is_l1_optimal(problem, member)
         assert np.all(member >= family.positive_parts - 1e-12)
+
+
+def test_sample_l1_member_refuses_a_fill_that_overspends(monkeypatch, worked_problem):
+    family = ns.solve_l1(worked_problem)
+    fill = solvers._greedy_fill
+    monkeypatch.setattr(solvers, "_greedy_fill", lambda *args: 1.01 * fill(*args))
+    with pytest.raises(ValueError, match="infeasible plan"):
+        ns.sample_l1_member(family, 0)
+
+
+def test_sample_l1_member_refuses_an_inconsistent_family():
+    # a surplus family whose slack does not match its particular: the
+    # member sums to 6.0 against the particular's 3.0
+    family = ns.L1SolutionFamily(
+        case=ns.L1Case.SURPLUS, particular=[2.0, 1.0], positive_parts=[1.0, 0.0], slack=5.0, scale=None
+    )
+    with pytest.raises(ValueError, match="infeasible plan"):
+        ns.sample_l1_member(family, 0)
 
 
 def test_sample_l1_member_single_asset():
