@@ -229,9 +229,9 @@ def round_to_cents(adjustments, budget: float) -> np.ndarray:
     leftover cents (total budget in cents minus the floored sum) to the
     entries with the largest fractional remainders, ties broken by index.
     Requires the adjustments to satisfy the buy-only plan rule: finite,
-    nonnegative within FEAS_TOL, and summing to the budget within
-    sum_tolerance.  The budget may hold at most 2**53 cents (about
-    $9.0e13): float64 holds every whole number of cents only up to there.
+    nonnegative within FEAS_TOL (a negative entry rounds as zero), and
+    summing to the budget within sum_tolerance.  The budget may hold at
+    most 2**53 cents (about $9.0e13), the whole cents float64 holds.
     """
     adj = _to_floats(adjustments)
     budget = _check_budget(budget)
@@ -239,6 +239,7 @@ def round_to_cents(adjustments, budget: float) -> np.ndarray:
         raise ValueError(f"budget {budget!r} exceeds 2**53 cents, too large to round to whole cents")
     _refuse(_plan_error(adj, budget))
     cents = adj * 100.0
+    np.maximum(cents, 0.0, out=cents)
     floors = np.floor(cents).astype(np.int64)
     remainders = cents - floors
     target_cents = round(budget * 100.0)

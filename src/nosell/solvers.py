@@ -292,8 +292,7 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
     the largest prefix k with ``k e_k - sum_{j<=k} e_j < budget``.
 
     The scan runs on a strided sample of at most ``_SAMPLE`` gaps, with the
-    budget scaled by the sample's share.  Up to ``_SAMPLE`` assets the
-    sample is the whole vector and its scan is the answer.  Above, the
+    budget scaled by the sample's share.  Above ``_SAMPLE`` assets the
     sample only places a cut a little past its own k; the cut is kept only
     once proven.  For any set A of gaps, ``sum_{i in A} (t - e_i) <= budget``
     gives ``t <= (sum(A) + budget) / |A|``, and the largest delta alone
@@ -306,9 +305,12 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
     until no gap is dropped; t only falls and never below its final value.
     After ``_MAX_ROUNDS`` rounds the live gaps are sorted and scanned.
 
-    Where the sample puts at most one gap in 64 below the cut, the gaps
-    below it are found from the deltas, and only theirs are computed and
-    written into the plan; otherwise all n gaps are (see _sampled_solve).
+    The sorted sample picks the route, once.  Scan: up to ``_SAMPLE``
+    assets it is the whole vector, and its k and t fund the unsorted gaps.
+    Sparse: if at most one sampled gap in 64 lies at or below the cut, the
+    candidates are found from the deltas (_candidates) and funded into a
+    plan of zeros.  Dense: otherwise all n gaps fill one buffer, selected
+    in place (_below) and refilled in input order unless all are funded.
 
     Expected O(n) time; the worst case adds one sort of the live gaps.
     Raises ValueError rather than return a plan that breaks the buy-only
@@ -317,49 +319,36 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
     budget = problem.budget
     deltas = problem.deltas
     d_max = problem._d_max
+    n = deltas.size
+    step = -(-n // _SAMPLE)
     # a gap between deltas of opposite sign near 1e308 overflows to inf,
     # which is >= any budget, so it is never funded; a scan that meets it
     # computes inf - inf, a NaN that never qualifies either.  A plan whose
     # sum overflows fails the plan check without a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        if deltas.size <= _SAMPLE:
-            gaps = d_max - deltas
-            k, t = _prefix_scan(np.sort(gaps), budget)
-            adjustments = _fund(t, gaps, budget)
+        gaps = np.subtract(d_max, deltas[::step])
+        sample = np.sort(gaps)
+        if step == 1:
+            k, t = _prefix_scan(sample, budget)
+            return L2Solution(adjustments=_fund(t, gaps, budget), threshold=d_max - t, active_count=k)
+        m = sample.size
+        # a subnormal budget can scale to 0; the sample scan then counts none
+        k, _ = _prefix_count(sample, budget * (m / n))
+        i = k + 2 * math.isqrt(k) + 2
+        cut = min(float(sample[i]), budget) if i < m else budget
+        if 64 * int(sample.searchsorted(cut, "right")) <= m:
+            k, t, idx = _settle(functools.partial(_candidates, deltas, d_max), cut, budget)
+            adjustments = _empty(n)
+            adjustments.fill(0.0)
+            adjustments[idx] = _fund(t, np.subtract(d_max, deltas.take(idx)), budget)
         else:
-            k, t, adjustments = _sampled_solve(deltas, d_max, budget)
+            gaps = np.subtract(d_max, deltas, out=_empty(n))
+            k, t, _ = _settle(functools.partial(_below, gaps), cut, budget)
+            if k < n:
+                # the selection reordered the buffer; refill it in input order
+                np.subtract(d_max, deltas, out=gaps)
+            adjustments = _fund(t, gaps, budget)
     return L2Solution(adjustments=adjustments, threshold=d_max - t, active_count=k)
-
-
-def _sampled_solve(deltas: np.ndarray, d_max: float, budget: float):
-    """``(k, t, adjustments)`` above ``_SAMPLE`` assets (see solve_l2).
-
-    The sorted sample places the cut and picks the route, once.  If at
-    most one sampled gap in 64 lies at or below the cut, the candidates are
-    taken from the deltas (_candidates) and the plan is zeros with the
-    candidates' entries written in.  Otherwise every gap is computed into
-    one buffer and selected in place (_below); the buffer, refilled in
-    input order unless every gap is funded, becomes the plan.
-    """
-    n = deltas.size
-    sample = np.sort(np.subtract(d_max, deltas[:: -(-n // _SAMPLE)]))
-    m = sample.size
-    # a subnormal budget can scale to 0; the sample scan then counts none
-    k, _ = _prefix_count(sample, budget * (m / n))
-    i = k + 2 * math.isqrt(k) + 2
-    cut = min(float(sample[i]), budget) if i < m else budget
-    if 64 * int(sample.searchsorted(cut, "right")) <= m:
-        k, t, idx = _settle(functools.partial(_candidates, deltas, d_max), cut, budget)
-        adjustments = _empty(n)
-        adjustments.fill(0.0)
-        adjustments[idx] = _fund(t, np.subtract(d_max, deltas.take(idx)), budget)
-        return k, t, adjustments
-    gaps = np.subtract(d_max, deltas, out=_empty(n))
-    k, t, _ = _settle(functools.partial(_below, gaps), cut, budget)
-    if k < n:
-        # the selection reordered the buffer; refill it in input order
-        np.subtract(d_max, deltas, out=gaps)
-    return k, t, _fund(t, gaps, budget)
 
 
 def _settle(cut_at, cut: float, budget: float):
@@ -504,18 +493,19 @@ def is_l1_optimal(problem: ContributionProblem, candidate) -> bool:
     """Membership test for the l1 solution set.
 
     Checks the buy-only plan rule (finite, nonnegative within FEAS_TOL,
-    budget within sum_tolerance) plus the case-specific shape: in the
-    surplus case the candidate must cover every positive part; in the
-    deficit case it must not exceed any positive part (which also forces
-    zeros wherever deltas <= 0).
+    budget within sum_tolerance) plus the case-specific shape, within
+    FEAS_TOL plus 4 ulps of the larger of max(positive parts) and budget:
+    a surplus candidate covers every positive part, and a deficit one
+    exceeds none (so it is zero wherever deltas <= 0).
     """
     cand = _check_length(problem, candidate)
     if _plan_error(cand, problem.budget) is not None:
         return False
     pos = problem.positive_parts()
+    tol = FEAS_TOL + 4.0 * math.ulp(max(float(pos.max()), problem.budget))
     if problem.budget > _total(pos):
-        return bool(np.all(cand >= pos - FEAS_TOL))
-    return bool(np.all(cand <= pos + FEAS_TOL))
+        return bool(np.all(pos - cand <= tol))
+    return bool(np.all(cand - pos <= tol))
 
 
 def kkt_check_l2(problem: ContributionProblem, candidate, threshold: float) -> bool:
@@ -524,16 +514,16 @@ def kkt_check_l2(problem: ContributionProblem, candidate, threshold: float) -> b
     A candidate that satisfies the buy-only plan rule is optimal iff, with
     a finite lam = threshold, every strictly positive entry sits at
     ``deltas_i - lam`` and every zero entry has ``deltas_i <= lam`` (dual
-    feasibility).  Both are tested within max(FEAS_TOL, 4 ulp of the larger
-    of max|deltas_i| and |lam|): float64 cannot place lam closer than that
-    once the deltas pass 2^21.
+    feasibility).  Both are tested within FEAS_TOL plus 4 ulps of the
+    larger of max|deltas_i| and |lam|: an entry up to FEAS_TOL counts as
+    zero, and float64 places lam only to within a few of those ulps.
     """
     cand = _check_length(problem, candidate)
     threshold = _to_float(threshold)
     if _plan_error(cand, problem.budget) is not None or not math.isfinite(threshold):
         return False
     scale = max(float(np.max(np.abs(problem.deltas))), abs(threshold))
-    tol = max(FEAS_TOL, 4.0 * float(np.spacing(scale)))
+    tol = FEAS_TOL + 4.0 * math.ulp(scale)
     positive = cand > FEAS_TOL
     if np.any(np.abs(cand[positive] - (problem.deltas[positive] - threshold)) > tol):
         return False

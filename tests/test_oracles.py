@@ -3,6 +3,7 @@ uniqueness sweep that pits the KKT checker against every enumerated
 candidate."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -105,6 +106,16 @@ def test_kkt_rejects_lump_allocation_for_any_threshold(worked_problem):
 def test_kkt_single_asset():
     problem = ns.ContributionProblem([7.0], 5.0)
     assert ns.kkt_check_l2(problem, [5.0], 7.0 - 5.0)
+
+
+def test_kkt_rejects_a_wrong_plan_at_the_float_maximum():
+    # lam is the float64 maximum, whose np.spacing is inf: a slack of 4
+    # ulps must stay finite, or every plan passes
+    problem = ns.ContributionProblem([sys.float_info.max, 0.0], 1.0)
+    solution = ns.solve_l2(problem)
+    assert solution.adjustments.tolist() == [1.0, 0.0]
+    assert ns.kkt_check_l2(problem, solution.adjustments, solution.threshold)
+    assert not ns.kkt_check_l2(problem, [0.0, 1.0], solution.threshold)
 
 
 def test_kkt_guards(worked_problem):

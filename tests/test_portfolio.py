@@ -374,6 +374,14 @@ def test_round_to_cents_precondition():
             ns.round_to_cents(np.array(adjustments), budget)
 
 
+def test_round_to_cents_never_returns_a_negative_cent():
+    # -1e-10 passes the plan rule and rounds as zero, so the cent over the
+    # budget is a leftover out of range, not a sale of one cent
+    with pytest.raises(ValueError, match="leftover out of range"):
+        ns.round_to_cents([1e7 + 0.01, -1e-10], 1e7)
+    assert ns.round_to_cents([1e7, -1e-10], 1e7).tolist() == [10**9, 0]
+
+
 def test_round_to_cents_randomized():
     rng = np.random.default_rng(MASTER_SEED + 33)
     for trial in range(300):

@@ -5,8 +5,10 @@ included, and budgets from 1e-300 to 1e300.  Every l2 plan must match the
 exact water-filling plan (Fraction arithmetic) and pass kkt_check_l2.
 Every l1 particular, on deltas over the whole finite range, must pass
 is_l1_optimal and spend the budget to a few eps, and every portfolio the
-serializer accepts must read back to its 10-digit numbers.  Runs are
-derandomized, so tier-1 stays deterministic.
+serializer accepts must read back to its 10-digit numbers.  Over the
+whole finite range too, every sampled l1 member must pass is_l1_optimal,
+every l2 plan kkt_check_l2, and rebalance's cents must sum to the budget
+with none negative.  Runs are derandomized, so tier-1 stays deterministic.
 """
 
 import math
@@ -14,7 +16,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import nosell as ns
 from nosell import solvers
@@ -92,6 +94,31 @@ def test_l1_particular_spends_the_budget():
     assert all(reached.values()), reached
 
 
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(deltas=FULL_DELTAS, budget=BUDGETS, seed=st.integers(min_value=0, max_value=1000))
+# members 1 ulp above their positive part: far more than FEAS_TOL here
+@example(deltas=[106124857117813.0], budget=106124857117813.0, seed=0)
+@example(deltas=[7.002293629252616e16], budget=7.002293629252616e16, seed=553)
+def test_sampled_l1_members_pass_is_l1_optimal(deltas, budget, seed):
+    # subnormal budgets stay out: there a member's Dirichlet mix rounds to
+    # whole ulps of zero and can miss the budget entirely
+    problem = ns.ContributionProblem(deltas, budget)
+    member = ns.sample_l1_member(ns.solve_l1(problem), seed)
+    assert ns.is_l1_optimal(problem, member)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(deltas=FULL_DELTAS, budget=BUDGETS)
+# lam is the float64 maximum, where a slack from np.spacing would be inf
+@example(deltas=[MAX], budget=1.0)
+# the plan is FEAS_TOL, counted as zero, and lam rounds to -FEAS_TOL
+@example(deltas=[6.746293724073171e-224], budget=1e-09)
+def test_l2_plans_pass_kkt_over_the_whole_range(deltas, budget):
+    problem = ns.ContributionProblem(deltas, budget)
+    solution = ns.solve_l2(problem)
+    assert ns.kkt_check_l2(problem, solution.adjustments, solution.threshold)
+
+
 def _serializable(asset_id):
     # the serializer's rule: no comma, no line break that str.splitlines
     # splits on, no leading #, no surrounding whitespace
@@ -130,3 +157,27 @@ def test_serialized_portfolio_reads_back_at_10_digits(portfolio):
     assert reparsed.values.tolist() == list(map(_ten_digits, portfolio.values.tolist()))
     assert reparsed.targets.tolist() == list(map(_ten_digits, portfolio.targets.tolist()))
     assert serialize_portfolio(reparsed) == text
+
+
+#: Whole-cent budgets up to $1e12.  From $1e13 one ulp of an entry is
+#: 0.2-1.6 cents, and round_to_cents can refuse a plan that sums exactly
+#: to the budget (a leftover of -1 cent); that range waits on its fix.
+CENTS = st.integers(min_value=1, max_value=10**14)
+#: Long-only holdings anywhere in the range where MAX_N of them sum finitely.
+HOLDINGS = st.lists(
+    st.tuples(st.floats(min_value=0.0, max_value=MAX / MAX_N), st.floats(min_value=0.0, max_value=1.0)),
+    min_size=1,
+    max_size=MAX_N,
+)
+
+
+@settings(max_examples=250, derandomize=True, deadline=None)
+@given(holdings=HOLDINGS, cents=CENTS, norm=st.sampled_from(["l1", "l2"]))
+def test_rebalance_cents_sum_to_the_budget(holdings, cents, norm):
+    total = math.fsum(weight for _, weight in holdings)
+    assume(total > 0.0)
+    portfolio = ns.Portfolio(ns.Asset(f"a{i}", value, weight / total) for i, (value, weight) in enumerate(holdings))
+    budget = cents / 100
+    plan = ns.rebalance(portfolio, budget, norm)
+    assert int(plan.rounded_cents.sum()) == round(100 * budget)
+    assert plan.rounded_cents.min() >= 0

@@ -416,7 +416,7 @@ def test_solvers_refuse_a_plan_that_breaks_the_rule(monkeypatch, solve, n, budge
     if route == "deficit":
         assert answer.case is ns.L1Case.DEFICIT
     elif route != "scan":
-        # the sparse route takes at most one asset in 64 (see _sampled_solve)
+        # the sparse route takes at most one asset in 64 (see solve_l2)
         assert (64 * answer.active_count <= n) == (route == "sparse")
     skew(monkeypatch)
     with pytest.raises(ValueError, match="infeasible plan"):
@@ -454,6 +454,19 @@ def test_is_l1_optimal_guards(worked_problem):
     assert ns.is_l1_optimal(worked_problem, member)
     bad = [500.0, 3250.0 / 9.0, 1250.0 / 9.0, -1e-6, 1e-6]
     assert not ns.is_l1_optimal(worked_problem, bad)
+
+
+def test_is_l1_optimal_allows_4_ulps():
+    # one ulp of 1.06e14 is 0.0156, far above FEAS_TOL: sample_l1_member
+    # (seed 0) makes this member one ulp above its positive part.  The
+    # slack is 4 ulps of the larger of the largest part and the budget.
+    x = 106124857117813.0
+    problem = ns.ContributionProblem([x], x)
+    assert ns.is_l1_optimal(problem, [math.nextafter(x, math.inf)])
+    assert not ns.is_l1_optimal(problem, [x + 8 * math.ulp(x)])
+    surplus = ns.ContributionProblem([x, 0.0], 2 * x)
+    assert ns.is_l1_optimal(surplus, [math.nextafter(x, 0.0), x + math.ulp(x)])
+    assert not ns.is_l1_optimal(surplus, [x - 16 * math.ulp(x), x + 16 * math.ulp(x)])
 
 
 def test_is_l1_optimal_surplus_shape():
