@@ -29,14 +29,9 @@ import numpy as np
 from .portfolio import Portfolio, RebalancePlan, _RowError, rebalance
 from .solvers import L1Case, L2Solution, sample_l1_member, simplex_mle
 
-_NUMBER = r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"
 #: ASCII, so that \d is 0-9 alone: in a str pattern it matches any Unicode
 #: decimal digit, and float() reads those too.
-_NUMBER_RE = re.compile(_NUMBER, re.ASCII)
-#: Finds the first line that is not a number, so that a column joined by
-#: line breaks is checked in one search.  A lookahead, unlike a repeated
-#: group, keeps no backtracking state per line.
-_NOT_A_NUMBER_LINE = re.compile(rf"^(?!{_NUMBER}$)", re.MULTILINE | re.ASCII)
+_NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
 
 _HEADER = ("id", "value", "target")
 
@@ -59,9 +54,7 @@ def _parse_numbers(fields: List[str], where: Callable[[int], str]) -> np.ndarray
     """A non-empty column of stripped fields as one float64 array, behind
     the strict grammar: no nan or inf, no separators.  The first field
     that breaks it raises ValueError, its message led by ``where(i)``."""
-    joined = "\n".join(fields)
-    # a field holding a line break would pass the line check as two numbers
-    if joined.count("\n") != len(fields) - 1 or _NOT_A_NUMBER_LINE.search(joined):
+    if not all(map(_NUMBER_RE.fullmatch, fields)):
         row = next(i for i, field in enumerate(fields) if not _NUMBER_RE.fullmatch(field))
         raise ValueError(f"{where(row)} {fields[row]!r} is not a plain decimal number")
     return np.array(fields, dtype=np.float64)
@@ -129,14 +122,8 @@ def serialize_portfolio(portfolio: Portfolio) -> str:
     lines = [",".join(_HEADER)]
     values, targets = _sig10_texts(portfolio.values.tolist()), _sig10_texts(portfolio.targets.tolist())
     for asset_id, value, target in zip(portfolio.ids, values, targets):
-        # the parser splits lines with str.splitlines, which breaks at \r,
-        # \x1c and \u2028 among others, not only at \n
-        if (
-            "," in asset_id
-            or asset_id.splitlines() != [asset_id]
-            or asset_id.startswith("#")
-            or asset_id != asset_id.strip()
-        ):
+        # the id must read back as the one content line it is
+        if "," in asset_id or _content_lines(asset_id) != [(1, asset_id)]:
             raise ValueError(f"asset id {asset_id!r} cannot be serialized")
         lines.append(f"{asset_id},{value},{target}")
     return "\n".join(lines) + "\n"

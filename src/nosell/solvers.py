@@ -314,7 +314,7 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
 
     Expected O(n) time; the worst case adds one sort of the live gaps.
     Raises ValueError rather than return a plan that breaks the buy-only
-    plan rule.
+    plan rule, or a lambda that is not a finite float64.
     """
     budget = problem.budget
     deltas = problem.deltas
@@ -330,7 +330,7 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
         sample = np.sort(gaps)
         if step == 1:
             k, t = _prefix_scan(sample, budget)
-            return L2Solution(adjustments=_fund(t, gaps, budget), threshold=d_max - t, active_count=k)
+            return _solution(_fund(t, gaps, budget), d_max - t, k)
         m = sample.size
         # a subnormal budget can scale to 0; the sample scan then counts none
         k, _ = _prefix_count(sample, budget * (m / n))
@@ -348,7 +348,15 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
                 # the selection reordered the buffer; refill it in input order
                 np.subtract(d_max, deltas, out=gaps)
             adjustments = _fund(t, gaps, budget)
-    return L2Solution(adjustments=adjustments, threshold=d_max - t, active_count=k)
+    return _solution(adjustments, d_max - t, k)
+
+
+def _solution(adjustments: np.ndarray, threshold: float, k: int) -> L2Solution:
+    """The L2Solution, refused where lambda = max(deltas) - t lies past
+    the float64 range: kkt_check_l2 rejects a plan with no finite lambda."""
+    if not math.isfinite(threshold):
+        _refuse(f"the threshold {threshold!r} is not a finite float64")
+    return L2Solution(adjustments=adjustments, threshold=threshold, active_count=k)
 
 
 def _settle(cut_at, cut: float, budget: float):

@@ -1,6 +1,7 @@
 """CLI behavior: parsing, serialization round-trips, report formats,
 exit codes, and the sampling flags."""
 
+import itertools
 import json
 import math
 import os
@@ -224,6 +225,35 @@ def test_serialize_rejects_unparseable_ids():
         asset = ns.Asset(asset_id, 1.0, 1.0)
         with pytest.raises(ValueError, match="serialized"):
             serialize_portfolio(ns.Portfolio((asset,)))
+
+
+#: Every break that str.splitlines, and so the parser, splits a line at.
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+#: A letter, the comma and #, the whitespace and line breaks that str.strip
+#: and str.splitlines act on, and two characters they leave alone (a BOM, é).
+ID_ALPHABET = "a \t#,\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029\ufeff\xa0\xe9"
+
+
+def test_serialize_writes_exactly_the_ids_that_read_back():
+    # every id of 1-3 characters: one the serializer writes reads back as
+    # itself, and one it refuses does not, as a raw line of the file
+    accepted = 0
+    for length in (1, 2, 3):
+        for chars in itertools.product(ID_ALPHABET, repeat=length):
+            asset_id = "".join(chars)
+            try:
+                text = serialize_portfolio(ns.Portfolio((ns.Asset(asset_id, 1.0, 1.0),)))
+            except ValueError:
+                try:
+                    ids = parse_portfolio(f"id,value,target\n{asset_id},1.0,1.0\n").ids
+                except PortfolioFormatError:
+                    continue
+                assert ids != (asset_id,), repr(asset_id)
+            else:
+                accepted += 1
+                assert parse_portfolio(text).ids == (asset_id,), repr(asset_id)
+    assert accepted == 99
 
 
 # -- rebalance command -------------------------------------------------------
@@ -692,6 +722,10 @@ def test_project_simplex_errors(tmp_path, capsys):
     # two numbers on two lines of one field are not one number
     assert run_project_simplex_command(["--values", "0.5,0.5\n0.5"]) == 2
     assert "error: value 2: '0.5\\n0.5' is not a plain decimal number" in capsys.readouterr().err
+    # nor across any other break that str.splitlines splits at
+    for separator in LINE_BREAKS:
+        assert run_project_simplex_command(["--values", f"0.5,0.5{separator}0.5"]) == 2, repr(separator)
+        assert "value 2:" in capsys.readouterr().err, repr(separator)
     # non-ASCII decimal digits, which float() reads, are not plain decimals
     assert run_project_simplex_command(["--values", "\u0661,\u0662"]) == 2
     assert "error: value 1: '\u0661' is not a plain decimal number" in capsys.readouterr().err

@@ -423,6 +423,16 @@ def test_solvers_refuse_a_plan_that_breaks_the_rule(monkeypatch, solve, n, budge
         solve(problem)
 
 
+@pytest.mark.parametrize("n", [2, 5000], ids=["scan", "sampled"])
+def test_l2_refuses_a_threshold_past_the_float64_range(n):
+    # lambda = max(deltas) - t lies below -1.7976931348623157e308: at n = 2
+    # the plan [5e299, 5e299] spends the budget, but lambda rounds to -inf,
+    # which kkt_check_l2 rejects
+    problem = ns.ContributionProblem([-1.7976931348623157e308] * n, 1e300)
+    with pytest.raises(ValueError, match="infeasible plan: the threshold -inf"):
+        ns.solve_l2(problem)
+
+
 # -- is_l1_optimal -----------------------------------------------------------
 
 def test_is_l1_optimal_particular(worked_problem):
