@@ -333,9 +333,24 @@ def _simplex_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_values(argv: Sequence[str]) -> List[str]:
+    """``argv`` with ``--values`` (or a prefix of it) and a following
+    argument that starts with a number joined as ``--values=...``: argparse
+    before Python 3.13 takes an argument such as ``-0.5,0.5,2`` for an
+    option and refuses it."""
+    joined: List[str] = []
+    for arg in argv:
+        option = joined[-1] if joined else ""
+        if option.startswith("--v") and "--values".startswith(option) and _NUMBER_RE.match(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def run_project_simplex_command(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _simplex_parser().parse_args(argv)
+        args = _simplex_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -348,7 +363,12 @@ def run_project_simplex_command(argv: Optional[Sequence[str]] = None) -> int:
             where = lambda i: f"line {lines[i][0]}:"
         if not fields:
             raise ValueError("no values supplied")
-        projected = simplex_mle(_parse_numbers(fields, where))
+        values = _parse_numbers(fields, where)
+        finite = np.isfinite(values)
+        if not finite.all():
+            i = int(finite.argmin())
+            raise ValueError(f"{where(i)} {fields[i]!r} is not a finite float64")
+        projected = simplex_mle(values)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -333,7 +333,7 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
             return _solution(_fund(t, gaps, budget), d_max - t, k)
         m = sample.size
         # a subnormal budget can scale to 0; the sample scan then counts none
-        k, _ = _prefix_count(sample, budget * (m / n))
+        k = _prefix_count(sample, budget * (m / n))
         i = k + 2 * math.isqrt(k) + 2
         cut = min(float(sample[i]), budget) if i < m else budget
         if 64 * int(sample.searchsorted(cut, "right")) <= m:
@@ -423,33 +423,27 @@ def _fund(t: float, gaps: np.ndarray, budget: float) -> np.ndarray:
     return gaps
 
 
-def _prefix_count(ascending: np.ndarray, budget: float):
-    """``(k, sums)`` for sorted gaps: k the largest prefix with
-    ``k e_k - sum_{j<=k} e_j < budget`` (0 if there is none), and the
-    prefix sums ``sums``."""
-    sums = np.cumsum(ascending)
-    lhs = np.arange(1, ascending.size + 1, dtype=np.float64)
-    lhs *= ascending
-    lhs -= sums
-    if not math.isfinite(lhs[-1]):
-        # k e_k or a prefix sum passed the float64 maximum (or a gap is
-        # inf): take the entries that did again as k (e_k - S_k / k), with
-        # the sums taken at a power-of-two scale that keeps them finite
-        counts = np.arange(1, ascending.size + 1, dtype=np.float64)
-        scale = 2.0 ** -ascending.size.bit_length()
-        means = np.cumsum(ascending * scale) / (counts * scale)
-        lhs = np.where(np.isfinite(lhs), lhs, counts * (ascending - means))
-    # lhs is non-decreasing in exact arithmetic; take the last qualifying
-    # index rather than counting, in case rounding breaks that order
-    qualifying = (lhs < budget).nonzero()[0]
-    return (int(qualifying[-1]) + 1 if qualifying.size else 0), sums
+def _prefix_count(ascending: np.ndarray, budget: float) -> int:
+    """The largest prefix k of sorted gaps with
+    ``sum_{j<=k} (e_k - e_j) < budget`` (0 if there is none).
+
+    That sum is 0 at k = 1, which any positive budget funds, and grows by
+    the steps ``(k - 1)(e_k - e_{k-1})``, none negative, so its running
+    sums never fall.  They pass the float64 maximum, or turn into NaN from
+    an ``inf - inf`` step (NaN sorts last), only where the exact sum is
+    past any finite budget."""
+    lhs = ascending[1:] - ascending[:-1]
+    lhs *= np.arange(1.0, ascending.size)
+    return int(np.add.accumulate(lhs, out=lhs).searchsorted(budget)) + (budget > 0)
 
 
 def _prefix_scan(ascending: np.ndarray, budget: float):
     """``(k, t)`` for sorted gaps that start with the zero gap:
-    ``t = (sum_{j<=k} e_j + budget) / k``, with k as in _prefix_count."""
-    k, sums = _prefix_count(ascending, budget)
-    return k, _level(ascending[:k], float(sums[k - 1]), budget)
+    ``t = (sum_{j<=k} e_j + budget) / k``, with k as in _prefix_count and
+    the sum taken in order."""
+    k = _prefix_count(ascending, budget)
+    live = ascending[:k]
+    return k, _level(live, float(np.add.accumulate(live)[-1]), budget)
 
 
 def _level(live: np.ndarray, total: float, budget: float) -> float:

@@ -709,6 +709,13 @@ def test_project_simplex_output_bytes(capsys):
     assert capsys.readouterr().out == expected, f"seed={seed}"
 
 
+@pytest.mark.parametrize("argv", [["--values", "-0.5,0.5,2"], ["--values=-0.5,0.5,2"], ["--val", "-0.5,0.5,2"]])
+def test_project_simplex_negative_first_value(argv, capsys):
+    # argparse before Python 3.13 reads -0.5,0.5,2 as an option
+    assert run_project_simplex_command(argv) == 0
+    assert capsys.readouterr().out == "0.0000000000,0.0000000000,1.0000000000\n"
+
+
 def test_project_simplex_file_input(tmp_path, capsys):
     path = tmp_path / "v.txt"
     path.write_text("# observed proportions\n0.5\n\n0.5\n0.5\n")
@@ -729,6 +736,16 @@ def test_project_simplex_errors(tmp_path, capsys):
     # non-ASCII decimal digits, which float() reads, are not plain decimals
     assert run_project_simplex_command(["--values", "\u0661,\u0662"]) == 2
     assert "error: value 1: '\u0661' is not a plain decimal number" in capsys.readouterr().err
+    # a plain decimal past the float64 range is named like any other
+    assert run_project_simplex_command(["--values", "1,1e400,2"]) == 2
+    assert capsys.readouterr().err == "error: value 2: '1e400' is not a finite float64\n"
+    overflow = tmp_path / "overflow.txt"
+    overflow.write_text("# values\n-1e400\n1\n")
+    assert run_project_simplex_command(["--input", str(overflow)]) == 2
+    assert capsys.readouterr().err == "error: line 2: '-1e400' is not a finite float64\n"
+    # an argument after --values that is not a number stays argparse's error
+    assert run_project_simplex_command(["--values", "-h"]) == 2
+    assert "--values: expected one argument" in capsys.readouterr().err
     assert run_project_simplex_command(["--values", ""]) == 2
     capsys.readouterr()
     assert run_project_simplex_command([]) == 2  # one source required
@@ -772,3 +789,22 @@ def test_project_simplex_console_script():
         "project-simplex", "project_simplex_main", ["--values", "0.5,0.5,0.5"]
     )
     assert result.stdout == "0.3333333333,0.3333333333,0.3333333333\n"
+
+
+def _exit_code(entry_point, argv, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["entry", *argv])
+    with pytest.raises(SystemExit) as exit_info:
+        entry_point()
+    return exit_info.value.code
+
+
+def test_entry_points_exit_with_the_command_status(golden_file, monkeypatch, capsys):
+    # the console scripts' targets, run in this process
+    assert _exit_code(cli.rebalance_main, ["--input", golden_file, "--contribution", "1000"], monkeypatch) == 0
+    assert capsys.readouterr().out.startswith("asset ")
+    assert _exit_code(cli.rebalance_main, ["--input", golden_file, "--contribution", "-1"], monkeypatch) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert _exit_code(cli.project_simplex_main, ["--values", "0.5,0.5,0.5"], monkeypatch) == 0
+    assert capsys.readouterr().out == "0.3333333333,0.3333333333,0.3333333333\n"
+    assert _exit_code(cli.project_simplex_main, ["--values", "0.5,abc"], monkeypatch) == 2
+    assert capsys.readouterr().err == "error: value 2: 'abc' is not a plain decimal number\n"

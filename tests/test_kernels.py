@@ -198,6 +198,37 @@ def test_threshold_scan_sparse_cuts_at_rounding_boundaries(kind):
         assert float(np.max(np.abs(solution.adjustments - exact))) <= 1e-12 * budget, msg
 
 
+@pytest.mark.parametrize("kind", ["uniform", "all_equal", "integers"])
+def test_threshold_scan_sample_budget_rounds_to_zero(monkeypatch, kind):
+    # above _SAMPLE assets the sample scan takes the budget times the
+    # sample's share; here 5e-324 scales to 0 and 1e-320 stays subnormal
+    budgets = []
+    prefix_count = solvers._prefix_count
+
+    def recorded(ascending, budget):
+        budgets.append(budget)
+        return prefix_count(ascending, budget)
+
+    monkeypatch.setattr(solvers, "_prefix_count", recorded)
+    seed = MASTER_SEED + 118
+    rng = np.random.default_rng(seed)
+    n = 3 * solvers._SAMPLE + 7
+    if kind == "uniform":
+        deltas = rng.uniform(-10.0, 10.0, n)
+    elif kind == "all_equal":
+        deltas = np.full(n, 3.0)
+    else:
+        deltas = rng.integers(-50, 50, n).astype(np.float64)
+    for budget in (5e-324, 1e-320):
+        msg = f"seed={seed} kind={kind} budget={budget!r}"
+        problem = ContributionProblem(deltas, budget)
+        solution = solve_l2(problem)
+        assert kkt_check_l2(problem, solution.adjustments, solution.threshold), msg
+        exact, _ = water_fill_exact(deltas, budget)
+        assert solution.adjustments.tolist() == [float(x) for x in exact], msg
+    assert budgets[0] == 0.0 < budgets[-1], budgets
+
+
 def _starving_levels(count, unit, bump=1e-12):
     """``count`` gap levels, the first 0, each set just above the point at
     which a Michelot round over levels 1..m would drop level m - 1 as well

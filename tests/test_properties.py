@@ -1,8 +1,9 @@
 """Property-based differential tests over the whole float64 range.
 
-hypothesis draws short delta lists anywhere in +-1e300, subnormals
-included, and budgets from 1e-300 to 1e300.  Every l2 plan must match the
-exact water-filling plan (Fraction arithmetic) and pass kkt_check_l2.
+hypothesis draws short delta lists anywhere in the finite range,
+subnormals included, and budgets from 1e-300 to 1e300.  Every l2 plan must
+match the exact water-filling plan (Fraction arithmetic) and pass
+kkt_check_l2.
 Every l1 particular, on deltas over the whole finite range, must pass
 is_l1_optimal and spend the budget to a few eps, and every portfolio the
 serializer accepts must read back to its 10-digit numbers.  Over the
@@ -27,7 +28,8 @@ from reference_kernels import water_fill_exact
 EPS = 2.0 ** -52
 MAX_N = 12
 
-DELTAS = st.lists(st.floats(min_value=-1e300, max_value=1e300, allow_subnormal=True), min_size=1, max_size=MAX_N)
+MAX = sys.float_info.max
+FULL_DELTAS = st.lists(st.floats(min_value=-MAX, max_value=MAX), min_size=1, max_size=MAX_N)
 BUDGETS = st.floats(min_value=1e-300, max_value=1e300)
 
 
@@ -39,18 +41,27 @@ def test_l2_matches_exact_water_filling(monkeypatch, sample):
     routes = {"sparse": 0, "dense": 0}
     for route, name in (("sparse", "_candidates"), ("dense", "_below")):
         monkeypatch.setattr(solvers, name, _counted(routes, route, getattr(solvers, name)))
+    # examples in which k e_k, for some exact sorted gap e_k, passes the
+    # float64 maximum: the explicit example and some drawn ones
+    overflows = 0
 
     @settings(max_examples=400, derandomize=True, deadline=None)
-    @given(deltas=DELTAS, budget=BUDGETS)
+    @given(deltas=FULL_DELTAS, budget=BUDGETS)
+    # the sum of the funded gaps plus the budget overflows as well
+    @example(deltas=[1.7e308, 0.8e308, 0.8e308, 0.8e308], budget=1.5e308)
     def check(deltas, budget):
+        nonlocal overflows
         problem = ns.ContributionProblem(deltas, budget)
         solution = ns.solve_l2(problem)
         exact, _ = water_fill_exact(deltas, budget)
         bound = 8 * len(deltas) * Fraction(EPS) * Fraction(budget)
         assert max(abs(Fraction(float(a)) - x) for a, x in zip(solution.adjustments, exact)) <= bound
         assert ns.kkt_check_l2(problem, solution.adjustments, solution.threshold)
+        gaps = sorted(max(map(Fraction, deltas)) - Fraction(d) for d in deltas)
+        overflows += any(k * e > MAX for k, e in enumerate(gaps, start=1))
 
     check()
+    assert overflows > 1, overflows
     if sample >= MAX_N:
         assert routes == {"sparse": 0, "dense": 0}
     else:
@@ -65,8 +76,6 @@ def _counted(routes, route, cut_at):
     return counted
 
 
-MAX = sys.float_info.max
-FULL_DELTAS = st.lists(st.floats(min_value=-MAX, max_value=MAX), min_size=1, max_size=MAX_N)
 #: Above 1e300 a plan's float sum can round past the float64 maximum, and
 #: the solvers refuse such a plan.
 L1_BUDGETS = st.floats(min_value=5e-324, max_value=1e300)
