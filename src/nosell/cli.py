@@ -297,7 +297,7 @@ def _rebalance_parser() -> argparse.ArgumentParser:
 
 def run_rebalance_command(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _rebalance_parser().parse_args(argv)
+        args = _rebalance_parser().parse_args(_join_values(argv, "--contribution"))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -333,15 +333,15 @@ def _simplex_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _join_values(argv: Sequence[str]) -> List[str]:
-    """``argv`` with ``--values`` (or a prefix of it) and a following
-    argument that starts with a number joined as ``--values=...``: argparse
-    before Python 3.13 takes an argument such as ``-0.5,0.5,2`` for an
-    option and refuses it."""
+def _join_values(argv: Optional[Sequence[str]], option: str) -> List[str]:
+    """``argv`` (``sys.argv[1:]`` if None) with ``option``, or a prefix of
+    it past its dashes, and a following argument that starts with a number
+    joined as ``option=...``: argparse before Python 3.13 takes an argument
+    such as ``-0.5,0.5,2`` or ``-1e3`` for an option and refuses it."""
     joined: List[str] = []
-    for arg in argv:
-        option = joined[-1] if joined else ""
-        if option.startswith("--v") and "--values".startswith(option) and _NUMBER_RE.match(arg):
+    for arg in sys.argv[1:] if argv is None else argv:
+        name = joined[-1] if joined else ""
+        if len(name) > 2 and option.startswith(name) and _NUMBER_RE.match(arg):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)
@@ -350,7 +350,7 @@ def _join_values(argv: Sequence[str]) -> List[str]:
 
 def run_project_simplex_command(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _simplex_parser().parse_args(_join_values(sys.argv[1:] if argv is None else argv))
+        args = _simplex_parser().parse_args(_join_values(argv, "--values"))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -374,11 +374,3 @@ def run_project_simplex_command(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     sys.stdout.write(",".join(map("{:.10f}".format, projected.tolist())) + "\n")
     return 0
-
-
-def rebalance_main() -> None:
-    sys.exit(run_rebalance_command(sys.argv[1:]))
-
-
-def project_simplex_main() -> None:
-    sys.exit(run_project_simplex_command(sys.argv[1:]))

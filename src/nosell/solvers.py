@@ -116,7 +116,7 @@ def _plan_error(plan: np.ndarray, budget: float) -> Optional[str]:
     the sum within sum_tolerance(budget).  Returns why ``plan`` breaks it,
     or None.
     """
-    total = float(plan.sum())
+    total = _total(plan)
     if math.isfinite(total) and plan.size and plan.min() < -FEAS_TOL:
         return "an entry is negative"
     return _sum_error(total, budget)
@@ -330,30 +330,27 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
         sample = np.sort(gaps)
         if step == 1:
             k, t = _prefix_scan(sample, budget)
-            return _solution(_fund(t, gaps, budget), d_max - t, k)
-        m = sample.size
-        # a subnormal budget can scale to 0; the sample scan then counts none
-        k = _prefix_count(sample, budget * (m / n))
-        i = k + 2 * math.isqrt(k) + 2
-        cut = min(float(sample[i]), budget) if i < m else budget
-        if 64 * int(sample.searchsorted(cut, "right")) <= m:
-            k, t, idx = _settle(functools.partial(_candidates, deltas, d_max), cut, budget)
-            adjustments = _empty(n)
-            adjustments.fill(0.0)
-            adjustments[idx] = _fund(t, np.subtract(d_max, deltas.take(idx)), budget)
-        else:
-            gaps = np.subtract(d_max, deltas, out=_empty(n))
-            k, t, _ = _settle(functools.partial(_below, gaps), cut, budget)
-            if k < n:
-                # the selection reordered the buffer; refill it in input order
-                np.subtract(d_max, deltas, out=gaps)
             adjustments = _fund(t, gaps, budget)
-    return _solution(adjustments, d_max - t, k)
-
-
-def _solution(adjustments: np.ndarray, threshold: float, k: int) -> L2Solution:
-    """The L2Solution, refused where lambda = max(deltas) - t lies past
-    the float64 range: kkt_check_l2 rejects a plan with no finite lambda."""
+        else:
+            m = sample.size
+            # a subnormal budget can scale to 0; the sample scan then counts none
+            k = _prefix_count(sample, budget * (m / n))
+            i = k + 2 * math.isqrt(k) + 2
+            cut = min(float(sample[i]), budget) if i < m else budget
+            if 64 * int(sample.searchsorted(cut, "right")) <= m:
+                k, t, idx = _settle(functools.partial(_candidates, deltas, d_max), cut, budget)
+                adjustments = _empty(n)
+                adjustments.fill(0.0)
+                adjustments[idx] = _fund(t, np.subtract(d_max, deltas.take(idx)), budget)
+            else:
+                gaps = np.subtract(d_max, deltas, out=_empty(n))
+                k, t, _ = _settle(functools.partial(_below, gaps), cut, budget)
+                if k < n:
+                    # the selection reordered the buffer; refill it in input order
+                    np.subtract(d_max, deltas, out=gaps)
+                adjustments = _fund(t, gaps, budget)
+    threshold = d_max - t
+    # kkt_check_l2 rejects a plan with no finite lambda
     if not math.isfinite(threshold):
         _refuse(f"the threshold {threshold!r} is not a finite float64")
     return L2Solution(adjustments=adjustments, threshold=threshold, active_count=k)
@@ -527,8 +524,10 @@ def kkt_check_l2(problem: ContributionProblem, candidate, threshold: float) -> b
     scale = max(float(np.max(np.abs(problem.deltas))), abs(threshold))
     tol = FEAS_TOL + 4.0 * math.ulp(scale)
     positive = cand > FEAS_TOL
-    if np.any(np.abs(cand[positive] - (problem.deltas[positive] - threshold)) > tol):
-        return False
+    # a difference past the float64 range is inf, and fails the test
+    with np.errstate(over="ignore"):
+        if np.any(np.abs(cand[positive] - (problem.deltas[positive] - threshold)) > tol):
+            return False
     return bool(np.all(problem.deltas[~positive] <= threshold + tol))
 
 

@@ -125,6 +125,15 @@ def test_kkt_guards(worked_problem):
     # infeasible sums and negative entries fail fast
     assert not ns.kkt_check_l2(worked_problem, [626.0, 375.0, 0.0, 0.0, 0.0], 275.0)
     assert not ns.kkt_check_l2(worked_problem, [1625.0, 375.0, 0.0, 0.0, -1000.0], 275.0)
+    # finite entries whose sum overflows fail without an overflow warning
+    assert not ns.kkt_check_l2(ns.ContributionProblem([1.0, 0.0], 1.0), [1.7e308, 1.7e308], 0.0)
+
+
+def test_kkt_rejects_a_threshold_a_float64_range_below_the_deltas():
+    # 1.7e308 - (-1.7e308) passes the float64 maximum: False, with no
+    # overflow warning
+    problem = ns.ContributionProblem([1.7e308, 0.0], 1.0)
+    assert not ns.kkt_check_l2(problem, [1.0, 0.0], -1.7e308)
 
 
 def test_kkt_uniqueness_among_enumerated_candidates():

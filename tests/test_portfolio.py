@@ -363,6 +363,8 @@ def test_round_to_cents_precondition():
         ([1.0, 2.0], 4.0, "sum"),
         ([-0.5, 1.5], 1.0, "negative"),
         ([np.nan, 1.0], 1.0, "finite"),
+        # finite entries whose sum overflows, refused without an overflow warning
+        ([1.7e308, 1.7e308], 1.0, "finite"),
         # float64 holds whole cents only up to 2**53 of them
         ([1e14], 1e14, r"2\*\*53"),
         # 900 over the budget passes the plan rule (sum_tolerance(1e12) is

@@ -459,6 +459,8 @@ def test_is_l1_optimal_guards(worked_problem):
     with pytest.raises(ValueError, match="length"):
         ns.is_l1_optimal(worked_problem, [1.0, 2.0])
     assert not ns.is_l1_optimal(worked_problem, [np.nan, 0.0, 0.0, 0.0, 1000.0])
+    # finite entries whose sum overflows fail without an overflow warning
+    assert not ns.is_l1_optimal(ns.ContributionProblem([1.0, 0.0], 1.0), [1.7e308, 1.7e308])
     # tolerance behavior around zero
     member = [500.0, 3250.0 / 9.0, 1250.0 / 9.0, -1e-12, 1e-12]
     assert ns.is_l1_optimal(worked_problem, member)
