@@ -22,7 +22,7 @@ import re
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,6 +32,10 @@ from .solvers import L1Case, L2Solution, sample_l1_member, simplex_mle
 #: ASCII, so that \d is 0-9 alone: in a str pattern it matches any Unicode
 #: decimal digit, and float() reads those too.
 _NUMBER_RE = re.compile(r"[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?", re.ASCII)
+
+#: How a number that float() reads starts in ASCII: a digit, or a point and
+#: a digit, or inf or nan in any case, after an optional sign.
+_NUMBER_START = re.compile(r"[+-]?(?:\d|\.\d|inf|nan)", re.ASCII | re.IGNORECASE)
 
 _HEADER = ("id", "value", "target")
 
@@ -50,13 +54,14 @@ def _content_lines(text: str) -> List[Tuple[int, str]]:
     ]
 
 
-def _parse_numbers(fields: List[str], where: Callable[[int], str]) -> np.ndarray:
+def _parse_numbers(fields: List[str], label: str = "") -> np.ndarray:
     """A non-empty column of stripped fields as one float64 array, behind
     the strict grammar: no nan or inf, no separators.  The first field
-    that breaks it raises ValueError, its message led by ``where(i)``."""
+    that breaks it raises _RowError with its index, the message led by
+    ``label``."""
     if not all(map(_NUMBER_RE.fullmatch, fields)):
         row = next(i for i, field in enumerate(fields) if not _NUMBER_RE.fullmatch(field))
-        raise ValueError(f"{where(row)} {fields[row]!r} is not a plain decimal number")
+        raise _RowError(row, f"{label}{fields[row]!r} is not a plain decimal number")
     return np.array(fields, dtype=np.float64)
 
 
@@ -78,38 +83,36 @@ def parse_portfolio(text: str, normalize: bool = False, allow_short: bool = Fals
         )
     if not rows:
         raise PortfolioFormatError("portfolio file contains no asset rows")
-    linenos = [lineno for lineno, _ in rows]
     split = [line.split(",") for _, line in rows]
-    if set(map(len, split)) != {3}:
-        row = next(i for i, fields in enumerate(split) if len(fields) != 3)
-        raise PortfolioFormatError(f"line {linenos[row]}: expected 3 fields, got {len(split[row])}")
-    ids, value_fields, target_fields = ([field.strip() for field in column] for column in zip(*split))
     try:
-        values = _parse_numbers(value_fields, lambda row: f"line {linenos[row]}: value")
-        targets = _parse_numbers(target_fields, lambda row: f"line {linenos[row]}: target")
-    except ValueError as exc:
-        raise PortfolioFormatError(str(exc)) from None
-    if normalize:
-        negative = targets < 0.0
-        if negative.any():
-            row = int(negative.argmax())
-            raise PortfolioFormatError(
-                f"line {linenos[row]}: weight {float(targets[row])!r} must be nonnegative under --normalize"
-            )
-        try:
-            total = math.fsum(targets.tolist())
-        except OverflowError:
-            # the weights' sum passes the float64 maximum: sum them scaled
-            # by the largest one
-            targets = targets / targets.max()
-            total = math.fsum(targets.tolist())
-        if total <= 0.0:
-            raise PortfolioFormatError("cannot normalize: weights sum to zero")
-        targets = targets / total
-    try:
+        if set(map(len, split)) != {3}:
+            row = next(i for i, fields in enumerate(split) if len(fields) != 3)
+            raise _RowError(row, f"expected 3 fields, got {len(split[row])}")
+        ids, value_fields, target_fields = ([field.strip() for field in column] for column in zip(*split))
+        values = _parse_numbers(value_fields, "value ")
+        targets = _parse_numbers(target_fields, "target ")
+        if normalize:
+            negative = targets < 0.0
+            if negative.any():
+                row = int(negative.argmax())
+                raise _RowError(row, f"weight {float(targets[row])!r} must be nonnegative under --normalize")
+            infinite = np.isinf(targets)
+            if infinite.any():
+                row = int(infinite.argmax())
+                raise _RowError(row, f"weight {target_fields[row]!r} is not a finite float64")
+            try:
+                total = math.fsum(targets.tolist())
+            except OverflowError:
+                # the weights' sum passes the float64 maximum: sum them
+                # scaled by the largest one
+                targets = targets / targets.max()
+                total = math.fsum(targets.tolist())
+            if total <= 0.0:
+                raise PortfolioFormatError("cannot normalize: weights sum to zero")
+            targets = targets / total
         return Portfolio._from_columns(tuple(ids), values, targets, allow_short)
     except _RowError as exc:
-        raise PortfolioFormatError(f"line {linenos[exc.row]}: {exc}") from None
+        raise PortfolioFormatError(f"line {rows[exc.row][0]}: {exc}") from None
 
 
 def serialize_portfolio(portfolio: Portfolio) -> str:
@@ -246,14 +249,17 @@ def render_table(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Li
     total = portfolio.total
     header = ("asset", "value", "current", "target", "naive", "buy", "final")
     values = portfolio.values.tolist()
+    totalled = [(_pct, portfolio.targets), (_money, plan.naive), (_money, plan.adjustments), (_pct, plan.final_allocations)]
+    # finite entries can sum past the float64 maximum; such a total is n/a
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = [float(column.sum()) for _, column in totalled]
     columns = [
         [*portfolio.ids, "total"],
         _money([*values, total]),
         _pct([v / total for v in values] + [1.0]) if total else ["n/a"] * (len(values) + 1),
-        _pct([*portfolio.targets.tolist(), float(portfolio.targets.sum())]),
-        _money([*plan.naive.tolist(), float(plan.naive.sum())]),
-        _money([*plan.adjustments.tolist(), float(plan.adjustments.sum())]),
-        _pct([*plan.final_allocations.tolist(), float(plan.final_allocations.sum())]),
+    ] + [
+        [*texts(column.tolist()), texts([s])[0] if math.isfinite(s) else "n/a"]
+        for (texts, column), s in zip(totalled, sums)
     ]
     widths = [max(len(name), *map(len, column)) for name, column in zip(header, columns)]
     row_format = "  ".join([f"%-{widths[0]}s"] + [f"%{w}s" for w in widths[1:]])
@@ -336,12 +342,13 @@ def _simplex_parser() -> argparse.ArgumentParser:
 def _join_values(argv: Optional[Sequence[str]], option: str) -> List[str]:
     """``argv`` (``sys.argv[1:]`` if None) with ``option``, or a prefix of
     it past its dashes, and a following argument that starts with a number
-    joined as ``option=...``: argparse before Python 3.13 takes an argument
-    such as ``-0.5,0.5,2`` or ``-1e3`` for an option and refuses it."""
+    (inf and nan included) joined as ``option=...``: argparse before Python
+    3.13 takes an argument such as ``-0.5,0.5,2``, ``-1e3`` or ``-inf`` for
+    an option and refuses it."""
     joined: List[str] = []
     for arg in sys.argv[1:] if argv is None else argv:
         name = joined[-1] if joined else ""
-        if len(name) > 2 and option.startswith(name) and _NUMBER_RE.match(arg):
+        if len(name) > 2 and option.startswith(name) and _NUMBER_START.match(arg):
             joined[-1] += "=" + arg
         else:
             joined.append(arg)
@@ -356,18 +363,20 @@ def run_project_simplex_command(argv: Optional[Sequence[str]] = None) -> int:
     try:
         if args.values is not None:
             fields = [field.strip() for field in args.values.split(",")]
-            where: Callable[[int], str] = lambda i: f"value {i + 1}:"
         else:
             lines = _content_lines(Path(args.input).read_text(encoding="utf-8"))
             fields = [line for _, line in lines]
-            where = lambda i: f"line {lines[i][0]}:"
         if not fields:
             raise ValueError("no values supplied")
-        values = _parse_numbers(fields, where)
-        finite = np.isfinite(values)
-        if not finite.all():
-            i = int(finite.argmin())
-            raise ValueError(f"{where(i)} {fields[i]!r} is not a finite float64")
+        try:
+            values = _parse_numbers(fields)
+            finite = np.isfinite(values)
+            if not finite.all():
+                row = int(finite.argmin())
+                raise _RowError(row, f"{fields[row]!r} is not a finite float64")
+        except _RowError as exc:
+            place = f"value {exc.row + 1}" if args.values is not None else f"line {lines[exc.row][0]}"
+            raise ValueError(f"{place}: {exc}") from None
         projected = simplex_mle(values)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

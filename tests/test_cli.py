@@ -135,23 +135,28 @@ def test_parse_normalize_rejects_negative_weight():
     [
         ("A,1,0.5\n# held twice\nA,1,0.5", [], 5, "duplicate asset id 'A'"),
         ("A,1,0.5\n ,1,0.5", [], 4, "asset id must be a non-empty string"),
-        ("A,1,0.5\n\nB,1e999,0.5", [], 5, "'B': value must be finite"),
-        ("A,1,0.5\nB,1,1.5", [], 4, "'B': target must lie in"),
-        ("A,1,0.5\nB,-1,0.5", [], 4, "'B' has negative value -1"),
-        ("A,1,2\n# weights\nB,1,-1", ["--normalize"], 5, "weight -1.0 must be nonnegative"),
+        ("A,1,0.5\n\nB,1e999,0.5", [], 5, "asset 'B': value must be finite"),
+        ("A,1,0.5\nB,1,1.5", [], 4, "asset 'B': target must lie in [0, 1]"),
+        ("A,1,0.5\nB,-1,0.5", [], 4, "asset 'B' has negative value -1; pass allow_short to permit this"),
+        ("A,1,2\n# weights\nB,1,-1", ["--normalize"], 5, "weight -1.0 must be nonnegative under --normalize"),
+        ("A,1,0.5\nB,1,0.5,0", [], 4, "expected 3 fields, got 4"),
+        ("A,1,0.5\nB,12_000,0.5", [], 4, "value '12_000' is not a plain decimal number"),
+        ("A,1,0.5\nB,1,0.5x", [], 4, "target '0.5x' is not a plain decimal number"),
+        ("A,1,1e400\nB,1,1", ["--normalize"], 3, "weight '1e400' is not a finite float64"),
     ],
-    ids=["duplicate-id", "empty-id", "value-1e999", "target-1.5", "negative-value", "negative-weight-normalize"],
+    ids=["duplicate-id", "empty-id", "value-1e999", "target-1.5", "negative-value", "negative-weight-normalize",
+         "four-fields", "malformed-value", "malformed-target", "infinite-weight-normalize"],
 )
 def test_row_errors_name_their_line(rows, flags, lineno, reason, tmp_path, capsys):
     text = f"# portfolio\nid,value,target\n{rows}\n"
-    with pytest.raises(PortfolioFormatError, match=rf"^line {lineno}: .*{re.escape(reason)}"):
+    with pytest.raises(PortfolioFormatError, match=rf"^line {lineno}: {re.escape(reason)}$"):
         parse_portfolio(text, normalize="--normalize" in flags)
     path = tmp_path / "p.csv"
     path.write_text(text, encoding="utf-8")
     assert run_rebalance_command(["--input", str(path), "--contribution", "10", *flags]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: line {lineno}: ")
+    assert captured.err == f"error: line {lineno}: {reason}\n"
 
 
 def test_parse_normalize_arbitrary_weights():
@@ -310,10 +315,12 @@ def test_rebalance_at_target_adjustments_proportional(tmp_path, capsys):
 
 def test_rebalance_exit_codes(golden_file, tmp_path, capsys):
     # negative, zero and nan contributions; a negative one in exponent
-    # form, which argparse before Python 3.13 reads as an option, meets
-    # the same rule, under the option's full name or a prefix of it
+    # form, or -inf or -nan, which argparse before Python 3.13 reads as an
+    # option, meets the same rule, under the option's full name or a
+    # prefix of it
     for contribution in (["--contribution", "-5"], ["--contribution", "0"], ["--contribution", "nan"],
-                         ["--contribution", "-1e3"], ["--c", "-1e3"]):
+                         ["--contribution", "-1e3"], ["--c", "-1e3"], ["--contribution", "-inf"],
+                         ["--contribution", "-nan"], ["--c", "-Infinity"]):
         assert run_rebalance_command(["--input", golden_file, *contribution]) == 2
         assert capsys.readouterr().err == "error: budget must be a positive finite number\n"
     # missing file
@@ -336,6 +343,33 @@ def test_rebalance_exit_codes(golden_file, tmp_path, capsys):
         ["--input", golden_file, "--contribution", "5", "--norm", "l1", "--sample", "-1"]
     ) == 2
     capsys.readouterr()
+
+
+_SHORT_PAIRS = {0: "1.3e306", 8: "1.3e306", 1: "-1.3e306", 9: "-1.3e306"}
+
+
+@pytest.mark.parametrize(
+    "rows, budget, totals",
+    [
+        # the naive column, [1e308, 1e308, -1e308, -1e308], sums to $1,000
+        # exactly, but its running sum passes the float64 maximum
+        ("c,-5e307,0.5\nd,-5e307,0.5\na,1e308,0\nb,1e308,0", "1000", ["100%", "100%", "n/a", "$1,000", "100%"]),
+        # the final allocations of rows 0, 1, 8 and 9 lie near +-1e308:
+        # numpy sums 16 numbers in 8 partial sums, rows i and i + 8 in
+        # one, so one partial sum is +inf, another -inf, and the total nan
+        ("\n".join(f"r{i},{_SHORT_PAIRS[i]},0" if i in _SHORT_PAIRS else f"r{i},0.001,{1 / 12!r}" for i in range(16)),
+         "0.001", ["$0", "100%", "100%", "$0", "$0", "n/a"]),
+    ],
+    ids=["naive-overflows", "final-nan"],
+)
+def test_table_total_past_the_float64_maximum_is_na(rows, budget, totals, tmp_path, capsys):
+    path = tmp_path / "short.csv"
+    path.write_text(f"id,value,target\n{rows}\n", encoding="utf-8")
+    assert run_rebalance_command(["--input", str(path), "--allow-short", "--contribution", budget]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    total_row = captured.out.splitlines()[-3].split()
+    assert total_row[0] == "total" and total_row[-len(totals):] == totals
 
 
 def test_rebalance_normalize_flag(tmp_path, capsys):
@@ -747,6 +781,14 @@ def test_project_simplex_errors(tmp_path, capsys):
     overflow.write_text("# values\n-1e400\n1\n")
     assert run_project_simplex_command(["--input", str(overflow)]) == 2
     assert capsys.readouterr().err == "error: line 2: '-1e400' is not a finite float64\n"
+    malformed = tmp_path / "malformed.txt"
+    malformed.write_text("# values\n0.5\n\nabc\n")
+    assert run_project_simplex_command(["--input", str(malformed)]) == 2
+    assert capsys.readouterr().err == "error: line 4: 'abc' is not a plain decimal number\n"
+    # -inf and -nan after --values are values, and not plain decimals
+    for value in ("-inf", "-nan"):
+        assert run_project_simplex_command(["--values", f"{value},1"]) == 2
+        assert capsys.readouterr().err == f"error: value 1: '{value}' is not a plain decimal number\n"
     # an argument after --values that is not a number stays argparse's error
     assert run_project_simplex_command(["--values", "-h"]) == 2
     assert "--values: expected one argument" in capsys.readouterr().err
