@@ -250,13 +250,17 @@ def render_table(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Li
     header = ("asset", "value", "current", "target", "naive", "buy", "final")
     values = portfolio.values.tolist()
     totalled = [(_pct, portfolio.targets), (_money, plan.naive), (_money, plan.adjustments), (_pct, plan.final_allocations)]
-    # finite entries can sum past the float64 maximum; such a total is n/a
-    with np.errstate(over="ignore", invalid="ignore"):
+    # finite entries can sum past the float64 maximum, and a total near zero
+    # (or zero) gives shares whose percents do not fit; such a total or
+    # current column is n/a
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sums = [float(column.sum()) for _, column in totalled]
+        shares = portfolio.values / total
+        shown = np.isfinite(100.0 * shares).all()
     columns = [
         [*portfolio.ids, "total"],
         _money([*values, total]),
-        _pct([v / total for v in values] + [1.0]) if total else ["n/a"] * (len(values) + 1),
+        _pct([*shares.tolist(), 1.0]) if shown else ["n/a"] * (len(values) + 1),
     ] + [
         [*texts(column.tolist()), texts([s])[0] if math.isfinite(s) else "n/a"]
         for (texts, column), s in zip(totalled, sums)
@@ -342,9 +346,9 @@ def _simplex_parser() -> argparse.ArgumentParser:
 def _join_values(argv: Optional[Sequence[str]], option: str) -> List[str]:
     """``argv`` (``sys.argv[1:]`` if None) with ``option``, or a prefix of
     it past its dashes, and a following argument that starts with a number
-    (inf and nan included) joined as ``option=...``: argparse before Python
-    3.13 takes an argument such as ``-0.5,0.5,2``, ``-1e3`` or ``-inf`` for
-    an option and refuses it."""
+    (inf and nan included) joined as ``option=...``: argparse (Python
+    3.10.13, 3.11.7, 3.12.1 and 3.13.0 checked) takes an argument such as
+    ``-0.5,0.5,2``, ``-1e3`` or ``-inf`` for an option and refuses it."""
     joined: List[str] = []
     for arg in sys.argv[1:] if argv is None else argv:
         name = joined[-1] if joined else ""

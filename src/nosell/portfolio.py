@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
@@ -126,7 +127,11 @@ class Portfolio:
             raise _RowError(row, f"asset {ids[row]!r} has negative value {values[row]:.10g}; pass allow_short to permit this")
         total = _total(values)
         if not math.isfinite(total):
-            raise ValueError("the asset values are each finite, but their total passes the float64 maximum")
+            # numpy's partial sums passed the float64 maximum; the exact total may not
+            try:
+                total = float(sum(map(Fraction, values.tolist())))
+            except OverflowError:
+                raise ValueError("the asset values are each finite, but their total passes the float64 maximum") from None
         object.__setattr__(self, "ids", ids)
         object.__setattr__(self, "values", _frozen(values))
         object.__setattr__(self, "targets", _frozen(targets))

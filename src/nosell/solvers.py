@@ -42,12 +42,12 @@ _MAX_ROUNDS = 32
 #: sample costs about 0.06 ms against 2-2.5 ms for one partition of the
 #: whole gap buffer.
 _SAMPLE = 4096
-#: Arrays of this many bytes or more come from the pool (see _empty); numpy
-#: hints huge pages from the same size on.
+#: Arrays of this many bytes up to _FREE_BUFFER_BYTES come from the pool (see
+#: _empty); numpy hints huge pages for any array from this size on.
 _POOLED_BYTES = 1 << 22
 _HUGE_PAGE = 1 << 21
 #: Freed buffers that _empty keeps for reuse, at most, and the largest buffer
-#: it keeps (two million float64): the free list never holds more than 32 MiB.
+#: it pools (two million float64): the free list never holds more than 32 MiB.
 _FREE_BUFFERS = 2
 _FREE_BUFFER_BYTES = 4 * _POOLED_BYTES
 #: Deltas that ContributionProblem copies and checks at a time: 512 KiB,
@@ -141,25 +141,23 @@ _free: list = []
 def _empty(n: int) -> np.ndarray:
     """An uninitialised float64 array of length n.
 
-    From _POOLED_BYTES on, the array starts on a huge page boundary and its
-    buffer is rounded up to whole huge pages, so the huge pages that numpy
-    hints for it back all of it.  Solves of one size tend to come in runs,
-    so when an array from here of at most _FREE_BUFFER_BYTES is freed its
-    buffer goes onto a free list, and the next request of the same rounded
-    size takes it, already paged in.  The list keeps the two newest
-    buffers, the problem's copy and the plan of one solve, and drops older
-    ones; a larger buffer is dropped as soon as its array is freed.  Sizes
-    that alternate gain nothing: a request takes the newest buffer and
-    drops it if its size differs.
+    Of _POOLED_BYTES to _FREE_BUFFER_BYTES, the array starts on a huge page
+    boundary and its buffer is rounded up to whole huge pages, so the huge
+    pages that numpy hints for it back all of it; any other size is a plain
+    ``np.empty(n)``.  Solves of one size tend to come in runs, so when a
+    pooled array is freed its buffer goes onto a free list, and the next
+    request of the same rounded size takes it, already paged in.  The list
+    keeps the two newest buffers, the problem's copy and the plan of one
+    solve, and drops older ones.  Sizes that alternate gain nothing: a
+    request takes the newest buffer and drops it if its size differs.
 
     The buffer is a memoryview, not an array, so numpy does not collapse a
     view's base past the returned array: a view keeps the array alive, and
     a buffer returns to the list only once its array is gone.
     """
-    nbytes = 8 * n
-    if nbytes < _POOLED_BYTES:
+    if not _POOLED_BYTES <= 8 * n <= _FREE_BUFFER_BYTES:
         return np.empty(n)
-    size = -(-nbytes // _HUGE_PAGE) * _HUGE_PAGE
+    size = -(-8 * n // _HUGE_PAGE) * _HUGE_PAGE
     try:
         kept, buf = _free.pop()
     except IndexError:
@@ -169,8 +167,7 @@ def _empty(n: int) -> np.ndarray:
         start = -raw.ctypes.data % _HUGE_PAGE
         buf = memoryview(raw[start : start + size])
     arr = np.frombuffer(buf, dtype=np.float64, count=n)
-    if size <= _FREE_BUFFER_BYTES:
-        weakref.finalize(arr, _keep, size, buf).atexit = False
+    weakref.finalize(arr, _keep, size, buf).atexit = False
     return arr
 
 
@@ -532,9 +529,9 @@ def kkt_check_l2(problem: ContributionProblem, candidate, threshold: float) -> b
 
 
 def _total(parts: np.ndarray) -> float:
-    """The sum of ``parts``, with no overflow warning where it passes the
-    float64 maximum: it is then not finite."""
-    with np.errstate(over="ignore"):
+    """The sum of ``parts``, with no warning where a partial sum passes the
+    float64 maximum: it is then not finite (nan where both signs do)."""
+    with np.errstate(over="ignore", invalid="ignore"):
         return float(np.sum(parts))
 
 
@@ -576,7 +573,11 @@ def sample_l1_member(family: L1SolutionFamily, rng=None) -> np.ndarray:
         for _ in range(3):
             members.append(_greedy_fill(family.positive_parts, budget, rng))
         weights = rng.dirichlet(np.ones(len(members)))
-        member = sum(w * fill for w, fill in zip(weights, members))
+        # mixed 2^k times larger, so that the products of a subnormal budget
+        # do not round to whole ulps of zero; no entry passes the budget, so
+        # the scaled ones stay below 1
+        k = max(0, -math.frexp(budget)[1])
+        member = np.ldexp(sum(w * np.ldexp(fill, k) for w, fill in zip(weights, members)), -k)
     # nonnegative parts, raised or mixed with nonnegative weights: as in _fund
     _refuse(_sum_error(_total(member), budget))
     return member

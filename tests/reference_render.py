@@ -75,12 +75,14 @@ def _pct(fraction):
 def reference_render_table(portfolio, plan, samples=None):
     total = portfolio.total
     header = ["asset", "value", "current", "target", "naive", "buy", "final"]
+    # the current column is n/a unless every share's percent is finite
+    shown = bool(total) and all(math.isfinite(asset.value / total * 100.0) for asset in assets_of(portfolio))
     body = []
     for i, asset in enumerate(assets_of(portfolio)):
         body.append([
             asset.id,
             _money(asset.value),
-            _pct(asset.value / total) if total else "n/a",
+            _pct(asset.value / total) if shown else "n/a",
             _pct(asset.target),
             _money(plan.naive[i]),
             _money(plan.adjustments[i]),
@@ -89,7 +91,7 @@ def reference_render_table(portfolio, plan, samples=None):
     body.append([
         "total",
         _money(total),
-        _pct(1.0) if total else "n/a",
+        _pct(1.0) if shown else "n/a",
         _pct(float(np.sum(portfolio.targets))),
         _money(float(np.sum(plan.naive))),
         _money(float(np.sum(plan.adjustments))),

@@ -1,10 +1,11 @@
 """Large arrays: recycled buffers and the problem's one-pass validation.
 
-From 4 MiB on, the problem's copy and the l2 plan live in 2 MiB-aligned
-buffers from a pool, and a freed buffer is handed to the next array of
-its size (see solvers._empty).  These tests pin what that must never
-change: a live array keeps its bytes, a recycled plan holds the bytes of
-a fresh one, and the free list stays bounded, also under threads.
+From 4 MiB up to 16 MiB, the problem's copy and the l2 plan live in
+2 MiB-aligned buffers from a pool, and a freed buffer is handed to the
+next array of its size; any other size is a plain numpy array (see
+solvers._empty).  These tests pin what that must never change: a live
+array keeps its bytes, a recycled plan holds the bytes of a fresh one,
+and the free list stays bounded, also under threads.
 ContributionProblem copies and checks the deltas a block at a time; the
 validation tests put a non-finite value at each block edge.
 """
@@ -85,6 +86,7 @@ def test_free_list_keeps_two_maps():
 
 def test_map_above_the_bound_goes_back_at_once():
     big = solvers._empty(solvers._FREE_BUFFER_BYTES // 8 + 1)
+    assert not isinstance(big.base, memoryview)
     listed = list(solvers._free)
     del big
     assert solvers._free == listed

@@ -315,9 +315,9 @@ def test_rebalance_at_target_adjustments_proportional(tmp_path, capsys):
 
 def test_rebalance_exit_codes(golden_file, tmp_path, capsys):
     # negative, zero and nan contributions; a negative one in exponent
-    # form, or -inf or -nan, which argparse before Python 3.13 reads as an
-    # option, meets the same rule, under the option's full name or a
-    # prefix of it
+    # form, or -inf or -nan, which argparse reads as an option (checked on
+    # Python 3.10.13, 3.11.7, 3.12.1 and 3.13.0), meets the same rule,
+    # under the option's full name or a prefix of it
     for contribution in (["--contribution", "-5"], ["--contribution", "0"], ["--contribution", "nan"],
                          ["--contribution", "-1e3"], ["--c", "-1e3"], ["--contribution", "-inf"],
                          ["--contribution", "-nan"], ["--c", "-Infinity"]):
@@ -356,9 +356,11 @@ _SHORT_PAIRS = {0: "1.3e306", 8: "1.3e306", 1: "-1.3e306", 9: "-1.3e306"}
         ("c,-5e307,0.5\nd,-5e307,0.5\na,1e308,0\nb,1e308,0", "1000", ["100%", "100%", "n/a", "$1,000", "100%"]),
         # the final allocations of rows 0, 1, 8 and 9 lie near +-1e308:
         # numpy sums 16 numbers in 8 partial sums, rows i and i + 8 in
-        # one, so one partial sum is +inf, another -inf, and the total nan
+        # one, so one partial sum is +inf, another -inf, and the total nan;
+        # the current column is n/a too, as 1.3e306 / 0.012 is past 1e306,
+        # whose percent passes the float64 maximum
         ("\n".join(f"r{i},{_SHORT_PAIRS[i]},0" if i in _SHORT_PAIRS else f"r{i},0.001,{1 / 12!r}" for i in range(16)),
-         "0.001", ["$0", "100%", "100%", "$0", "$0", "n/a"]),
+         "0.001", ["$0", "n/a", "100%", "$0", "$0", "n/a"]),
     ],
     ids=["naive-overflows", "final-nan"],
 )
@@ -370,6 +372,34 @@ def test_table_total_past_the_float64_maximum_is_na(rows, budget, totals, tmp_pa
     assert captured.err == ""
     total_row = captured.out.splitlines()[-3].split()
     assert total_row[0] == "total" and total_row[-len(totals):] == totals
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_rebalance_values_whose_float64_sum_overflows_but_exact_total_fits(fmt, tmp_path, capsys):
+    # numpy sums 16 values in 8 partial sums, rows i and i + 8 in one: one
+    # partial sum is -inf, another +inf, and the float64 sum nan, where the
+    # exact total is 12
+    pairs = {0: "-1e308", 8: "-1e308", 1: "1e308", 9: "1e308"}
+    rows = "\n".join(f"r{i},{pairs[i]},0" if i in pairs else f"r{i},1,{1 / 12!r}" for i in range(16))
+    path = tmp_path / "short.csv"
+    path.write_text(f"id,value,target\n{rows}\n", encoding="utf-8")
+    assert run_rebalance_command(["--input", str(path), "--allow-short", "--contribution", "1000", "--format", fmt]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if fmt == "table":
+        assert captured.out.splitlines()[-3].split()[:2] == ["total", "$12"]
+
+
+def test_table_current_column_past_the_float64_maximum_is_na(tmp_path, capsys):
+    # a total near zero beside values of both signs: the shares are +-inf
+    path = tmp_path / "short.csv"
+    path.write_text("id,value,target\na,1e300,0.5\nb,-1e300,0.5\nc,1e-10,0\n", encoding="utf-8")
+    assert run_rebalance_command(["--input", str(path), "--allow-short", "--contribution", "10"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    lines = captured.out.splitlines()
+    current = lines[0].split().index("current")
+    assert [line.split()[current] for line in lines[2:5] + lines[6:7]] == ["n/a"] * 4
 
 
 def test_rebalance_normalize_flag(tmp_path, capsys):
@@ -749,7 +779,8 @@ def test_project_simplex_output_bytes(capsys):
 
 @pytest.mark.parametrize("argv", [["--values", "-0.5,0.5,2"], ["--values=-0.5,0.5,2"], ["--val", "-0.5,0.5,2"]])
 def test_project_simplex_negative_first_value(argv, capsys):
-    # argparse before Python 3.13 reads -0.5,0.5,2 as an option
+    # argparse reads -0.5,0.5,2 as an option (checked on Python 3.10.13,
+    # 3.11.7, 3.12.1 and 3.13.0)
     assert run_project_simplex_command(argv) == 0
     assert capsys.readouterr().out == "0.0000000000,0.0000000000,1.0000000000\n"
 

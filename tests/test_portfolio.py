@@ -137,6 +137,11 @@ def test_portfolio_rejects_overflowing_total():
                 ns.Portfolio(assets)
         # a total that fits is kept
         assert ns.Portfolio(assets[:1] + (ns.Asset("b", -values[1], 0.5),), allow_short=True).total == values[0] - values[1], f"seed={seed} trial={trial}"
+    # a float64 sum that passes the maximum on the way to a total that fits
+    assets = (ns.Asset("a", 1e308, 0.5), ns.Asset("b", 1e308, 0.5), ns.Asset("c", -1e308, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert ns.Portfolio(assets, allow_short=True).total == 1e308
 
 
 def test_portfolio_arrays_built_once(golden_portfolio):

@@ -55,18 +55,18 @@ def test_problem_copies_and_freezes_input():
 
 
 def _is_pooled(arr):
-    """From _empty's pool: a buffer that numpy sees as a memoryview,
-    starting on a 2 MiB boundary."""
+    """From _empty's pool, which takes arrays of 4 MiB up to 16 MiB: a
+    buffer that numpy sees as a memoryview, starting on a 2 MiB boundary."""
     return isinstance(arr.base, memoryview) and arr.ctypes.data % (1 << 21) == 0
 
 
 def test_large_arrays_get_their_own_map(monkeypatch, worked_problem):
-    # from 4 MiB on, the problem's copy and the l2 plan live in 2 MiB-aligned
-    # buffers from the pool; the answers are the same bits as with heap
-    # arrays.  Budget 1e3 funds a few hundred of the 524288 assets (the
-    # sparse route, whose plan is zeros with the funded entries written
-    # in), budget 1e8 tens of thousands (the dense route, whose plan is the
-    # gap buffer)
+    # from 4 MiB up to 16 MiB, the problem's copy and the l2 plan live in
+    # 2 MiB-aligned buffers from the pool; the answers are the same bits as
+    # with heap arrays.  Budget 1e3 funds a few hundred of the 524288
+    # assets (the sparse route, whose plan is zeros with the funded entries
+    # written in), budget 1e8 tens of thousands (the dense route, whose plan
+    # is the gap buffer)
     raw = np.random.default_rng(MASTER_SEED + 10).uniform(-1e4, 1e4, (512, 2048))[:, ::2]
     expected = raw.flatten()
     problem = ns.ContributionProblem(raw, 1e3)
@@ -339,21 +339,24 @@ def test_l1_sampled_members_spend_the_budget(deltas, budget):
 
 
 @pytest.mark.parametrize(
-    "deltas, budget",
-    [([2.0], 5e-324), ([809771476.0], 1e-300)],
+    "deltas, budget, seeds",
+    [([2.0], 5e-324, range(20)), ([809771476.0], 1e-300, [0])],
     ids=["scale-rounds-to-zero", "scale-loses-bits"],
 )
-def test_l1_particular_at_a_subnormal_scale(deltas, budget):
+def test_l1_particular_at_a_subnormal_scale(deltas, budget, seeds):
     # budget / total_pos is subnormal: scale * pos spent nothing of the
-    # budget, or missed it by 6 eps; the shares times the budget spend it
+    # budget, or missed it by 6 eps; the shares times the budget spend it.
+    # At 5e-324 a sampled member's Dirichlet mix spent nothing for some
+    # seeds; at 1e-300 other seeds miss by an ordinary ulp
     problem = ns.ContributionProblem(deltas, budget)
     family = ns.solve_l1(problem)
     assert family.case is ns.L1Case.DEFICIT
     assert family.particular.tolist() == [budget]
     assert ns.is_l1_optimal(problem, family.particular)
-    member = ns.sample_l1_member(family, 0)
-    assert ns.is_l1_optimal(problem, member)
-    assert float(np.sum(member)) == budget
+    for seed in seeds:
+        member = ns.sample_l1_member(family, seed)
+        assert ns.is_l1_optimal(problem, member)
+        assert float(np.sum(member)) == budget, seed
 
 
 @pytest.mark.parametrize(
@@ -365,13 +368,17 @@ def test_l1_overflowing_parts_at_a_subnormal_share(deltas, budget):
     # the positive parts overflow when summed and budget / sum is
     # subnormal: the rescaled parts' shares times the budget spend it
     # exactly, where the subnormal share times the parts missed it by
-    # whole ulps of zero.  Sampled members are not checked: their
-    # Dirichlet mix rounds to whole ulps of zero as well.
+    # whole ulps of zero.  The sampled two-parts members spend it too; a
+    # four-parts member can miss, as each entry rounds to the subnormal
+    # grid on its own
     problem = ns.ContributionProblem(deltas, budget)
     family = ns.solve_l1(problem)
     assert family.case is ns.L1Case.DEFICIT
     assert math.fsum(family.particular.tolist()) == budget
     assert ns.is_l1_optimal(problem, family.particular)
+    if len(deltas) == 2:
+        for seed in range(20):
+            assert math.fsum(ns.sample_l1_member(family, seed).tolist()) == budget, seed
 
 
 def test_l1_optimal_value_past_an_overflowing_sum():
