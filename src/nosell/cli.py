@@ -170,14 +170,19 @@ def _sig10_texts(column: List[float]) -> List[str]:
 
 
 def _money(column: List[float]) -> List[str]:
-    """Whole dollars, one text per number."""
-    return [f"-${-x:,.0f}" if x < 0 else f"${x:,.0f}" for x in column]
+    """Whole dollars, one text per number; ``n/a`` for one that is not
+    finite (the texts inf and nan are the only ones with an ``n``)."""
+    texts = [f"-${-x:,.0f}" if x < 0 else f"${x:,.0f}" for x in column]
+    if "n" in "".join(texts):
+        texts = ["n/a" if "n" in text else text for text in texts]
+    return texts
 
 
 def _pct(column: List[float]) -> List[str]:
-    """Whole percents of fractions, one text per number (the ``%`` format
-    is ``f`` of ``x * 100.0``, then ``%``)."""
-    return [f"{x:.0%}" for x in column]
+    """Whole percents of fractions (the ``%`` format is ``f`` of ``x *
+    100.0``, then ``%``), or ``n/a`` throughout when any is not finite."""
+    texts = [f"{x:.0%}" for x in column]
+    return ["n/a"] * len(texts) if "n" in "".join(texts) else texts
 
 
 #: Per-asset fields of the JSON report, in output order.
@@ -248,23 +253,16 @@ def render_table(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Li
     format carries the unrounded numbers."""
     total = portfolio.total
     header = ("asset", "value", "current", "target", "naive", "buy", "final")
-    values = portfolio.values.tolist()
     totalled = [(_pct, portfolio.targets), (_money, plan.naive), (_money, plan.adjustments), (_pct, plan.final_allocations)]
     # finite entries can sum past the float64 maximum, and a total near zero
-    # (or zero) gives shares whose percents do not fit; such a total or
-    # current column is n/a
+    # (or zero) gives shares that are not finite: _money and _pct print n/a
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sums = [float(column.sum()) for _, column in totalled]
         shares = portfolio.values / total
-        shown = np.isfinite(100.0 * shares).all()
-    columns = [
-        [*portfolio.ids, "total"],
-        _money([*values, total]),
-        _pct([*shares.tolist(), 1.0]) if shown else ["n/a"] * (len(values) + 1),
-    ] + [
-        [*texts(column.tolist()), texts([s])[0] if math.isfinite(s) else "n/a"]
-        for (texts, column), s in zip(totalled, sums)
-    ]
+        columns = [
+            [*portfolio.ids, "total"],
+            _money([*portfolio.values.tolist(), total]),
+            _pct([*shares.tolist(), 1.0]),
+        ] + [texts([*column.tolist(), float(column.sum())]) for texts, column in totalled]
     widths = [max(len(name), *map(len, column)) for name, column in zip(header, columns)]
     row_format = "  ".join([f"%-{widths[0]}s"] + [f"%{w}s" for w in widths[1:]])
     rule = "  ".join("-" * w for w in widths)

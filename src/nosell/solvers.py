@@ -578,6 +578,12 @@ def sample_l1_member(family: L1SolutionFamily, rng=None) -> np.ndarray:
         # the scaled ones stay below 1
         k = max(0, -math.frexp(budget)[1])
         member = np.ldexp(sum(w * np.ldexp(fill, k) for w, fill in zip(weights, members)), -k)
+        if k:
+            # scaled back, each entry rounds to the budget's grid on its own:
+            # what the sum misses goes to the entry with the most room below
+            # its positive part, and what it passes comes off the largest
+            rest = budget - math.fsum(member.tolist())
+            member[np.argmax(family.positive_parts - member) if rest > 0 else np.argmax(member)] += rest
     # nonnegative parts, raised or mixed with nonnegative weights: as in _fund
     _refuse(_sum_error(_total(member), budget))
     return member

@@ -2,7 +2,8 @@
 
 ``reference_render_table`` is a cell-by-cell implementation of the
 ``rebalance`` table report: each number is read from the numpy arrays one
-element at a time and each cell is padded with ``ljust``/``rjust``.
+element at a time and each cell is padded with ``ljust``/``rjust``; a
+dollar that is not finite, or a percent column holding one, prints n/a.
 ``nosell.cli.render_table`` must produce the same text.
 
 ``reference_plan_to_dict`` builds the JSON report's document one number
@@ -63,39 +64,53 @@ def reference_plan_to_dict(portfolio, plan, samples=None):
 
 
 def _money(x):
+    if not math.isfinite(x):
+        return "n/a"
     if x < 0:
         return f"-${abs(x):,.0f}"
     return f"${x:,.0f}"
 
 
-def _pct(fraction):
-    return f"{fraction * 100.0:.0f}%"
+def _pct(fractions):
+    """One percent text per fraction, or n/a throughout when any percent
+    is not finite."""
+    percents = [fraction * 100.0 for fraction in fractions]
+    if not all(math.isfinite(percent) for percent in percents):
+        return ["n/a"] * len(percents)
+    return [f"{percent:.0f}%" for percent in percents]
 
 
 def reference_render_table(portfolio, plan, samples=None):
     total = portfolio.total
     header = ["asset", "value", "current", "target", "naive", "buy", "final"]
-    # the current column is n/a unless every share's percent is finite
-    shown = bool(total) and all(math.isfinite(asset.value / total * 100.0) for asset in assets_of(portfolio))
+    assets = assets_of(portfolio)
+    # finite entries can sum past the float64 maximum
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = [float(np.sum(column)) for column in (portfolio.targets, plan.naive, plan.adjustments,
+                                                     plan.final_allocations)]
+    # a share of a zero total is not finite either way
+    current = _pct([asset.value / total if total else math.nan for asset in assets] + [1.0])
+    target = _pct([asset.target for asset in assets] + [sums[0]])
+    final = _pct([float(x) for x in plan.final_allocations] + [sums[3]])
     body = []
-    for i, asset in enumerate(assets_of(portfolio)):
+    for i, asset in enumerate(assets):
         body.append([
             asset.id,
             _money(asset.value),
-            _pct(asset.value / total) if shown else "n/a",
-            _pct(asset.target),
+            current[i],
+            target[i],
             _money(plan.naive[i]),
             _money(plan.adjustments[i]),
-            _pct(plan.final_allocations[i]),
+            final[i],
         ])
     body.append([
         "total",
         _money(total),
-        _pct(1.0) if shown else "n/a",
-        _pct(float(np.sum(portfolio.targets))),
-        _money(float(np.sum(plan.naive))),
-        _money(float(np.sum(plan.adjustments))),
-        _pct(float(np.sum(plan.final_allocations))),
+        current[-1],
+        target[-1],
+        _money(sums[1]),
+        _money(sums[2]),
+        final[-1],
     ])
     widths = [max(len(header[c]), *(len(row[c]) for row in body)) for c in range(len(header))]
     lines = []

@@ -347,20 +347,28 @@ def test_rebalance_exit_codes(golden_file, tmp_path, capsys):
 
 _SHORT_PAIRS = {0: "1.3e306", 8: "1.3e306", 1: "-1.3e306", 9: "-1.3e306"}
 
+#: --allow-short rows whose table holds numbers that cannot be written.
+#: The naive column, [1e308, 1e308, -1e308, -1e308] at a contribution of
+#: 1000, sums to $1,000 exactly, but its running sum passes the float64
+#: maximum.
+NAIVE_OVERFLOWS = "c,-5e307,0.5\nd,-5e307,0.5\na,1e308,0\nb,1e308,0"
+#: At a contribution of 0.001, the final allocations of rows 0, 1, 8 and 9
+#: lie near +-1e308: numpy sums 16 numbers in 8 partial sums, rows i and
+#: i + 8 in one, so one partial sum is +inf, another -inf, and the total
+#: nan.  The current column is n/a too, as 1.3e306 / 0.012 is past 1e306,
+#: whose percent passes the float64 maximum.
+FINAL_NAN = "\n".join(f"r{i},{_SHORT_PAIRS[i]},0" if i in _SHORT_PAIRS else f"r{i},0.001,{1 / 12!r}" for i in range(16))
+#: A total near zero beside values of both signs: the shares are +-inf,
+#: and at a contribution of 1e-7 the final allocations (about +-1e307)
+#: are finite but their percents are not.
+NEAR_ZERO = "a,1e300,0.5\nb,-1e300,0.5\nc,1e-10,0"
+
 
 @pytest.mark.parametrize(
     "rows, budget, totals",
     [
-        # the naive column, [1e308, 1e308, -1e308, -1e308], sums to $1,000
-        # exactly, but its running sum passes the float64 maximum
-        ("c,-5e307,0.5\nd,-5e307,0.5\na,1e308,0\nb,1e308,0", "1000", ["100%", "100%", "n/a", "$1,000", "100%"]),
-        # the final allocations of rows 0, 1, 8 and 9 lie near +-1e308:
-        # numpy sums 16 numbers in 8 partial sums, rows i and i + 8 in
-        # one, so one partial sum is +inf, another -inf, and the total nan;
-        # the current column is n/a too, as 1.3e306 / 0.012 is past 1e306,
-        # whose percent passes the float64 maximum
-        ("\n".join(f"r{i},{_SHORT_PAIRS[i]},0" if i in _SHORT_PAIRS else f"r{i},0.001,{1 / 12!r}" for i in range(16)),
-         "0.001", ["$0", "n/a", "100%", "$0", "$0", "n/a"]),
+        (NAIVE_OVERFLOWS, "1000", ["100%", "100%", "n/a", "$1,000", "100%"]),
+        (FINAL_NAN, "0.001", ["$0", "n/a", "100%", "$0", "$0", "n/a"]),
     ],
     ids=["naive-overflows", "final-nan"],
 )
@@ -390,16 +398,26 @@ def test_rebalance_values_whose_float64_sum_overflows_but_exact_total_fits(fmt, 
         assert captured.out.splitlines()[-3].split()[:2] == ["total", "$12"]
 
 
-def test_table_current_column_past_the_float64_maximum_is_na(tmp_path, capsys):
-    # a total near zero beside values of both signs: the shares are +-inf
+def _table_column(rows, budget, column, tmp_path, capsys):
+    """The four cells, total included, of one table column of ``rows``
+    under --allow-short; the command must exit 0 with an empty stderr."""
     path = tmp_path / "short.csv"
-    path.write_text("id,value,target\na,1e300,0.5\nb,-1e300,0.5\nc,1e-10,0\n", encoding="utf-8")
-    assert run_rebalance_command(["--input", str(path), "--allow-short", "--contribution", "10"]) == 0
+    path.write_text(f"id,value,target\n{rows}\n", encoding="utf-8")
+    assert run_rebalance_command(["--input", str(path), "--allow-short", "--contribution", budget]) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     lines = captured.out.splitlines()
-    current = lines[0].split().index("current")
-    assert [line.split()[current] for line in lines[2:5] + lines[6:7]] == ["n/a"] * 4
+    index = lines[0].split().index(column)
+    return [line.split()[index] for line in lines[2:5] + lines[6:7]]
+
+
+def test_table_current_column_past_the_float64_maximum_is_na(tmp_path, capsys):
+    assert _table_column(NEAR_ZERO, "10", "current", tmp_path, capsys) == ["n/a"] * 4
+
+
+def test_table_final_column_past_the_float64_maximum_is_na(tmp_path, capsys):
+    # each final allocation is finite, about +-1e307, but its percent is not
+    assert _table_column(NEAR_ZERO, "1e-7", "final", tmp_path, capsys) == ["n/a"] * 4
 
 
 def test_rebalance_normalize_flag(tmp_path, capsys):
@@ -524,8 +542,9 @@ def _surplus_plan(rng, portfolio):
 def _report_cases():
     """(label, portfolio, plan, samples): l2, l1 deficit with and without
     sampled members, and an l1 surplus plan, at n in {1, 5, 50, 2000}; then
-    a portfolio with no holdings (the table's n/a column) and an empty list
-    of samples."""
+    a portfolio with no holdings (the table's n/a column), an empty list
+    of samples, and --allow-short portfolios with n/a totals and
+    columns."""
     seed = MASTER_SEED + 90
     rng = np.random.default_rng(seed)
     for n in (1, 5, 50, 2000):
@@ -547,6 +566,12 @@ def _report_cases():
     edge = ns.Portfolio((ns.Asset("sub", 1.5e-320, 0.25), ns.Asset("big", 9999999999.7, 0.5),
                          ns.Asset("c", 1234.5, 0.25)))
     yield "subnormal and 9999999999.7", edge, ns.rebalance(edge, 500.0), None
+    # --allow-short rows whose totals, shares or final percents cannot be
+    # written: the table prints n/a cells
+    for name, rows, budget in (("naive overflows", NAIVE_OVERFLOWS, 1000.0), ("final nan", FINAL_NAN, 0.001),
+                               ("near zero", NEAR_ZERO, 10.0), ("near zero", NEAR_ZERO, 1e-7)):
+        short = parse_portfolio(f"id,value,target\n{rows}\n", allow_short=True)
+        yield f"{name} budget={budget!r}", short, ns.rebalance(short, budget), None
 
 
 def test_render_json_matches_json_dumps():

@@ -368,17 +368,31 @@ def test_l1_overflowing_parts_at_a_subnormal_share(deltas, budget):
     # the positive parts overflow when summed and budget / sum is
     # subnormal: the rescaled parts' shares times the budget spend it
     # exactly, where the subnormal share times the parts missed it by
-    # whole ulps of zero.  The sampled two-parts members spend it too; a
-    # four-parts member can miss, as each entry rounds to the subnormal
-    # grid on its own
+    # whole ulps of zero.  The sampled members spend it too
     problem = ns.ContributionProblem(deltas, budget)
     family = ns.solve_l1(problem)
     assert family.case is ns.L1Case.DEFICIT
     assert math.fsum(family.particular.tolist()) == budget
     assert ns.is_l1_optimal(problem, family.particular)
-    if len(deltas) == 2:
-        for seed in range(20):
-            assert math.fsum(ns.sample_l1_member(family, seed).tolist()) == budget, seed
+    for seed in range(20):
+        assert math.fsum(ns.sample_l1_member(family, seed).tolist()) == budget, seed
+
+
+@pytest.mark.parametrize(
+    "deltas, budget",
+    [([1.5e308, 6.255e307, 1.107e308, 1.338e308], 2e-323), ([3e-323, 2e-323, 1e-323, 4e-323], 7e-323)],
+    ids=["overflowing-parts", "subnormal-parts"],
+)
+def test_sampled_deficit_members_spend_a_subnormal_budget(deltas, budget):
+    # with more than two nonzero entries, each mixed entry rounds to the
+    # subnormal grid on its own, so what the rounding loses or gains must
+    # land on an entry that stays within [0, positive part]
+    family = ns.solve_l1(ns.ContributionProblem(deltas, budget))
+    assert family.case is ns.L1Case.DEFICIT
+    for seed in range(20):
+        member = ns.sample_l1_member(family, seed)
+        assert math.fsum(member.tolist()) == budget, seed
+        assert (member >= 0.0).all() and (member <= family.positive_parts).all(), seed
 
 
 def test_l1_optimal_value_past_an_overflowing_sum():
