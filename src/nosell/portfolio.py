@@ -200,11 +200,13 @@ def rebalance(portfolio: Portfolio, budget: float, norm: Union[Norm, str] = Norm
     solution family (the full family travels along in ``solution``).
     Raises ValueError when the final allocations are not finite: a
     total plus budget so small that dividing the holdings by it overflows.
+    Each rule is checked once: the naive vector by naive_adjustments, which
+    the problem then owns uncopied, the plan rule by the solver, and the
+    2**53-cent limit by the rounding.  Every array of the plan is read-only.
     """
     norm = _as_norm(norm)
-    naive = naive_adjustments(portfolio, budget)
-    problem = ContributionProblem(naive, budget)
-    budget = problem.budget
+    budget = _check_budget(budget)
+    problem = ContributionProblem._own(naive_adjustments(portfolio, budget), budget)
     if norm is Norm.L2:
         solution: Union[L2Solution, L1SolutionFamily] = solve_l2(problem)
         adjustments = solution.adjustments
@@ -219,10 +221,10 @@ def rebalance(portfolio: Portfolio, budget: float, norm: Union[Norm, str] = Norm
     return RebalancePlan(
         norm=norm,
         budget=budget,
-        naive=naive,
+        naive=problem.deltas,
         adjustments=adjustments,
-        final_allocations=final,
-        rounded_cents=round_to_cents(adjustments, budget),
+        final_allocations=_frozen(final),
+        rounded_cents=_frozen(_cents(adjustments, budget)),
         solution=solution,
     )
 
@@ -240,9 +242,14 @@ def round_to_cents(adjustments, budget: float) -> np.ndarray:
     """
     adj = _to_floats(adjustments)
     budget = _check_budget(budget)
+    _refuse(_plan_error(adj, budget))
+    return _cents(adj, budget)
+
+
+def _cents(adj: np.ndarray, budget: float) -> np.ndarray:
+    """round_to_cents on a plan that already meets the buy-only plan rule."""
     if budget * 100.0 > _MAX_CENTS:
         raise ValueError(f"budget {budget!r} exceeds 2**53 cents, too large to round to whole cents")
-    _refuse(_plan_error(adj, budget))
     cents = adj * 100.0
     np.maximum(cents, 0.0, out=cents)
     floors = np.floor(cents).astype(np.int64)

@@ -219,6 +219,15 @@ class ContributionProblem:
         object.__setattr__(self, "budget", _check_budget(self.budget))
         object.__setattr__(self, "_d_max", float(d_max))
 
+    @classmethod
+    def _own(cls, deltas: np.ndarray, budget: float) -> ContributionProblem:
+        """A problem on checked float64 deltas, frozen in place, not copied."""
+        problem = cls.__new__(cls)
+        object.__setattr__(problem, "deltas", _frozen(deltas))
+        object.__setattr__(problem, "budget", budget)
+        object.__setattr__(problem, "_d_max", float(deltas.max()))
+        return problem
+
     @property
     def n(self) -> int:
         return self.deltas.size
@@ -478,6 +487,9 @@ def solve_l1(problem: ContributionProblem) -> L1SolutionFamily:
         case, slack, scale = L1Case.DEFICIT, 0.0, (problem.budget / top) / total
         # a subnormal share has lost bits (or is 0): scale the shares instead
         particular = share * parts if share >= sys.float_info.min else (parts / total) * problem.budget
+    if problem.budget < sys.float_info.min:
+        # each entry of a subnormal budget's split rounds to its grid on its own
+        _spend(particular, pos, problem.budget)
     # nonnegative parts, scaled or raised by a positive slack: as in _fund
     _refuse(_sum_error(_total(particular), problem.budget))
     return L1SolutionFamily(
@@ -568,6 +580,8 @@ def sample_l1_member(family: L1SolutionFamily, rng=None) -> np.ndarray:
     budget = _total(family.particular)
     if family.case is L1Case.SURPLUS:
         member = family.positive_parts + family.slack * rng.dirichlet(np.ones(n))
+        if budget < sys.float_info.min:
+            _spend(member, family.positive_parts, budget)
     else:
         members = [family.particular]
         for _ in range(3):
@@ -579,14 +593,19 @@ def sample_l1_member(family: L1SolutionFamily, rng=None) -> np.ndarray:
         k = max(0, -math.frexp(budget)[1])
         member = np.ldexp(sum(w * np.ldexp(fill, k) for w, fill in zip(weights, members)), -k)
         if k:
-            # scaled back, each entry rounds to the budget's grid on its own:
-            # what the sum misses goes to the entry with the most room below
-            # its positive part, and what it passes comes off the largest
-            rest = budget - math.fsum(member.tolist())
-            member[np.argmax(family.positive_parts - member) if rest > 0 else np.argmax(member)] += rest
+            # scaled back, each entry rounds to the budget's grid on its own
+            _spend(member, family.positive_parts, budget)
     # nonnegative parts, raised or mixed with nonnegative weights: as in _fund
     _refuse(_sum_error(_total(member), budget))
     return member
+
+
+def _spend(member: np.ndarray, parts: np.ndarray, budget: float) -> None:
+    """Add ``budget - fsum(member)`` to one entry of ``member``, in place:
+    what the sum misses goes to the entry with the most room below its part
+    in ``parts``, and what it passes comes off the largest entry."""
+    rest = budget - math.fsum(member.tolist())
+    member[np.argmax(parts - member) if rest > 0 else np.argmax(member)] += rest
 
 
 def _greedy_fill(capacities: np.ndarray, budget: float, rng) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Domain layer: portfolio validation, naive adjustments, plans, rounding."""
 
+import collections
 import dataclasses
 import math
 import warnings
@@ -311,6 +312,12 @@ def test_rebalance_norm_accepts_strings(golden_portfolio):
         ns.rebalance(golden_portfolio, 10.0, "l3")
 
 
+def _certificate(solution):
+    if isinstance(solution, ns.L2Solution):
+        return solution.threshold, solution.active_count
+    return solution.case, solution.slack, solution.scale, solution.positive_parts.tobytes()
+
+
 def test_rebalance_plan_invariants_randomized():
     rng = np.random.default_rng(MASTER_SEED + 31)
     for trial in range(200):
@@ -323,6 +330,51 @@ def test_rebalance_plan_invariants_randomized():
         assert abs(float(np.sum(plan.adjustments)) - budget) <= ns.sum_tolerance(budget), msg
         assert abs(float(np.sum(plan.final_allocations)) - 1.0) <= ns.sum_tolerance(budget), msg
         assert int(plan.rounded_cents.sum()) == round(budget * 100.0), msg
+        # the same bytes as the public steps, each of which checks its inputs
+        naive = ns.naive_adjustments(portfolio, budget)
+        problem = ns.ContributionProblem(naive, budget)
+        solution = ns.solve_l2(problem) if norm is ns.Norm.L2 else ns.solve_l1(problem)
+        adjustments = solution.adjustments if norm is ns.Norm.L2 else solution.particular
+        assert plan.naive.tobytes() == naive.tobytes(), msg
+        assert plan.adjustments.tobytes() == adjustments.tobytes(), msg
+        assert _certificate(plan.solution) == _certificate(solution), msg
+        assert plan.rounded_cents.tobytes() == ns.round_to_cents(adjustments, budget).tobytes(), msg
+        arrays = (plan.naive, plan.adjustments, plan.final_allocations, plan.rounded_cents)
+        assert not any(array.flags.writeable for array in arrays), msg
+
+
+@pytest.mark.parametrize("norm", ["l2", "l1"])
+def test_rebalance_checks_each_rule_once(golden_portfolio, norm, monkeypatch):
+    # rebalance and naive_adjustments check the budget, naive_adjustments
+    # the naive vector and the solver the plan: the problem does not copy
+    # the vector (a copy is checked block by block with _finite_max), and
+    # the rounding does not check the plan again
+    calls = collections.Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args):
+            calls[f"{module.__name__}.{name}"] += 1
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (ns.portfolio, ns.solvers):
+        count(module, "_plan_error")
+        count(module, "_check_budget")
+    count(ns.solvers, "_finite_max")
+    plan = ns.rebalance(golden_portfolio, 1000.0, norm)
+    assert calls == {"nosell.portfolio._check_budget": 2}
+    # the counters see the public steps, which do check
+    ns.ContributionProblem(plan.naive, 1000.0)
+    ns.round_to_cents(plan.adjustments, 1000.0)
+    assert calls == {
+        "nosell.portfolio._check_budget": 3,
+        "nosell.portfolio._plan_error": 1,
+        "nosell.solvers._check_budget": 1,
+        "nosell.solvers._finite_max": 1,
+    }
 
 
 def test_rebalance_l2_optimal_in_allocation_space():

@@ -8,8 +8,8 @@ Every l1 particular, on deltas over the whole finite range, must pass
 is_l1_optimal and spend the budget to a few eps, and every portfolio the
 serializer accepts must read back to its 10-digit numbers.  Over the
 whole finite range too, every sampled l1 member must pass is_l1_optimal
-(a deficit member at a subnormal budget spending exactly what its
-particular spends), every l2 plan kkt_check_l2, and rebalance's cents
+(at a subnormal budget the particular and the member spending it
+exactly), every l2 plan kkt_check_l2, and rebalance's cents
 must sum to the budget with none negative.  Runs are derandomized, so
 tier-1 stays deterministic.
 """
@@ -115,12 +115,11 @@ def test_sampled_l1_members_pass_is_l1_optimal(deltas, budget, seed):
     family = ns.solve_l1(problem)
     member = ns.sample_l1_member(family, seed)
     assert ns.is_l1_optimal(problem, member)
-    if budget < sys.float_info.min and family.case is ns.L1Case.DEFICIT:
-        # on the subnormal grid a member can spend exactly what the
-        # particular spends.  A surplus particular spreads its slack evenly
-        # and can miss such a budget itself ([0.0, 0.0] at 5e-324 spends
-        # 0.0), so its members are held to the tolerance alone
-        assert math.fsum(member.tolist()) == math.fsum(family.particular.tolist())
+    if budget < sys.float_info.min:
+        # on the subnormal grid every sum is exact: the particular and each
+        # member, surplus or deficit, spend the budget itself
+        assert math.fsum(family.particular.tolist()) == budget
+        assert math.fsum(member.tolist()) == budget
 
 
 @settings(max_examples=250, derandomize=True, deadline=None)

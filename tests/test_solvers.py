@@ -360,18 +360,27 @@ def test_l1_particular_at_a_subnormal_scale(deltas, budget, seeds):
 
 
 @pytest.mark.parametrize(
-    "deltas, budget",
-    [([1.5e308, 1.131e308], 8.4e-323), ([1.5e308, 6.255e307, 1.107e308, 1.338e308], 2e-323)],
-    ids=["two-parts", "four-parts"],
+    "deltas, budget, case",
+    [
+        ([1.5e308, 1.131e308], 8.4e-323, ns.L1Case.DEFICIT),
+        ([1.5e308, 6.255e307, 1.107e308, 1.338e308], 2e-323, ns.L1Case.DEFICIT),
+        ([3.0, 3.0], 5e-324, ns.L1Case.DEFICIT),
+        ([0.0, 0.0], 5e-324, ns.L1Case.SURPLUS),
+        ([0.0, -1.0, 0.0, 0.0], 1.2e-320, ns.L1Case.SURPLUS),
+    ],
+    ids=["two-parts", "four-parts", "even-deficit", "even-surplus", "uneven-surplus"],
 )
-def test_l1_overflowing_parts_at_a_subnormal_share(deltas, budget):
+def test_l1_overflowing_parts_at_a_subnormal_share(deltas, budget, case):
     # the positive parts overflow when summed and budget / sum is
     # subnormal: the rescaled parts' shares times the budget spend it
     # exactly, where the subnormal share times the parts missed it by
-    # whole ulps of zero.  The sampled members spend it too
+    # whole ulps of zero.  The sampled members spend it too.  An even
+    # split of a few ulps rounds each share on its own (half of 5e-324
+    # is 0, and 1.2e-320 / 4 is not on the grid): one entry takes what
+    # the shares miss, in both cases
     problem = ns.ContributionProblem(deltas, budget)
     family = ns.solve_l1(problem)
-    assert family.case is ns.L1Case.DEFICIT
+    assert family.case is case
     assert math.fsum(family.particular.tolist()) == budget
     assert ns.is_l1_optimal(problem, family.particular)
     for seed in range(20):
