@@ -21,7 +21,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import os
 import sys
+import threading
 import weakref
 from dataclasses import dataclass, field
 from typing import Optional, Union
@@ -50,9 +52,13 @@ _HUGE_PAGE = 1 << 21
 #: it pools (two million float64): the free list never holds more than 32 MiB.
 _FREE_BUFFERS = 2
 _FREE_BUFFER_BYTES = 4 * _POOLED_BYTES
-#: Deltas that ContributionProblem copies and checks at a time: 512 KiB,
-#: which stays in cache between the copy and the check.
+#: Entries that one step of a whole-array pass (see _blocks) takes at a
+#: time: 512 KiB of float64, which stays in cache between, say, the
+#: problem's copy of a block and its check.
 _BLOCK = 1 << 16
+#: Entries from which a worker thread takes blocks beside the caller: the
+#: pool's lower bound, 2^19 float64.
+_THREADED = _POOLED_BYTES // 8
 
 
 def sum_tolerance(budget: float) -> float:
@@ -132,9 +138,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-#: (size, buffer) of freed _empty arrays, newest last, at most _FREE_BUFFERS.
-#: Only list.append, list.pop and one slice deletion touch it, each atomic,
-#: so a finalizer that runs inside _empty, or in another thread, takes no lock.
+#: (size, buffer, zero) of freed pooled arrays, newest last, at most
+#: _FREE_BUFFERS; ``zero`` says that the whole buffer holds +0.0.  Only
+#: list.append, list.pop and one slice deletion change it, each atomic, so a
+#: finalizer that runs inside _take, or in another thread, takes no lock.
 _free: list = []
 
 
@@ -149,32 +156,199 @@ def _empty(n: int) -> np.ndarray:
     request of the same rounded size takes it, already paged in.  The list
     keeps the two newest buffers, the problem's copy and the plan of one
     solve, and drops older ones.  Sizes that alternate gain nothing: a
-    request takes the newest buffer and drops it if its size differs.
+    request that finds no buffer of its size drops the newest one.
+
+    A pooled buffer is in one of two zero states.  Most come back holding
+    whatever their array last held; a sparse plan's comes back all zeros
+    (_scattered), and only a sparse plan asks for zeros.  So a request
+    takes the newest buffer of its size in the state it wants, else the
+    newest of its size: this array a written one, a sparse plan a clean
+    one, which it need not fill.
 
     The buffer is a memoryview, not an array, so numpy does not collapse a
     view's base past the returned array: a view keeps the array alive, and
     a buffer returns to the list only once its array is gone.
     """
-    if not _POOLED_BYTES <= 8 * n <= _FREE_BUFFER_BYTES:
+    size, buf = _take(n, zero=False)
+    if buf is None:
         return np.empty(n)
-    size = -(-8 * n // _HUGE_PAGE) * _HUGE_PAGE
-    try:
-        kept, buf = _free.pop()
-    except IndexError:
-        kept = 0
-    if kept != size:
-        raw = np.empty(size + _HUGE_PAGE, dtype=np.uint8)
-        start = -raw.ctypes.data % _HUGE_PAGE
-        buf = memoryview(raw[start : start + size])
     arr = np.frombuffer(buf, dtype=np.float64, count=n)
     weakref.finalize(arr, _keep, size, buf).atexit = False
     return arr
 
 
-def _keep(size: int, buf: memoryview) -> None:
-    """Put the buffer of a freed _empty array on the free list."""
-    _free.append((size, buf))
+def _scattered(n: int, idx: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A plan of n zeros with ``values`` at ``idx``, read-only for good.
+
+    It is exposed through a read-only memoryview, so numpy refuses to make
+    it, or any view of it, writeable.  So once a pooled plan is freed, its
+    buffer differs from zeros only at ``idx``: _keep zeros those entries
+    again and lists the buffer as all zeros, and the next sparse plan of
+    its size writes its entries into it with no fill.
+    """
+    size, buf = _take(n, zero=True)
+    if buf is None:
+        buf = memoryview(np.zeros(n))
+    np.frombuffer(buf, dtype=np.float64, count=n)[idx] = values
+    plan = np.frombuffer(buf.toreadonly(), dtype=np.float64, count=n)
+    if size:
+        weakref.finalize(plan, _keep, size, buf, idx).atexit = False
+    return plan
+
+
+def _take(n: int, zero: bool):
+    """``(size, buffer)`` from the pool for n float64 (see _empty), or
+    ``(0, None)`` for a size it does not pool.  With ``zero`` the buffer is
+    all zeros."""
+    if not _POOLED_BYTES <= 8 * n <= _FREE_BUFFER_BYTES:
+        return 0, None
+    size = -(-8 * n // _HUGE_PAGE) * _HUGE_PAGE
+    # another thread may change the list between the ranking and the pop;
+    # the entry popped is then checked for its size like any other
+    ranked = [(kept == size, clean == zero, i) for i, (kept, _, clean) in enumerate(_free)]
+    try:
+        kept, buf, clean = _free.pop(max(ranked)[2])
+    except (ValueError, IndexError):
+        kept = 0
+    if kept != size:
+        raw = np.empty(size + _HUGE_PAGE, dtype=np.uint8)
+        start = -raw.ctypes.data % _HUGE_PAGE
+        buf, clean = memoryview(raw[start : start + size]), False
+    if zero and not clean:
+        _clear(buf)
+    return size, buf
+
+
+def _clear(buf: memoryview) -> None:
+    """Fill a whole pooled buffer with zeros."""
+    whole = np.frombuffer(buf, dtype=np.float64)
+    _blocks(lambda block: whole[block].fill(0.0), whole.size)
+
+
+def _keep(size: int, buf: memoryview, idx: Optional[np.ndarray] = None) -> None:
+    """Put the buffer of a freed pooled array on the free list.  A sparse
+    plan's buffer differs from zeros only at its ``idx``: those entries are
+    zeroed, and it goes back as all zeros."""
+    if idx is not None:
+        np.frombuffer(buf, dtype=np.float64)[idx] = 0.0
+    _free.append((size, buf, idx is not None))
     del _free[:-_FREE_BUFFERS]
+
+
+def _blocks(kernel, n: int) -> list:
+    """``[kernel(block) for block in blocks]`` over the _BLOCK-sized slices
+    of ``[0, n)``, in block order.
+
+    From n = _THREADED on, where more than one CPU is usable and the worker
+    thread serves no other caller, the worker takes blocks beside the
+    caller, each block once, under the caller's numpy error state.  numpy
+    lets go of the GIL inside each block, so the two run at once.  A kernel
+    touches only its own block, so its results, and every byte it writes,
+    are the ones it gives alone; what it raises, on either thread, the call
+    raises.
+    """
+    blocks = [slice(start, start + _BLOCK) for start in range(0, n, _BLOCK)]
+    worker = _idle_worker() if n >= _THREADED else None
+    if worker is None:
+        return [kernel(block) for block in blocks]
+    out = [None] * len(blocks)
+    # list.pop is atomic: each block index goes to one thread
+    todo = list(range(len(blocks)))[::-1]
+
+    def run():
+        for _ in blocks:
+            try:
+                i = todo.pop()
+            except IndexError:
+                return
+            out[i] = kernel(blocks[i])
+
+    worker.run(run)
+    return out
+
+
+class _Worker:
+    """One daemon thread that runs a caller's task beside the caller.
+
+    ``free`` is held by the caller it serves; ``go`` and ``done`` hand a
+    task over and back.  It drops the task before it reports done, so it
+    keeps no array alive between tasks.
+    """
+
+    def __init__(self):
+        self.free, self.go, self.done = threading.Lock(), threading.Lock(), threading.Lock()
+        self.go.acquire()
+        self.done.acquire()
+        self.task = self.error = self.errstate = None
+        threading.Thread(target=self._serve, name="nosell-blocks", daemon=True).start()
+
+    def _serve(self):
+        while True:
+            self.go.acquire()
+            try:
+                with np.errstate(**self.errstate):
+                    self.task()
+            except BaseException as exc:
+                # run raises it on the caller; a traceback would keep the
+                # task's frames, and their arrays, alive
+                self.error = exc.with_traceback(None)
+            finally:
+                self.done.release()
+
+    def run(self, task) -> None:
+        """Run ``task`` on the caller and on the worker at once, then give
+        the worker back; raise what either raised."""
+        self.task, self.errstate = task, np.geterr()
+        self.go.release()
+        try:
+            task()
+        finally:
+            self.done.acquire()
+            error, self.task, self.error = self.error, None, None
+            self.free.release()
+        if error is not None:
+            try:
+                raise error
+            finally:
+                error = None  # no cycle between this frame and the exception
+
+
+#: the worker thread: None until a pass first asks for it, False where one
+#: CPU is usable
+_worker = None
+_hiring = threading.Lock()
+
+
+def _idle_worker() -> Optional[_Worker]:
+    """The worker, now held by the caller, or None: one CPU is usable, or
+    it serves another caller."""
+    global _worker
+    if _worker is None:
+        with _hiring:
+            if _worker is None:
+                _worker = _Worker() if _cpus() > 1 else False
+    if _worker and _worker.free.acquire(blocking=False):
+        return _worker
+    return None
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask where the
+    platform has one (macOS has none), else os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _forget_worker() -> None:
+    """In a forked child: the worker thread did not come along, and its
+    locks may be held, so the next pass builds a new worker."""
+    global _worker, _hiring
+    _worker, _hiring = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def _finite_max(block: np.ndarray) -> float:
@@ -209,12 +383,13 @@ class ContributionProblem:
         if n == 0:
             raise ValueError("deltas must be non-empty")
         arr = _empty(n)
-        d_max = -math.inf
-        # one pass: each block is checked while its copy is in cache
-        for start in range(0, n, _BLOCK):
-            block = arr[start : start + _BLOCK]
-            np.copyto(block, src[start : start + _BLOCK])
-            d_max = max(d_max, _finite_max(block))
+
+        def check(block):
+            # one pass: each block is checked while its copy is in cache
+            np.copyto(arr[block], src[block])
+            return _finite_max(arr[block])
+
+        d_max = max(_blocks(check, n))
         object.__setattr__(self, "deltas", _frozen(arr))
         object.__setattr__(self, "budget", _check_budget(self.budget))
         object.__setattr__(self, "_d_max", float(d_max))
@@ -315,8 +490,12 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
     assets it is the whole vector, and its k and t fund the unsorted gaps.
     Sparse: if at most one sampled gap in 64 lies at or below the cut, the
     candidates are found from the deltas (_candidates) and funded into a
-    plan of zeros.  Dense: otherwise all n gaps fill one buffer, selected
-    in place (_below) and refilled in input order unless all are funded.
+    read-only plan of zeros (_scattered).  Dense: otherwise all n gaps fill
+    one buffer, selected in place (_below) and refilled in input order,
+    as they are funded, unless all are funded.  The passes over all n
+    entries run a block at a time (_blocks), from 2^19 assets on with a
+    worker thread beside the caller; every sum, the partition and the sorts
+    stay whole on the caller, so the plan's bytes are those of one thread.
 
     Expected O(n) time; the worst case adds one sort of the live gaps.
     Raises ValueError rather than return a plan that breaks the buy-only
@@ -345,16 +524,13 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
             cut = min(float(sample[i]), budget) if i < m else budget
             if 64 * int(sample.searchsorted(cut, "right")) <= m:
                 k, t, idx = _settle(functools.partial(_candidates, deltas, d_max), cut, budget)
-                adjustments = _empty(n)
-                adjustments.fill(0.0)
-                adjustments[idx] = _fund(t, np.subtract(d_max, deltas.take(idx)), budget)
+                adjustments = _scattered(n, idx, _fund(t, np.subtract(d_max, deltas.take(idx)), budget))
             else:
-                gaps = np.subtract(d_max, deltas, out=_empty(n))
+                gaps = _empty(n)
+                _blocks(lambda block: np.subtract(d_max, deltas[block], out=gaps[block]), n)
                 k, t, _ = _settle(functools.partial(_below, gaps), cut, budget)
-                if k < n:
-                    # the selection reordered the buffer; refill it in input order
-                    np.subtract(d_max, deltas, out=gaps)
-                adjustments = _fund(t, gaps, budget)
+                # the selection reordered the buffer unless it kept all n gaps
+                adjustments = _fund(t, gaps, budget, refill=(d_max, deltas) if k < n else None)
     threshold = d_max - t
     # kkt_check_l2 rejects a plan with no finite lambda
     if not math.isfinite(threshold):
@@ -402,7 +578,14 @@ def _candidates(deltas: np.ndarray, d_max: float, cut: float):
     it, so a delta left out lies below the exact difference, and its gap,
     rounded, is at least the cut: never funded while t <= cut.
     """
-    idx = np.flatnonzero(deltas >= d_max - cut)
+    floor = d_max - cut
+
+    def found(block):
+        idx = np.flatnonzero(deltas[block] >= floor)
+        idx += block.start
+        return idx
+
+    idx = np.concatenate(_blocks(found, deltas.size))
     return np.subtract(d_max, deltas.take(idx)), idx
 
 
@@ -410,18 +593,27 @@ def _below(gaps: np.ndarray, cut: float):
     """The dense route's cut: ``(live, None)``, the gaps ``<= cut``
     partitioned to the front of ``gaps`` in place.  They always hold the
     zero gap of the largest delta."""
-    k = int(np.count_nonzero(gaps <= cut))
+    k = sum(_blocks(lambda block: int(np.count_nonzero(gaps[block] <= cut)), gaps.size))
     if k < gaps.size:
         gaps.partition(k - 1)
     return gaps[:k], None
 
 
-def _fund(t: float, gaps: np.ndarray, budget: float) -> np.ndarray:
+def _fund(t: float, gaps: np.ndarray, budget: float, refill=None) -> np.ndarray:
     """The plan entries ``max(t - e, 0)`` of ``gaps``, in place, checked
     against ``budget``: they come out of np.maximum, so none is negative,
-    and a NaN entry shows in the sum, so the sum alone is the rule."""
-    np.subtract(t, gaps, out=gaps)
-    np.maximum(gaps, 0.0, out=gaps)
+    and a NaN entry shows in the sum, so the sum alone is the rule.  With
+    ``refill = (d_max, deltas)`` each block of gaps is first written again
+    as ``d_max - deltas``, in the same pass."""
+
+    def fund(block):
+        e = gaps[block]
+        if refill is not None:
+            np.subtract(refill[0], refill[1][block], out=e)
+        np.subtract(t, e, out=e)
+        np.maximum(e, 0.0, out=e)
+
+    _blocks(fund, gaps.size)
     _refuse(_sum_error(float(gaps.sum()), budget))
     return gaps
 

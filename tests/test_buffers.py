@@ -1,20 +1,27 @@
-"""Large arrays: recycled buffers and the problem's one-pass validation.
+"""Large arrays: recycled buffers, the problem's one-pass validation and
+the passes that a worker thread shares.
 
 From 4 MiB up to 16 MiB, the problem's copy and the l2 plan live in
 2 MiB-aligned buffers from a pool, and a freed buffer is handed to the
 next array of its size; any other size is a plain numpy array (see
 solvers._empty).  These tests pin what that must never change: a live
 array keeps its bytes, a recycled plan holds the bytes of a fresh one,
-and the free list stays bounded, also under threads.
+and the free list stays bounded, also under threads.  A sparse plan is
+read-only for good, and its buffer goes back to the pool as zeros.
 ContributionProblem copies and checks the deltas a block at a time; the
 validation tests put a non-finite value at each block edge.
+From 2^19 entries on, where more than one CPU is usable, a worker thread
+takes blocks of the whole-array passes beside the caller (solvers._blocks):
+its plans must be the serial plans, byte for byte, also after a fork.
 """
 
 import hashlib
+import multiprocessing
 import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -179,3 +186,184 @@ def test_problem_from_a_long_list():
     listed[-1] = float("nan")
     with pytest.raises(ValueError, match="deltas must be finite"):
         ns.ContributionProblem(listed, SPARSE)
+
+
+def test_problem_refuses_non_finite_at_every_block_edge_past_the_threaded_bound():
+    # 2^19 + 1 deltas: blocks go to the worker thread too, and its error is raised
+    for bad in (np.nan, np.inf, -np.inf):
+        test_problem_refuses_non_finite_at_every_block_edge(N + 1, bad)
+
+
+# -- passes shared with a worker thread --------------------------------------
+
+def _fresh_process_digest(k, budget):
+    """The digest of the plan of ``_deltas(k)`` at ``budget``, solved first
+    thing in a new interpreter."""
+    script = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import nosell as ns\n"
+        "from test_buffers import _deltas, _digest\n"
+        "print(_digest(ns.solve_l2(ns.ContributionProblem(_deltas(int(sys.argv[2])), float(sys.argv[3])))))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(ns.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    tests = str(Path(__file__).resolve().parent)
+    out = subprocess.run([sys.executable, "-c", script, tests, str(k), repr(budget)],
+                         capture_output=True, text=True, check=True, env=env)
+    return out.stdout.strip()
+
+
+@pytest.mark.parametrize("n", [N - 1, N, N + 1, 2 * N + 12345])
+def test_threaded_passes_match_serial_bytes(n, monkeypatch):
+    deltas = _deltas(8, n)
+    budgets = (1e-3, 10.0, SPARSE, 1e5, DENSE)
+
+    def solve_all():
+        solutions = [ns.solve_l2(ns.ContributionProblem(deltas, budget)) for budget in budgets]
+        return [_digest(s) for s in solutions], [64 * s.active_count <= n for s in solutions]
+
+    threaded, sparse = solve_all()
+    monkeypatch.setattr(solvers, "_idle_worker", lambda: None)
+    assert solve_all() == (threaded, sparse)
+    # both routes
+    assert sparse == [True, True, True, True, False]
+
+
+def test_threaded_passes_keep_the_callers_error_state(monkeypatch):
+    # a gap between deltas of opposite sign near the float64 maximum is inf,
+    # an overflow that solve_l2 lets pass on the caller and on the worker
+    deltas = np.full(N + 1, 1e308)
+    deltas[1::2] = -1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        threaded = ns.solve_l2(ns.ContributionProblem(deltas, 1.0))
+        assert threaded.active_count == np.count_nonzero(deltas > 0)
+        monkeypatch.setattr(solvers, "_idle_worker", lambda: None)
+        assert _digest(ns.solve_l2(ns.ContributionProblem(deltas, 1.0))) == _digest(threaded)
+
+
+def test_a_worker_takes_blocks_beside_the_caller():
+    if solvers._cpus() < 2:
+        pytest.skip("one usable CPU: every block runs on the caller")
+    caller = threading.get_ident()
+    threads = []
+    worker_started = threading.Event()
+
+    def kernel(block):
+        threads.append(threading.get_ident())
+        if threads[-1] == caller:
+            # hold the caller's first block until the worker has one too
+            worker_started.wait(10)
+        else:
+            worker_started.set()
+        return block.start
+
+    n = 2 * N
+    assert solvers._blocks(kernel, n) == list(range(0, n, solvers._BLOCK))
+    assert len(threads) == n // solvers._BLOCK and len(set(threads)) == 2
+
+
+def test_callers_on_more_threads_than_cpus_share_the_worker():
+    # one caller at a time holds the worker, the others run their passes
+    # alone; a block run twice or lost, or a buffer handed out twice, would
+    # change a plan
+    vectors = [_deltas(k, N + 1) for k in range(2)]
+    inputs = [(k, budget) for k in range(2) for budget in (SPARSE, DENSE)]
+
+    def solve_all():
+        return [_digest(ns.solve_l2(ns.ContributionProblem(vectors[k], budget))) for k, budget in inputs]
+
+    serial = solve_all()
+    results = {}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda name=name: results.update({name: solve_all()})) for name in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {name: serial for name in range(4)}
+    assert len(solvers._free) <= solvers._FREE_BUFFERS
+
+
+def test_worker_keeps_no_buffer_after_its_task(monkeypatch):
+    ns.solve_l2(ns.ContributionProblem(_deltas(0), SPARSE))
+    fills = []
+    clear = solvers._clear
+    monkeypatch.setattr(solvers, "_clear", lambda buf: fills.append(buf) or clear(buf))
+    solution = ns.solve_l2(ns.ContributionProblem(_deltas(0), SPARSE))
+    assert 64 * solution.active_count <= N
+    assert solvers._worker or solvers._cpus() < 2
+    # no fill: the worker's last task was the candidates' pass over the problem's copy
+    assert not fills
+    del solution
+    # the problem's copy and the plan, neither held by the worker's last task
+    assert len(solvers._free) == 2
+    addresses = {np.frombuffer(buf, dtype=np.uint8).ctypes.data for _, buf, _ in solvers._free}
+    assert solvers._empty(N).ctypes.data in addresses
+
+
+@pytest.mark.parametrize("n", [10_000, N])
+def test_sparse_plan_and_its_views_refuse_writeable(n):
+    plan = ns.solve_l2(ns.ContributionProblem(_deltas(9, n), 1e-3)).adjustments
+    assert 0 < np.count_nonzero(plan) <= n // 64
+    for array in (plan, plan[1:], plan[::2], plan.reshape(-1, 2), np.asarray(plan)):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array.flags.writeable = True
+
+
+def test_sparse_plan_on_a_freed_sparse_plan_takes_it_without_a_fill(monkeypatch):
+    problem = ns.ContributionProblem(_deltas(1), SPARSE)
+    first = ns.solve_l2(ns.ContributionProblem(_deltas(0), SPARSE))
+    assert 64 * first.active_count <= N
+    address = first.adjustments.ctypes.data
+    del first
+    fills = []
+    clear = solvers._clear
+    monkeypatch.setattr(solvers, "_clear", lambda buf: fills.append(buf) or clear(buf))
+    sparse = ns.solve_l2(problem)
+    assert 64 * sparse.active_count <= N
+    # the freed plan's entries were zeroed again, so its buffer needs no fill
+    assert sparse.adjustments.ctypes.data == address and not fills
+    assert _fresh_process_digest(1, SPARSE) == _digest(sparse)
+    # a buffer that another array wrote is filled before a sparse plan takes it
+    del problem, sparse
+    dense = ns.solve_l2(ns.ContributionProblem(_deltas(0), DENSE))
+    del dense
+    fills.clear()
+    assert _digest(ns.solve_l2(ns.ContributionProblem(_deltas(1), SPARSE))) == _fresh_process_digest(1, SPARSE)
+    assert len(fills) == 1
+
+
+def _solve_and_send(send, deltas):
+    send.send([_digest(ns.solve_l2(ns.ContributionProblem(deltas, budget))) for budget in (SPARSE, DENSE)])
+    send.close()
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork on this platform")
+def test_forked_child_solves_after_a_threaded_solve():
+    deltas = _deltas(10, 2 * N + 12345)
+    digests = [_digest(ns.solve_l2(ns.ContributionProblem(deltas, budget))) for budget in (SPARSE, DENSE)]
+    assert solvers._worker or solvers._cpus() < 2
+    context = multiprocessing.get_context("fork")
+    receive, send = context.Pipe(duplex=False)
+    with warnings.catch_warnings():
+        # from Python 3.12, a fork of a process with threads warns
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child = context.Process(target=_solve_and_send, args=(send, deltas))
+        child.start()
+    # the child holds the only write end now: if it dies, the poll ends
+    send.close()
+    try:
+        assert receive.poll(30), "the forked child did not finish its solves in 30 s"
+        assert receive.recv() == digests
+    finally:
+        child.kill()
+        child.join()
