@@ -697,15 +697,20 @@ def is_l1_optimal(problem: ContributionProblem, candidate) -> bool:
     FEAS_TOL plus 4 ulps of the larger of max(positive parts) and budget:
     a surplus candidate covers every positive part, and a deficit one
     exceeds none (so it is zero wherever deltas <= 0).
+
+    The positive parts are built once, so that the case split sums the
+    array that solve_l1 sums; the shape is then tested a block at a time
+    (_blocks), each block in its own scratch.
     """
     cand = _check_length(problem, candidate)
     if _plan_error(cand, problem.budget) is not None:
         return False
     pos = problem.positive_parts()
-    tol = FEAS_TOL + 4.0 * math.ulp(max(float(pos.max()), problem.budget))
-    if problem.budget > _total(pos):
-        return bool(np.all(pos - cand <= tol))
-    return bool(np.all(cand - pos <= tol))
+    # max(positive parts) is max(max(deltas), 0), and the budget is positive
+    tol = FEAS_TOL + 4.0 * math.ulp(max(problem._d_max, problem.budget))
+    over, under = (pos, cand) if problem.budget > _total(pos) else (cand, pos)
+    # no entry is NaN, so a block passes iff its largest excess does
+    return all(_blocks(lambda block: np.subtract(over[block], under[block]).max() <= tol, cand.size))
 
 
 def kkt_check_l2(problem: ContributionProblem, candidate, threshold: float) -> bool:
@@ -717,26 +722,47 @@ def kkt_check_l2(problem: ContributionProblem, candidate, threshold: float) -> b
     feasibility).  Both are tested within FEAS_TOL plus 4 ulps of the
     larger of max|deltas_i| and |lam|: an entry up to FEAS_TOL counts as
     zero, and float64 places lam only to within a few of those ulps.
+
+    max|deltas_i| is the larger of -min and max, so one pass finds the
+    smallest delta; then each block of the candidate is tested in its own
+    scratch (_blocks).
     """
     cand = _check_length(problem, candidate)
     threshold = _to_float(threshold)
     if _plan_error(cand, problem.budget) is not None or not math.isfinite(threshold):
         return False
-    scale = max(float(np.max(np.abs(problem.deltas))), abs(threshold))
-    tol = FEAS_TOL + 4.0 * math.ulp(scale)
-    positive = cand > FEAS_TOL
-    # a difference past the float64 range is inf, and fails the test
-    with np.errstate(over="ignore"):
-        if np.any(np.abs(cand[positive] - (problem.deltas[positive] - threshold)) > tol):
+    deltas = problem.deltas
+    d_min = float(min(_blocks(lambda block: deltas[block].min(), deltas.size)))
+    tol = FEAS_TOL + 4.0 * math.ulp(max(-d_min, problem._d_max, abs(threshold)))
+    ceiling = threshold + tol
+
+    def test(block):
+        d, c = deltas[block], cand[block]
+        idle = c <= FEAS_TOL
+        # dual feasibility: no unfunded delta above lam + tol
+        bad = d > ceiling
+        bad &= idle
+        if bad.any():
             return False
-    return bool(np.all(problem.deltas[~positive] <= threshold + tol))
+        # stationarity of the funded entries; a difference past the float64
+        # range is inf, and fails
+        off = np.subtract(d, threshold)
+        np.subtract(c, off, out=off)
+        np.abs(off, out=off)
+        np.greater(off, tol, out=bad)
+        bad &= np.logical_not(idle, out=idle)
+        return not bad.any()
+
+    with np.errstate(over="ignore"):
+        return all(_blocks(test, deltas.size))
 
 
 def _total(parts: np.ndarray) -> float:
     """The sum of ``parts``, with no warning where a partial sum passes the
-    float64 maximum: it is then not finite (nan where both signs do)."""
+    float64 maximum: it is then not finite (nan where both signs do).
+    np.add.reduce is the reduction that np.sum calls, without its wrapper."""
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.sum(parts))
+        return float(np.add.reduce(parts))
 
 
 def _check_length(problem: ContributionProblem, candidate) -> np.ndarray:

@@ -3,11 +3,17 @@
 Plain scalar loops, written independently of the vectorized code in
 ``nosell.solvers`` and in the tests' ``oracles`` module so the tests can
 cross-check the two.  They take contiguous float64 arrays.
+
+Last, the two optimality certificates in their whole-array form, which
+the blocked ones must match verdict for verdict.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
+
+from nosell.solvers import FEAS_TOL, _check_length, _plan_error, _to_float, _total
 
 
 def threshold_scan_loop(sorted_desc, budget):
@@ -137,3 +143,33 @@ def water_fill_exact(deltas, budget):
             best_k, best_sum = k, running
     lam = (best_sum - y) / best_k
     return [max(d - lam, Fraction(0)) for d in exact], lam
+
+
+def kkt_check_l2_whole(problem, candidate, threshold):
+    """``solvers.kkt_check_l2`` as it tested whole arrays: the same
+    verdicts, from full-size masks, gathers and an ``abs`` of all the
+    deltas."""
+    cand = _check_length(problem, candidate)
+    threshold = _to_float(threshold)
+    if _plan_error(cand, problem.budget) is not None or not math.isfinite(threshold):
+        return False
+    scale = max(float(np.max(np.abs(problem.deltas))), abs(threshold))
+    tol = FEAS_TOL + 4.0 * math.ulp(scale)
+    positive = cand > FEAS_TOL
+    with np.errstate(over="ignore"):
+        if np.any(np.abs(cand[positive] - (problem.deltas[positive] - threshold)) > tol):
+            return False
+    return bool(np.all(problem.deltas[~positive] <= threshold + tol))
+
+
+def is_l1_optimal_whole(problem, candidate):
+    """``solvers.is_l1_optimal`` as it tested whole arrays: the same
+    verdicts, from a full-size difference and mask."""
+    cand = _check_length(problem, candidate)
+    if _plan_error(cand, problem.budget) is not None:
+        return False
+    pos = problem.positive_parts()
+    tol = FEAS_TOL + 4.0 * math.ulp(max(float(pos.max()), problem.budget))
+    if problem.budget > _total(pos):
+        return bool(np.all(pos - cand <= tol))
+    return bool(np.all(cand - pos <= tol))
