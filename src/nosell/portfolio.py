@@ -200,13 +200,15 @@ def rebalance(portfolio: Portfolio, budget: float, norm: Union[Norm, str] = Norm
     solution family (the full family travels along in ``solution``).
     Raises ValueError when the final allocations are not finite: a
     total plus budget so small that dividing the holdings by it overflows.
-    Each rule is checked once: the naive vector by naive_adjustments, which
-    the problem then owns uncopied, the plan rule by the solver, and the
-    2**53-cent limit by the rounding.  Every array of the plan is read-only.
+    Each rule is checked once: the budget and the naive vector by
+    naive_adjustments, which the problem owns uncopied, the plan rule by
+    the solver, and the 2**53-cent limit by the rounding.  Every array of
+    the plan is read-only.
     """
     norm = _as_norm(norm)
-    budget = _check_budget(budget)
-    problem = ContributionProblem._own(naive_adjustments(portfolio, budget), budget)
+    naive = naive_adjustments(portfolio, budget)
+    budget = _to_float(budget)
+    problem = ContributionProblem._own(naive, budget)
     if norm is Norm.L2:
         solution: Union[L2Solution, L1SolutionFamily] = solve_l2(problem)
         adjustments = solution.adjustments

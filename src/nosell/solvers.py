@@ -719,21 +719,19 @@ def kkt_check_l2(problem: ContributionProblem, candidate, threshold: float) -> b
     A candidate that satisfies the buy-only plan rule is optimal iff, with
     a finite lam = threshold, every strictly positive entry sits at
     ``deltas_i - lam`` and every zero entry has ``deltas_i <= lam`` (dual
-    feasibility).  Both are tested within FEAS_TOL plus 4 ulps of the
-    larger of max|deltas_i| and |lam|: an entry up to FEAS_TOL counts as
-    zero, and float64 places lam only to within a few of those ulps.
-
-    max|deltas_i| is the larger of -min and max, so one pass finds the
-    smallest delta; then each block of the candidate is tested in its own
-    scratch (_blocks).
+    feasibility).  Both are tested within FEAS_TOL (an entry up to it counts
+    as zero) plus 4 ulps of the funded side's scale, the larger of
+    |max(deltas)| and |lam|: a funded entry has lam < deltas_i <= max(deltas),
+    an unfunded one enters only through deltas_i <= lam + tol, rounded at
+    lam's scale, and float64 places lam to within a few of those ulps.  Each
+    block of the candidate is tested in its own scratch (_blocks).
     """
     cand = _check_length(problem, candidate)
     threshold = _to_float(threshold)
     if _plan_error(cand, problem.budget) is not None or not math.isfinite(threshold):
         return False
     deltas = problem.deltas
-    d_min = float(min(_blocks(lambda block: deltas[block].min(), deltas.size)))
-    tol = FEAS_TOL + 4.0 * math.ulp(max(-d_min, problem._d_max, abs(threshold)))
+    tol = FEAS_TOL + 4.0 * math.ulp(max(abs(problem._d_max), abs(threshold)))
     ceiling = threshold + tol
 
     def test(block):

@@ -147,13 +147,13 @@ def water_fill_exact(deltas, budget):
 
 def kkt_check_l2_whole(problem, candidate, threshold):
     """``solvers.kkt_check_l2`` as it tested whole arrays: the same
-    verdicts, from full-size masks, gathers and an ``abs`` of all the
-    deltas."""
+    verdicts, from full-size masks and gathers, with the slack scaled by
+    the funded side: |max(deltas)| and |threshold|."""
     cand = _check_length(problem, candidate)
     threshold = _to_float(threshold)
     if _plan_error(cand, problem.budget) is not None or not math.isfinite(threshold):
         return False
-    scale = max(float(np.max(np.abs(problem.deltas))), abs(threshold))
+    scale = max(abs(float(np.max(problem.deltas))), abs(threshold))
     tol = FEAS_TOL + 4.0 * math.ulp(scale)
     positive = cand > FEAS_TOL
     with np.errstate(over="ignore"):

@@ -110,8 +110,8 @@ def test_kkt_matches_whole_array_verdicts_at_the_float_range(n):
     assert _kkt(problem, plan, 1.7e308 - 1.0)
     with np.errstate(over="raise"):
         assert not _kkt(problem, plan, -1.7e308)
-    # the tolerance is 4 ulps of max|d|, here of -min(d): 1e300 ulps
-    # absorb a plan that is 0.5 off at two edges
+    # the tolerance is 4 ulps of the funded side, max(d) and lam, not of
+    # the unfunded -1e300: a plan that is 0.5 off at two edges fails
     deltas = np.full(n, -1e300)
     edges = list(_edges(n))
     deltas[edges] = 1.0
@@ -119,7 +119,20 @@ def test_kkt_matches_whole_array_verdicts_at_the_float_range(n):
     solution = ns.solve_l2(problem)
     assert solution.adjustments[edges].tolist() == [1.0] * 4 and solution.threshold == 0.0
     shifted = _broken(_broken(solution.adjustments, edges[0], 0.5), edges[-1], -0.5)
-    assert _kkt(problem, shifted, 0.0)
+    assert not _kkt(problem, shifted, 0.0)
+
+
+@pytest.mark.parametrize("budget", [SPARSE, DENSE], ids=["sparse", "dense"])
+def test_kkt_makes_one_blocked_pass(budget, monkeypatch):
+    # the slack comes from the problem's max(deltas) and lam, so no pass
+    # looks for another extreme before the test
+    problem = ns.ContributionProblem(_deltas(LARGE, 0), budget)
+    solution = ns.solve_l2(problem)
+    passes = []
+    blocks = solvers._blocks
+    monkeypatch.setattr(solvers, "_blocks", lambda *args: passes.append(True) or blocks(*args))
+    assert ns.kkt_check_l2(problem, solution.adjustments, solution.threshold)
+    assert len(passes) == 1
 
 
 @pytest.mark.parametrize("n", SIZES)

@@ -9,9 +9,10 @@ is_l1_optimal and spend the budget to a few eps, and every portfolio the
 serializer accepts must read back to its 10-digit numbers.  Over the
 whole finite range too, every sampled l1 member must pass is_l1_optimal
 (at a subnormal budget the particular and the member spending it
-exactly), every l2 plan kkt_check_l2, and rebalance's cents
-must sum to the budget with none negative.  Runs are derandomized, so
-tier-1 stays deterministic.
+exactly), every l2 plan kkt_check_l2, which must reject the plan with
+half its largest entry moved onto an unfunded one wherever that half
+exceeds twice the slack, and rebalance's cents must sum to the budget
+with none negative.  Runs are derandomized, so tier-1 stays deterministic.
 """
 
 import math
@@ -128,10 +129,23 @@ def test_sampled_l1_members_pass_is_l1_optimal(deltas, budget, seed):
 @example(deltas=[MAX], budget=1.0)
 # the plan is FEAS_TOL, counted as zero, and lam rounds to -FEAS_TOL
 @example(deltas=[6.746293724073171e-224], budget=1e-09)
+# an unfunded delta far below the funded side's scale
+@example(deltas=[1.0, 2.0, -1e300], budget=1.0)
 def test_l2_plans_pass_kkt_over_the_whole_range(deltas, budget):
     problem = ns.ContributionProblem(deltas, budget)
     solution = ns.solve_l2(problem)
-    assert ns.kkt_check_l2(problem, solution.adjustments, solution.threshold)
+    plan, lam = solution.adjustments, solution.threshold
+    assert ns.kkt_check_l2(problem, plan, lam)
+    # half the largest entry moved onto an unfunded one breaks stationarity
+    # at both by more than the slack wherever the half exceeds twice it
+    slack = solvers.FEAS_TOL + 4.0 * math.ulp(max(abs(max(deltas)), abs(lam)))
+    funded, unfunded = int(plan.argmax()), int(plan.argmin())
+    half = plan[funded] / 2
+    if plan[unfunded] <= solvers.FEAS_TOL and half > 2 * slack:
+        shifted = plan.copy()
+        shifted[funded] -= half
+        shifted[unfunded] += half
+        assert not ns.kkt_check_l2(problem, shifted, lam)
 
 
 def _serializable(asset_id):

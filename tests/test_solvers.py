@@ -208,6 +208,19 @@ def test_l2_opposite_sign_extreme_deltas(deltas, plan):
     assert ns.kkt_check_l2(problem, solution.adjustments, solution.threshold)
 
 
+def test_kkt_slack_ignores_a_far_negative_unfunded_delta():
+    # the slack scales by the funded side, max(deltas) and lam, so a delta
+    # at -1e300 that no plan funds leaves it at 1e-9 plus ulps of 2: plans
+    # 0.5 off pass no more here than beside a delta at -1
+    for far in (-1e300, -1.0):
+        problem = ns.ContributionProblem([1.0, 2.0, far], 1.0)
+        solution = ns.solve_l2(problem)
+        assert solution.adjustments.tolist() == [0.0, 1.0, 0.0] and solution.threshold == 1.0
+        assert ns.kkt_check_l2(problem, solution.adjustments, solution.threshold)
+        assert not ns.kkt_check_l2(problem, [0.5, 0.5, 0.0], 1.5), far
+        assert not ns.kkt_check_l2(problem, [1.0, 0.0, 0.0], 0.0), far
+
+
 @pytest.mark.parametrize("n", [2, 2 * solvers._SAMPLE + 3])
 def test_l2_budget_near_float_max_with_large_gaps(n):
     # k e_k, the prefix sums and sum + budget pass the float64 maximum
