@@ -41,8 +41,8 @@ FEAS_TOL = 1e-9
 _MAX_ROUNDS = 32
 #: Gaps in the sorted sample that seeds solve_l2: up to this many assets the
 #: sample is the whole vector and its scan is the answer.  At n = 1e6 the
-#: sample costs about 0.06 ms against 2-2.5 ms for one partition of the
-#: whole gap buffer.
+#: sample costs about 0.06 ms against 2-3 ms for the dense route's
+#: selection of the whole gap buffer.
 _SAMPLE = 4096
 #: Arrays of this many bytes up to _FREE_BUFFER_BYTES come from the pool (see
 #: _empty); numpy hints huge pages for any array from this size on.
@@ -491,11 +491,13 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
     Sparse: if at most one sampled gap in 64 lies at or below the cut, the
     candidates are found from the deltas (_candidates) and funded into a
     read-only plan of zeros (_scattered).  Dense: otherwise all n gaps fill
-    one buffer, selected in place (_below) and refilled in input order,
-    as they are funded, unless all are funded.  The passes over all n
-    entries run a block at a time (_blocks), from 2^19 assets on with a
-    worker thread beside the caller; every sum, the partition and the sorts
-    stay whole on the caller, so the plan's bytes are those of one thread.
+    one buffer, each block selected in place as it is filled (_below), and
+    the buffer is refilled in input order as it is funded, unless all are
+    funded.  The passes over all n entries run a block at a time (_blocks),
+    from 2^19 assets on with a worker thread beside the caller.  A block
+    comes out the same on either thread, a blocked sum adds the blocks'
+    sums in block order, and the other sums and the sorts run whole on the
+    caller, so the plan's bytes are those of one thread.
 
     Expected O(n) time; the worst case adds one sort of the live gaps.
     Raises ValueError rather than return a plan that breaks the buy-only
@@ -527,8 +529,7 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
                 adjustments = _scattered(n, idx, _fund(t, np.subtract(d_max, deltas.take(idx)), budget))
             else:
                 gaps = _empty(n)
-                _blocks(lambda block: np.subtract(d_max, deltas[block], out=gaps[block]), n)
-                k, t, _ = _settle(functools.partial(_below, gaps), cut, budget)
+                k, t, _ = _settle(functools.partial(_below, gaps, d_max, deltas), cut, budget)
                 # the selection reordered the buffer unless it kept all n gaps
                 adjustments = _fund(t, gaps, budget, refill=(d_max, deltas) if k < n else None)
     threshold = d_max - t
@@ -541,12 +542,12 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
 def _settle(cut_at, cut: float, budget: float):
     """``(k, t, tag)`` from the gaps that ``cut_at(cut)`` finds at or below
     ``cut`` (see solve_l2): the cut proven, or taken again at the bound,
-    then Michelot rounds.  ``tag`` is what ``cut_at`` returned beside the
-    live gaps of the cut kept.
+    then Michelot rounds.  ``cut_at`` returns ``(live, total, tag)``: those
+    gaps, their sum, and the ``tag`` of the cut kept.
     """
     for _ in range(2):
-        live, tag = cut_at(cut)
-        t = _level(live, float(live.sum()), budget)
+        live, total, tag = cut_at(cut)
+        t = _level(live, total, budget)
         if t <= cut or cut >= budget:
             break
         # the bound does not prove the cut: cut again at the bound itself
@@ -554,8 +555,8 @@ def _settle(cut_at, cut: float, budget: float):
     for _ in range(_MAX_ROUNDS):
         # a subnormal budget can round t to 0; the funded gaps are then
         # the zero ones, which the smallest positive float still counts
-        kept = live < max(t, math.ulp(0.0))
-        k = int(np.count_nonzero(kept))
+        level, kept = max(t, math.ulp(0.0)), np.empty(live.size, dtype=bool)
+        k = sum(_blocks(lambda block: int(np.count_nonzero(np.less(live[block], level, out=kept[block]))), live.size))
         if k == live.size:
             break
         # drop in place: the kept gaps past the new end fill the slots of
@@ -586,25 +587,48 @@ def _candidates(deltas: np.ndarray, d_max: float, cut: float):
         return idx
 
     idx = np.concatenate(_blocks(found, deltas.size))
-    return np.subtract(d_max, deltas.take(idx)), idx
+    gaps = np.subtract(d_max, deltas.take(idx))
+    return gaps, float(gaps.sum()), idx
 
 
-def _below(gaps: np.ndarray, cut: float):
-    """The dense route's cut: ``(live, None)``, the gaps ``<= cut``
-    partitioned to the front of ``gaps`` in place.  They always hold the
-    zero gap of the largest delta."""
-    k = sum(_blocks(lambda block: int(np.count_nonzero(gaps[block] <= cut)), gaps.size))
-    if k < gaps.size:
-        gaps.partition(k - 1)
-    return gaps[:k], None
+def _below(gaps: np.ndarray, d_max: float, deltas: np.ndarray, cut: float):
+    """The dense route's cut: ``(live, total, None)``, the gaps
+    ``d_max - deltas`` at or below ``cut`` at the front of ``gaps``, and
+    their sum.  They always hold the zero gap of the largest delta.
+
+    One pass (_blocks) fills each block of ``gaps``, then counts, partitions
+    and sums its gaps at or below the cut while it is in cache; the blocks'
+    fronts then move down in block order.  So the live gaps, and their sum,
+    are those of one thread.
+    """
+
+    def select(block):
+        e = gaps[block]
+        np.subtract(d_max, deltas[block], out=e)
+        k = int(np.count_nonzero(e <= cut))
+        if 0 < k < e.size:
+            # a gap is >= 0 and not NaN, so as int64 its bits order as the
+            # gaps do (-0.0, from a max(deltas) of -0.0, first), and an
+            # integer partition is about twice as fast
+            e.view(np.int64).partition(k - 1)
+        return k, float(e[:k].sum())
+
+    found = _blocks(select, gaps.size)
+    k = 0
+    for start, (kept, _) in zip(range(0, gaps.size, _BLOCK), found):
+        if k < start:
+            gaps[k : k + kept] = gaps[start : start + kept]
+        k += kept
+    return gaps[:k], sum(total for _, total in found), None
 
 
 def _fund(t: float, gaps: np.ndarray, budget: float, refill=None) -> np.ndarray:
     """The plan entries ``max(t - e, 0)`` of ``gaps``, in place, checked
     against ``budget``: they come out of np.maximum, so none is negative,
-    and a NaN entry shows in the sum, so the sum alone is the rule.  With
-    ``refill = (d_max, deltas)`` each block of gaps is first written again
-    as ``d_max - deltas``, in the same pass."""
+    and a NaN entry shows in the sum, so the sum alone is the rule; each
+    block is summed as it is funded.  With ``refill = (d_max, deltas)``
+    each block of gaps is first written again as ``d_max - deltas``, in the
+    same pass."""
 
     def fund(block):
         e = gaps[block]
@@ -612,9 +636,9 @@ def _fund(t: float, gaps: np.ndarray, budget: float, refill=None) -> np.ndarray:
             np.subtract(refill[0], refill[1][block], out=e)
         np.subtract(t, e, out=e)
         np.maximum(e, 0.0, out=e)
+        return float(e.sum())
 
-    _blocks(fund, gaps.size)
-    _refuse(_sum_error(float(gaps.sum()), budget))
+    _refuse(_sum_error(sum(_blocks(fund, gaps.size)), budget))
     return gaps
 
 

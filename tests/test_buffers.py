@@ -13,9 +13,13 @@ validation tests put a non-finite value at each block edge.
 From 2^19 entries on, where more than one CPU is usable, a worker thread
 takes blocks of the whole-array passes beside the caller (solvers._blocks):
 its plans must be the serial plans, byte for byte, also after a fork.
+The dense l2 route selects its live gaps a block at a time (solvers._below):
+it must keep the gaps and the count that one partition of the whole array
+keeps.
 """
 
 import hashlib
+import math
 import multiprocessing
 import os
 import subprocess
@@ -149,6 +153,122 @@ def test_threads_match_serial_bytes():
     assert len(inputs) == 20
     assert results == {"a": serial, "b": serial}
     assert len(solvers._free) <= solvers._FREE_BUFFERS
+
+
+
+# -- the dense route's blocked selection --------------------------------------
+
+def _select(deltas, cut, monkeypatch, serial):
+    """A copy of _below's live gaps, which stay at the front of its gap
+    buffer, and their sum: threaded, or with the worker off."""
+    with monkeypatch.context() as patch:
+        if serial:
+            patch.setattr(solvers, "_idle_worker", lambda: None)
+        gaps = solvers._empty(deltas.size)
+        live, total, _ = solvers._below(gaps, float(deltas.max()), deltas, cut)
+    assert np.shares_memory(live, gaps) and live.ctypes.data == gaps.ctypes.data
+    return live.copy(), total
+
+
+@pytest.mark.parametrize("n", [N - 1, N, N + 1, 2 * N + 12345])
+def test_blocked_selection_keeps_the_gaps_of_a_whole_array_partition(n, monkeypatch):
+    block = solvers._BLOCK
+    rng = np.random.default_rng((MASTER_SEED, 14, n))
+    deltas = _deltas(11, n)
+    # the first block keeps all its gaps and the second all but one, so the
+    # third block's front moves down by one, onto itself; the fourth block
+    # keeps none and the fifth one
+    deltas[: 2 * block] = rng.uniform(9e3, 9.5e3, 2 * block)
+    deltas[block + 100] = -1e4
+    deltas[3 * block : 5 * block] = rng.uniform(-1e4, -9e3, 2 * block)
+    deltas[4 * block + 777] = 9e3
+    d_max = float(deltas.max())
+    whole = d_max - deltas
+    cut = 5e3
+    third = np.sort(whole[2 * block : 3 * block][whole[2 * block : 3 * block] <= cut])
+    k = int(np.count_nonzero(whole <= cut))
+    whole.partition(k - 1)
+    live, total = _select(deltas, cut, monkeypatch, serial=False)
+    assert live.size == k
+    assert np.array_equal(np.sort(live), np.sort(whole[:k]))
+    assert total == pytest.approx(math.fsum(live.tolist()), rel=1e-12)
+    # block by block, in block order
+    front = 2 * block - 1
+    assert np.array_equal(np.sort(live[:front]), np.sort(np.delete(d_max - deltas[: 2 * block], block + 100)))
+    assert np.array_equal(np.sort(live[front : front + third.size]), third)
+    assert live[front + third.size] == d_max - 9e3
+    serial, serial_total = _select(deltas, cut, monkeypatch, serial=True)
+    assert serial.tobytes() == live.tobytes() and serial_total == total
+
+
+def test_blocked_selection_keeps_negative_zero_gaps():
+    # a max(deltas) of -0.0 beside deltas of +0.0 gives gaps of -0.0, whose
+    # bits are the smallest int64: the selection still keeps every gap <= cut
+    rng = np.random.default_rng((MASTER_SEED, 16))
+    deltas = -rng.uniform(0.0, 1e4, N + 1)
+    deltas[rng.choice(N + 1, N // 3, replace=False)] = 0.0
+    gaps = solvers._empty(N + 1)
+    live, _, _ = solvers._below(gaps, -0.0, deltas, 5e3)
+    whole = -0.0 - deltas
+    assert np.count_nonzero(np.signbit(whole)) == N // 3
+    assert np.array_equal(np.sort(live), np.sort(whole[whole <= 5e3]))
+    assert np.count_nonzero(np.signbit(live)) == N // 3
+
+
+def _spied(monkeypatch, name, calls):
+    helper = getattr(solvers, name)
+
+    def recorded(*args, **kwargs):
+        calls.append((name, args, kwargs))
+        return helper(*args, **kwargs)
+
+    monkeypatch.setattr(solvers, name, recorded)
+
+
+def _serial_digest(problem, monkeypatch):
+    with monkeypatch.context() as patch:
+        patch.setattr(solvers, "_idle_worker", lambda: None)
+        return _digest(ns.solve_l2(problem))
+
+
+def test_dense_route_cuts_again_past_a_sample_of_small_gaps(monkeypatch):
+    # every sampled gap lies in [0, 10], every other one in [9, 20]: the
+    # sample sees more small gaps than the vector has, so its cut falls
+    # short of t, and the bound cuts again, higher
+    n = N + 1
+    step = -(-n // solvers._SAMPLE)
+    rng = np.random.default_rng((MASTER_SEED, 15))
+    gaps = rng.uniform(9.0, 20.0, n)
+    gaps[::step] = rng.uniform(0.0, 10.0, gaps[::step].size)
+    gaps[0] = 0.0
+    budget = 1.25 * n
+    problem = ns.ContributionProblem(-gaps, budget)
+    calls = []
+    _spied(monkeypatch, "_below", calls)
+    solution = ns.solve_l2(problem)
+    cuts = [args[-1] for _, args, _ in calls]
+    assert len(cuts) == 2 and cuts[0] < cuts[1], cuts
+    ascending = np.sort(gaps)
+    k = solvers._prefix_count(ascending, budget)
+    assert solution.active_count == k and 64 * k > n
+    assert ns.kkt_check_l2(problem, solution.adjustments, solution.threshold)
+    assert _serial_digest(problem, monkeypatch) == _digest(solution)
+
+
+@pytest.mark.parametrize("n", [N + 1, 2 * N + 12345])
+def test_dense_route_funds_all_gaps_in_input_order(n, monkeypatch):
+    # every gap is funded: the selection keeps every block whole, so the
+    # plan is funded from the gaps in place, with no refill
+    problem = ns.ContributionProblem(_deltas(12, n), 1e12)
+    calls = []
+    _spied(monkeypatch, "_fund", calls)
+    solution = ns.solve_l2(problem)
+    assert solution.active_count == n
+    assert [kwargs.get("refill", "missing") for _, _, kwargs in calls] == [None]
+    lam = solution.threshold
+    assert np.allclose(solution.adjustments, problem.deltas - lam, rtol=0.0, atol=1e-3)
+    assert ns.kkt_check_l2(problem, solution.adjustments, lam)
+    assert _serial_digest(problem, monkeypatch) == _digest(solution)
 
 
 # -- one-pass validation -----------------------------------------------------
