@@ -35,9 +35,9 @@ FEAS_TOL = 1e-9
 #: Michelot rounds before solve_l2 sorts the live gaps instead, which bounds
 #: its worst case.  Started from the proven cut of the sorted sample, the
 #: million_l2 inputs at n = 1e6 (seeds 1-3, 540 solves on both routes) take
-#: at most 9 rounds (median 4), counting the last one, which drops nothing;
-#: 5847 copies of 171 gap levels built so that plain Michelot drops one
-#: level per round take 2.
+#: at most 8 rounds (median 3), each of which drops gaps; the check that
+#: ends them compares two floats.  5847 copies of 171 gap levels built so
+#: that plain Michelot drops one level per round take 1.
 _MAX_ROUNDS = 32
 #: Gaps in the sorted sample that seeds solve_l2: up to this many assets the
 #: sample is the whole vector and its scan is the answer.  At n = 1e6 the
@@ -481,10 +481,11 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
     below the cut give a bound no greater than the cut, every funded gap
     is among them; otherwise the gaps are cut again at that bound (or the
     budget, if smaller), which is proven by the same two facts.  Michelot
-    rounds (Michelot 1986) then shrink the live gaps,
+    rounds (Michelot 1986; Condat 2016) then shrink the live gaps,
     ``t = (sum(live) + budget) / |live|`` and ``live = {e in live : e < t}``,
-    until no gap is dropped; t only falls and never below its final value.
-    After ``_MAX_ROUNDS`` rounds the live gaps are sorted and scanned.
+    until the largest live gap lies below t, when no round would drop one;
+    t only falls and never below its final value.  After ``_MAX_ROUNDS``
+    rounds the live gaps are sorted and scanned.
 
     The sorted sample picks the route, once.  Scan: up to ``_SAMPLE``
     assets it is the whole vector, and its k and t fund the unsorted gaps.
@@ -493,10 +494,13 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
     read-only plan of zeros (_scattered).  Dense: otherwise all n gaps fill
     one buffer, each block selected in place as it is filled (_below), and
     the buffer is refilled in input order as it is funded, unless all are
-    funded.  The passes over all n entries run a block at a time (_blocks),
-    from 2^19 assets on with a worker thread beside the caller.  A block
-    comes out the same on either thread, a blocked sum adds the blocks'
-    sums in block order, and the other sums and the sorts run whole on the
+    funded.  On both routes each round keeps its live gaps in place the
+    same way, a block at a time (_partition).  The passes over all n
+    entries, and the rounds over as many live gaps, run a block at a time
+    (_blocks), from 2^19 entries on with a worker thread beside the caller.
+    A block comes out the same on either thread, a blocked sum adds the
+    blocks' sums in block order, the blocks' fronts move down in block
+    order on the caller, and the other sums and the sorts run whole on the
     caller, so the plan's bytes are those of one thread.
 
     Expected O(n) time; the worst case adds one sort of the live gaps.
@@ -529,7 +533,7 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
                 adjustments = _scattered(n, idx, _fund(t, np.subtract(d_max, deltas.take(idx)), budget))
             else:
                 gaps = _empty(n)
-                k, t, _ = _settle(functools.partial(_below, gaps, d_max, deltas), cut, budget)
+                k, t = _settle(functools.partial(_below, gaps, d_max, deltas), cut, budget)
                 # the selection reordered the buffer unless it kept all n gaps
                 adjustments = _fund(t, gaps, budget, refill=(d_max, deltas) if k < n else None)
     threshold = d_max - t
@@ -540,13 +544,15 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
 
 
 def _settle(cut_at, cut: float, budget: float):
-    """``(k, t, tag)`` from the gaps that ``cut_at(cut)`` finds at or below
+    """``(k, t, *tag)`` from the gaps that ``cut_at(cut)`` finds at or below
     ``cut`` (see solve_l2): the cut proven, or taken again at the bound,
-    then Michelot rounds.  ``cut_at`` returns ``(live, total, tag)``: those
-    gaps, their sum, and the ``tag`` of the cut kept.
+    then Michelot rounds.  ``cut_at`` returns ``(live, total, top, *tag)``:
+    those gaps, their sum, the largest of them, and the ``tag`` of the cut
+    kept.  Each round keeps the live gaps below t (_partition); once the
+    largest lies below t, no round would drop one, and t is final.
     """
     for _ in range(2):
-        live, total, tag = cut_at(cut)
+        live, total, top, *tag = cut_at(cut)
         t = _level(live, total, budget)
         if t <= cut or cut >= budget:
             break
@@ -555,24 +561,17 @@ def _settle(cut_at, cut: float, budget: float):
     for _ in range(_MAX_ROUNDS):
         # a subnormal budget can round t to 0; the funded gaps are then
         # the zero ones, which the smallest positive float still counts
-        level, kept = max(t, math.ulp(0.0)), np.empty(live.size, dtype=bool)
-        k = sum(_blocks(lambda block: int(np.count_nonzero(np.less(live[block], level, out=kept[block]))), live.size))
-        if k == live.size:
-            break
-        # drop in place: the kept gaps past the new end fill the slots of
-        # the dropped gaps before it
-        head, tail = live[:k], live[k:]
-        head[~kept[:k]] = tail[kept[k:]]
-        live = head
-        t = _level(live, float(live.sum()), budget)
-    else:
-        k, t = _prefix_scan(np.sort(live), budget)
-    return k, t, tag
+        level = max(t, math.ulp(0.0))
+        if top < level:
+            return live.size, t, *tag
+        live, total, top = _partition(live, level)
+        t = _level(live, total, budget)
+    return (*_prefix_scan(np.sort(live), budget), *tag)
 
 
 def _candidates(deltas: np.ndarray, d_max: float, cut: float):
-    """``(gaps, idx)``: the gaps of the deltas at ``idx``, which hold every
-    gap ``<= cut``.
+    """``(gaps, total, top, idx)``: the gaps of the deltas at ``idx``, which
+    hold every gap ``<= cut``, their sum and the largest of them.
 
     Found in delta space, as ``d_i >= c`` for the float c = max(d) - cut.
     No float lies between c and the exact difference, the float nearest
@@ -588,38 +587,52 @@ def _candidates(deltas: np.ndarray, d_max: float, cut: float):
 
     idx = np.concatenate(_blocks(found, deltas.size))
     gaps = np.subtract(d_max, deltas.take(idx))
-    return gaps, float(gaps.sum()), idx
+    return gaps, float(gaps.sum()), float(gaps.max()), idx
 
 
 def _below(gaps: np.ndarray, d_max: float, deltas: np.ndarray, cut: float):
-    """The dense route's cut: ``(live, total, None)``, the gaps
-    ``d_max - deltas`` at or below ``cut`` at the front of ``gaps``, and
-    their sum.  They always hold the zero gap of the largest delta.
+    """The dense route's cut: ``(live, total, top)``, the gaps
+    ``d_max - deltas`` at or below ``cut`` at the front of ``gaps``, their
+    sum and the largest of them.  They always hold the zero gap of the
+    largest delta.  One _partition pass fills each block of ``gaps`` and
+    keeps its gaps below the float next above the cut.
+    """
+    return _partition(gaps, np.nextafter(cut, np.inf), (d_max, deltas))
 
-    One pass (_blocks) fills each block of ``gaps``, then counts, partitions
-    and sums its gaps at or below the cut while it is in cache; the blocks'
-    fronts then move down in block order.  So the live gaps, and their sum,
-    are those of one thread.
+
+def _partition(gaps: np.ndarray, level: float, fill=None):
+    """``(live, total, top)``: the gaps below ``level`` moved to the front
+    of ``gaps``, in place, their sum and the largest of them (-inf if
+    there is none).  With ``fill = (d_max, deltas)`` each block of ``gaps``
+    is first written as ``d_max - deltas``.
+
+    One pass (_blocks) counts, partitions and sums each block's gaps below
+    the level while it is in cache; the blocks' fronts then move down in
+    block order.  So the live gaps, their sum and the largest are those of
+    one thread.
     """
 
     def select(block):
         e = gaps[block]
-        np.subtract(d_max, deltas[block], out=e)
-        k = int(np.count_nonzero(e <= cut))
+        if fill is not None:
+            np.subtract(fill[0], fill[1][block], out=e)
+        k = int(np.count_nonzero(e < level))
         if 0 < k < e.size:
             # a gap is >= 0 and not NaN, so as int64 its bits order as the
             # gaps do (-0.0, from a max(deltas) of -0.0, first), and an
             # integer partition is about twice as fast
             e.view(np.int64).partition(k - 1)
-        return k, float(e[:k].sum())
+        # the partition leaves the largest kept gap last in the front
+        top = e.max() if k == e.size else e[k - 1] if k else -math.inf
+        return k, float(e[:k].sum()), float(top)
 
-    found = _blocks(select, gaps.size)
+    counts, totals, tops = zip(*_blocks(select, gaps.size))
     k = 0
-    for start, (kept, _) in zip(range(0, gaps.size, _BLOCK), found):
+    for start, kept in zip(range(0, gaps.size, _BLOCK), counts):
         if k < start:
             gaps[k : k + kept] = gaps[start : start + kept]
         k += kept
-    return gaps[:k], sum(total for _, total in found), None
+    return gaps[:k], sum(totals), max(tops)
 
 
 def _fund(t: float, gaps: np.ndarray, budget: float, refill=None) -> np.ndarray:

@@ -15,7 +15,11 @@ takes blocks of the whole-array passes beside the caller (solvers._blocks):
 its plans must be the serial plans, byte for byte, also after a fork.
 The dense l2 route selects its live gaps a block at a time (solvers._below):
 it must keep the gaps and the count that one partition of the whole array
-keeps.
+keeps.  Each Michelot round keeps its live gaps the same way
+(solvers._partition), with no array of the live set's size: on a warm
+pool, a solve that keeps most of a million gaps through its rounds
+allocates well under a megabyte.  Scaled by 2^j, the threaded plans on
+both routes scale by 2^j, byte for byte.
 """
 
 import hashlib
@@ -25,6 +29,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -269,6 +274,60 @@ def test_dense_route_funds_all_gaps_in_input_order(n, monkeypatch):
     assert np.allclose(solution.adjustments, problem.deltas - lam, rtol=0.0, atol=1e-3)
     assert ns.kkt_check_l2(problem, solution.adjustments, lam)
     assert _serial_digest(problem, monkeypatch) == _digest(solution)
+
+
+def _clustered(n):
+    return 1000.0 + np.random.default_rng((MASTER_SEED, 17, n)).uniform(-1e-3, 1e-3, n)
+
+
+def _traced_peak(solve):
+    """``(solve(), peak)``: the result and the peak of the memory traced
+    while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return solve(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("budget", [100.0, 534.0, 5000.0])
+def test_threaded_rounds_keep_most_of_a_million_gaps_in_place(budget, monkeypatch):
+    # clustered deltas: the rounds keep a third, most or all of the gaps
+    n = 2 * N + 12345
+    problem = ns.ContributionProblem(_clustered(n), budget)
+    # warm: the plan's buffer and the worker are ready before the trace
+    ns.solve_l2(problem)
+    solution, peak = _traced_peak(lambda: ns.solve_l2(problem))
+    assert peak < 500_000, peak
+    gaps = np.subtract(problem._d_max, problem.deltas)
+    assert solution.active_count == solvers._prefix_count(np.sort(gaps), budget)
+    assert 64 * solution.active_count > n
+    assert ns.kkt_check_l2(problem, solution.adjustments, solution.threshold)
+    assert _serial_digest(problem, monkeypatch) == _digest(solution)
+
+
+@pytest.mark.parametrize("n", [N + 1, 2 * N + 12345])
+def test_threaded_plans_scale_by_powers_of_two(n):
+    # every delta, gap and budget stays normal at 2^-200 and 2^200; the
+    # first budget of each shape takes the sparse route, the second the dense
+    cases = ((_deltas(18, n), (SPARSE, DENSE)), (_clustered(n), (1e-3, 534.0)))
+    routes = []
+    for deltas, budgets in cases:
+        for budget in budgets:
+            problem = ns.ContributionProblem(deltas, budget)
+            solution, family = ns.solve_l2(problem), ns.solve_l1(problem)
+            routes.append(64 * solution.active_count <= n)
+            for j in (-200, 200):
+                scaled = ns.ContributionProblem(np.ldexp(deltas, j), math.ldexp(budget, j))
+                plan = ns.solve_l2(scaled)
+                assert plan.adjustments.tobytes() == np.ldexp(solution.adjustments, j).tobytes()
+                assert plan.threshold == math.ldexp(solution.threshold, j)
+                assert plan.active_count == solution.active_count
+                scaled_family = ns.solve_l1(scaled)
+                assert scaled_family.particular.tobytes() == np.ldexp(family.particular, j).tobytes()
+                assert scaled_family.slack == math.ldexp(family.slack, j)
+                assert scaled_family.scale == family.scale
+    assert routes == [True, False, True, False]
 
 
 # -- one-pass validation -----------------------------------------------------

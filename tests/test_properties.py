@@ -12,13 +12,19 @@ whole finite range too, every sampled l1 member must pass is_l1_optimal
 exactly), every l2 plan kkt_check_l2, which must reject the plan with
 half its largest entry moved onto an unfunded one wherever that half
 exceeds twice the slack, and rebalance's cents must sum to the budget
-with none negative.  Runs are derandomized, so tier-1 stays deterministic.
+with none negative.  Some relations hold byte for byte and need no
+oracle: scaled by 2^j (every value staying normal), both solvers' answers
+scale by 2^j, on every l2 route; up to 4096 assets, where the l2 solve is
+one scan of the sorted gaps, permuting the deltas permutes the plan, and
+an appended delta below min(d) - budget stays unfunded and changes
+nothing else.  Runs are derandomized, so tier-1 stays deterministic.
 """
 
 import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
@@ -77,6 +83,107 @@ def _counted(routes, route, cut_at):
         return cut_at(*args)
 
     return counted
+
+
+#: Deltas of 0 or of magnitude 2^-100 to 2^100, and budgets in that range:
+#: scaled by 2^j for |j| <= 700, every delta, gap, budget, sum and plan entry
+#: of MAX_N assets stays normal, where scaling by 2^j is exact.
+NORMAL_DELTAS = st.lists(
+    st.floats(min_value=-(2.0**100), max_value=2.0**100).filter(lambda d: d == 0.0 or abs(d) >= 2.0**-100),
+    min_size=1,
+    max_size=MAX_N,
+)
+NORMAL_BUDGETS = st.floats(min_value=2.0**-100, max_value=2.0**100)
+POWERS = st.integers(min_value=-700, max_value=700)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("sample", [solvers._SAMPLE, 2, 4])
+def test_l2_plan_scales_by_powers_of_two(monkeypatch, sample):
+    # a sample of 2 or 4 sends short lists through the sparse and dense
+    # routes, whose rounds and cuts must hold no absolute constant either
+    monkeypatch.setattr(solvers, "_SAMPLE", sample)
+    routes = {"sparse": 0, "dense": 0}
+    for route, name in (("sparse", "_candidates"), ("dense", "_below")):
+        monkeypatch.setattr(solvers, name, _counted(routes, route, getattr(solvers, name)))
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(deltas=NORMAL_DELTAS, budget=NORMAL_BUDGETS, j=POWERS)
+    def check(deltas, budget, j):
+        problem = ns.ContributionProblem(deltas, budget)
+        solution = ns.solve_l2(problem)
+        scaled = ns.solve_l2(ns.ContributionProblem(np.ldexp(problem.deltas, j), math.ldexp(budget, j)))
+        assert scaled.adjustments.tobytes() == np.ldexp(solution.adjustments, j).tobytes()
+        assert _bits(scaled.threshold) == _bits(math.ldexp(solution.threshold, j))
+        assert scaled.active_count == solution.active_count
+
+    check()
+    if sample >= MAX_N:
+        assert routes == {"sparse": 0, "dense": 0}
+    else:
+        assert routes["sparse"] and routes["dense"], routes
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(deltas=NORMAL_DELTAS, budget=NORMAL_BUDGETS, j=POWERS)
+def test_l1_family_scales_by_powers_of_two(deltas, budget, j):
+    problem = ns.ContributionProblem(deltas, budget)
+    family = ns.solve_l1(problem)
+    scaled = ns.solve_l1(ns.ContributionProblem(np.ldexp(problem.deltas, j), math.ldexp(budget, j)))
+    assert scaled.case is family.case and _bits(scaled.scale or 0.0) == _bits(family.scale or 0.0)
+    assert scaled.particular.tobytes() == np.ldexp(family.particular, j).tobytes()
+    assert scaled.positive_parts.tobytes() == np.ldexp(family.positive_parts, j).tobytes()
+    assert _bits(scaled.slack) == _bits(math.ldexp(family.slack, j))
+
+
+def _assert_permuted(deltas, budget, order):
+    solution = ns.solve_l2(ns.ContributionProblem(deltas, budget))
+    permuted = ns.solve_l2(ns.ContributionProblem(np.asarray(deltas)[order], budget))
+    assert permuted.adjustments.tobytes() == solution.adjustments[order].tobytes()
+    assert _bits(permuted.threshold) == _bits(solution.threshold)
+    assert permuted.active_count == solution.active_count
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(deltas=FULL_DELTAS, budget=BUDGETS, data=st.data())
+def test_l2_plan_permutes_with_the_deltas(deltas, budget, data):
+    _assert_permuted(deltas, budget, data.draw(st.permutations(range(len(deltas)))))
+
+
+def _assert_far_below_is_unfunded(deltas, budget, far):
+    # the appended delta lies below min(d) - budget by far times the spread
+    # plus the budget, or, where that offset rounds away, one float below
+    # the float nearest min(d) - budget
+    low = min(deltas)
+    below = min(low - far * ((max(deltas) - low) + budget), np.nextafter(low - budget, -np.inf))
+    solution = ns.solve_l2(ns.ContributionProblem(deltas, budget))
+    more = ns.solve_l2(ns.ContributionProblem(np.append(deltas, below), budget))
+    assert _bits(more.adjustments[-1]) == _bits(0.0)
+    assert more.adjustments[:-1].tobytes() == solution.adjustments.tobytes()
+    assert _bits(more.threshold) == _bits(solution.threshold)
+    assert more.active_count == solution.active_count
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(deltas=NORMAL_DELTAS, budget=NORMAL_BUDGETS, far=st.floats(min_value=2.0, max_value=1e6))
+# the budget is below half an ulp of the delta: low - 2 * budget rounds to low
+@example(deltas=[1.801439850948199e16], budget=1.0, far=2.0)
+def test_l2_plan_leaves_a_far_below_asset_unfunded(deltas, budget, far):
+    _assert_far_below_is_unfunded(deltas, budget, far)
+
+
+@pytest.mark.parametrize("shape", ["uniform", "clustered"])
+def test_l2_permutation_and_far_below_at_the_scan_routes_largest_size(shape):
+    # 4096 assets, or 4095 and the appended one: still the one scan
+    rng = np.random.default_rng((17, len(shape)))
+    n = solvers._SAMPLE
+    deltas = rng.uniform(-1e4, 1e4, n) if shape == "uniform" else 1000.0 + rng.uniform(-1e-3, 1e-3, n)
+    for budget in (1e-3, 10.0, 1e3, 1e8):
+        _assert_permuted(deltas, budget, rng.permutation(n))
+        _assert_far_below_is_unfunded(deltas[:-1], budget, 2.0)
 
 
 #: Above 1e300 a plan's float sum can round past the float64 maximum, and
