@@ -58,11 +58,33 @@ def _parse_numbers(fields: List[str], label: str = "") -> np.ndarray:
     """A non-empty column of stripped fields as one float64 array, behind
     the strict grammar: no nan or inf, no separators.  The first field
     that breaks it raises _RowError with its index, the message led by
-    ``label``."""
+    ``label``.
+
+    The column is converted once (numpy reads each str by float()), and
+    kept if it is all finite and its text is ASCII with no ``_``.  A
+    stripped text that float() reads is an optional sign, then inf,
+    infinity or nan in any case, or a decimal with an optional exponent
+    whose digits are any Unicode decimal digits, with single ``_`` between
+    them.  ASCII leaves the digits 0-9, no ``_`` leaves no separators, and
+    finiteness leaves no inf or nan: what is left is _NUMBER_RE's texts.
+    Any other column (one that float() refuses, or one past the float64
+    range, such as ``1e999``, which the grammar allows) is matched field
+    by field, so the first bad field is named, and a column that passes
+    keeps its conversion.
+    """
+    try:
+        column = np.array(fields, dtype=np.float64)
+    except ValueError:
+        column = None
+    else:
+        text = "".join(fields)
+        if text.isascii() and "_" not in text and np.isfinite(column).all():
+            return column
     if not all(map(_NUMBER_RE.fullmatch, fields)):
         row = next(i for i, field in enumerate(fields) if not _NUMBER_RE.fullmatch(field))
         raise _RowError(row, f"{label}{fields[row]!r} is not a plain decimal number")
-    return np.array(fields, dtype=np.float64)
+    # float() reads every text of the grammar, so the column was converted
+    return column
 
 
 def parse_portfolio(text: str, normalize: bool = False, allow_short: bool = False) -> Portfolio:
@@ -171,8 +193,9 @@ def _sig10_texts(column: List[float]) -> List[str]:
 
 def _money(column: List[float]) -> List[str]:
     """Whole dollars, one text per number; ``n/a`` for one that is not
-    finite (the texts inf and nan are the only ones with an ``n``)."""
-    texts = [f"-${-x:,.0f}" if x < 0 else f"${x:,.0f}" for x in column]
+    finite (the texts inf and nan are the only ones with an ``n``).  A
+    zero prints ``$0`` whatever its sign: -0.0 + 0.0 is 0.0."""
+    texts = [f"-${-x:,.0f}" if x < 0 else f"${x + 0.0:,.0f}" for x in column]
     if "n" in "".join(texts):
         texts = ["n/a" if "n" in text else text for text in texts]
     return texts
@@ -180,8 +203,9 @@ def _money(column: List[float]) -> List[str]:
 
 def _pct(column: List[float]) -> List[str]:
     """Whole percents of fractions (the ``%`` format is ``f`` of ``x *
-    100.0``, then ``%``), or ``n/a`` throughout when any is not finite."""
-    texts = [f"{x:.0%}" for x in column]
+    100.0``, then ``%``), or ``n/a`` throughout when any is not finite.  A
+    zero prints ``0%`` whatever its sign."""
+    texts = [f"{x + 0.0:.0%}" for x in column]
     return ["n/a"] * len(texts) if "n" in "".join(texts) else texts
 
 

@@ -3,7 +3,8 @@
 ``reference_render_table`` is a cell-by-cell implementation of the
 ``rebalance`` table report: each number is read from the numpy arrays one
 element at a time and each cell is padded with ``ljust``/``rjust``; a
-dollar that is not finite, or a percent column holding one, prints n/a.
+dollar that is not finite, or a percent column holding one, prints n/a,
+and a zero of either sign prints $0 or 0%.
 ``nosell.cli.render_table`` must produce the same text.
 
 ``reference_plan_to_dict`` builds the JSON report's document one number
@@ -68,7 +69,8 @@ def _money(x):
         return "n/a"
     if x < 0:
         return f"-${abs(x):,.0f}"
-    return f"${x:,.0f}"
+    # a zero of either sign prints $0
+    return f"${abs(x):,.0f}"
 
 
 def _pct(fractions):
@@ -77,7 +79,8 @@ def _pct(fractions):
     percents = [fraction * 100.0 for fraction in fractions]
     if not all(math.isfinite(percent) for percent in percents):
         return ["n/a"] * len(percents)
-    return [f"{percent:.0f}%" for percent in percents]
+    # a zero of either sign prints 0%
+    return [f"{percent:.0f}%" if percent else "0%" for percent in percents]
 
 
 def reference_render_table(portfolio, plan, samples=None):

@@ -159,6 +159,55 @@ def test_row_errors_name_their_line(rows, flags, lineno, reason, tmp_path, capsy
     assert captured.err == f"error: line {lineno}: {reason}\n"
 
 
+#: Fields that float() reads (1_000, Arabic-Indic 12, NaN) or refuses (0x10,
+#: an empty field) but the grammar does not take, and 1e999, which the
+#: grammar takes and float() reads as inf.
+BAD_FIELDS = ["1_000", "\u0661\u0662", "NaN", "0x10", "", "1e999"]
+BAD_FIELD_IDS = ["underscore", "arabic-indic", "nan", "hex", "empty", "1e999"]
+
+
+def _bad_field_file(seed, column, field):
+    """A seeded portfolio whose row ``bad`` holds ``field`` in ``column``
+    (1 for the value, 2 for the target), with comments and blank lines
+    between rows: (text, the bad row's line number, its id)."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 9))
+    bad = int(rng.integers(n))
+    lines = ["# seeded", "id,value,target"]
+    for i, target in enumerate(rng.dirichlet(np.ones(n)).tolist()):
+        lines += [""] * int(rng.integers(3)) + ["# row"] * int(rng.integers(2))
+        row = [f"a{i}", f"{rng.lognormal(9.0, 1.5):.2f}", repr(target)]
+        if i == bad:
+            row[column] = field
+            lineno = len(lines) + 1
+        lines.append(",".join(row))
+    return "\n".join(lines) + "\n", lineno, f"a{bad}"
+
+
+@pytest.mark.parametrize("flags", [[], ["--normalize"]], ids=["plain", "normalize"])
+@pytest.mark.parametrize("column", [1, 2], ids=["value", "target"])
+@pytest.mark.parametrize("field", BAD_FIELDS, ids=BAD_FIELD_IDS)
+def test_bad_number_fields_name_their_line(field, column, flags, tmp_path, capsys):
+    seed = MASTER_SEED + 120 + BAD_FIELDS.index(field)
+    text, lineno, asset_id = _bad_field_file(seed, column, field)
+    name = ("value", "target")[column - 1]
+    if field != "1e999":
+        reason = f"{name} {field!r} is not a plain decimal number"
+    elif name == "value":
+        reason = f"asset {asset_id!r}: value must be finite"
+    elif flags:
+        reason = "weight '1e999' is not a finite float64"
+    else:
+        reason = f"asset {asset_id!r}: target must lie in [0, 1]"
+    with pytest.raises(PortfolioFormatError, match=rf"^line {lineno}: {re.escape(reason)}$"):
+        parse_portfolio(text, normalize=bool(flags))
+    path = tmp_path / "p.csv"
+    path.write_text(text, encoding="utf-8")
+    assert run_rebalance_command(["--input", str(path), "--contribution", "10", *flags]) == 2, f"seed={seed}"
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: line {lineno}: {reason}\n"), f"seed={seed}"
+
+
 def test_parse_normalize_arbitrary_weights():
     text = "id,value,target\nA,100,3\nB,100,1"
     portfolio = parse_portfolio(text, normalize=True)
@@ -420,6 +469,29 @@ def test_table_final_column_past_the_float64_maximum_is_na(tmp_path, capsys):
     assert _table_column(NEAR_ZERO, "1e-7", "final", tmp_path, capsys) == ["n/a"] * 4
 
 
+#: A value written -0.00 and a target written -0 are negative zeros; the
+#: value -0.3 is a negative that rounds to zero dollars and percent.
+SIGNED_ZEROS = "z,-0.00,0.5\nt,0,-0\ns,-0.3,0\nb,100,0.5"
+
+
+def test_table_prints_negative_zeros_as_zeros(tmp_path, capsys):
+    # -0.0 prints as $0 and 0%, never $-0 or -0%; a negative that rounds
+    # to zero keeps its sign in front, -$0 and -0%; the JSON report keeps
+    # every number as it was read
+    path = tmp_path / "zeros.csv"
+    path.write_text(f"id,value,target\n{SIGNED_ZEROS}\n", encoding="utf-8")
+    argv = ["--input", str(path), "--contribution", "10", "--allow-short"]
+    assert run_rebalance_command(argv) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:6]]
+    assert rows[0][:4] == ["z", "$0", "0%", "50%"]
+    assert rows[1] == ["t", "$0", "0%", "0%", "$0", "$0", "0%"]
+    assert rows[2][:4] == ["s", "-$0", "-0%", "0%"]
+    assert run_rebalance_command([*argv, "--format", "json"]) == 0
+    assets = json.loads(capsys.readouterr().out)["assets"]
+    assert [math.copysign(1.0, asset["value"]) for asset in assets[:2]] == [-1.0, 1.0]
+    assert math.copysign(1.0, assets[1]["target"]) == -1.0
+
+
 def test_rebalance_normalize_flag(tmp_path, capsys):
     path = tmp_path / "w.csv"
     path.write_text("id,value,target\nA,600,3\nB,400,1\n")
@@ -572,6 +644,10 @@ def _report_cases():
                                ("near zero", NEAR_ZERO, 10.0), ("near zero", NEAR_ZERO, 1e-7)):
         short = parse_portfolio(f"id,value,target\n{rows}\n", allow_short=True)
         yield f"{name} budget={budget!r}", short, ns.rebalance(short, budget), None
+    # -0.0 as a value, a share, a target and a naive entry; -0.3, which
+    # rounds to a negative zero
+    zeros = parse_portfolio(f"id,value,target\n{SIGNED_ZEROS}\n", allow_short=True)
+    yield "signed zeros", zeros, ns.rebalance(zeros, 10.0), None
 
 
 def test_render_json_matches_json_dumps():
@@ -860,6 +936,25 @@ def test_project_simplex_errors(tmp_path, capsys):
     assert "no values" in capsys.readouterr().err
     assert run_project_simplex_command(["--input", str(tmp_path / "missing.txt")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("field", BAD_FIELDS, ids=BAD_FIELD_IDS)
+def test_project_simplex_bad_number_fields(field, tmp_path, capsys):
+    seed = MASTER_SEED + 130 + BAD_FIELDS.index(field)
+    rng = np.random.default_rng(seed)
+    values = [repr(v) for v in rng.uniform(-1.0, 2.0, int(rng.integers(2, 9))).tolist()]
+    bad = int(rng.integers(len(values)))
+    values[bad] = field
+    reason = "is not a finite float64" if field == "1e999" else "is not a plain decimal number"
+    assert run_project_simplex_command(["--values", ",".join(values)]) == 2, f"seed={seed}"
+    assert capsys.readouterr().err == f"error: value {bad + 1}: {field!r} {reason}\n", f"seed={seed}"
+    # a file holds a value a line, after a comment and a blank line; an
+    # empty line is blank, so a file cannot hold the empty field
+    if field:
+        path = tmp_path / "v.txt"
+        path.write_text("# values\n\n" + "\n".join(values) + "\n", encoding="utf-8")
+        assert run_project_simplex_command(["--input", str(path)]) == 2, f"seed={seed}"
+        assert capsys.readouterr().err == f"error: line {bad + 3}: {field!r} {reason}\n", f"seed={seed}"
 
 
 # -- installed entry points --------------------------------------------------

@@ -17,7 +17,10 @@ oracle: scaled by 2^j (every value staying normal), both solvers' answers
 scale by 2^j, on every l2 route; up to 4096 assets, where the l2 solve is
 one scan of the sorted gaps, permuting the deltas permutes the plan, and
 an appended delta below min(d) - budget stays unfunded and changes
-nothing else.  Runs are derandomized, so tier-1 stays deterministic.
+nothing else.  A column of CSV number fields, drawn from what float()
+reads beyond the strict grammar as well as inside it, parses to the
+per-field reference's bytes or fails at its row with its message.  Runs
+are derandomized, so tier-1 stays deterministic.
 """
 
 import math
@@ -30,9 +33,11 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import nosell as ns
 from nosell import solvers
-from nosell.cli import parse_portfolio, serialize_portfolio
+from nosell.cli import _parse_numbers, parse_portfolio, serialize_portfolio
+from nosell.portfolio import _RowError
 
 from reference_kernels import water_fill_exact
+from reference_parse import reference_parse_numbers
 
 EPS = 2.0 ** -52
 MAX_N = 12
@@ -293,6 +298,69 @@ def test_serialized_portfolio_reads_back_at_10_digits(portfolio):
     assert reparsed.values.tolist() == list(map(_ten_digits, portfolio.values.tolist()))
     assert reparsed.targets.tolist() == list(map(_ten_digits, portfolio.targets.tolist()))
     assert serialize_portfolio(reparsed) == text
+
+
+#: inf, nan and infinity, each letter in either case.
+_WORDS = st.sampled_from(["inf", "nan", "infinity"]).flatmap(
+    lambda word: st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(word, upper))
+    )
+)
+#: Texts built from what float() reads beyond the grammar (underscores,
+#: spaces, a no-break space, an Arabic-Indic digit, the words) and from
+#: what it reads inside it.
+_PIECES = st.one_of(st.sampled_from([*"0123456789+-.eE_ ", "\u00a0", "\u0661"]), _WORDS)
+#: Arabic-Indic digits in place of 0-9.
+_ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+#: A field is stripped, as both CLI commands strip it before parsing.  The
+#: floats' texts are in the grammar unless they are inf or nan, so that
+#: whole columns get through; with their digits grouped by ``_`` or
+#: written in Arabic-Indic, float() reads whole columns that the grammar
+#: refuses.
+_FIELDS = st.one_of(
+    st.lists(_PIECES, max_size=8).map("".join),
+    st.floats().map(repr),
+    st.floats(allow_nan=False).map("{:e}".format),
+    st.integers(min_value=-(10**400), max_value=10**400).map(str),
+    st.integers().map("{:_}".format),
+    st.floats(allow_nan=False).map(repr).map(lambda text: text.translate(_ARABIC_INDIC)),
+).map(str.strip)
+
+
+def test_parse_numbers_matches_the_per_field_grammar():
+    # the whole-column check must return the per-field reference's bytes,
+    # or raise at the same row with the same message; columns that float()
+    # reads whole but the grammar refuses must be among the examples
+    reached = {"parsed": 0, "refused": 0, "refused but read by float()": 0}
+
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(fields=st.lists(_FIELDS, min_size=1, max_size=6), label=st.sampled_from(["", "value ", "target "]))
+    @example(fields=["1_000"], label="value ")
+    @example(fields=["1", "\u0661\u0662"], label="target ")
+    @example(fields=["0.5", "1e999"], label="")
+    @example(fields=["NaN", "2"], label="")
+    @example(fields=["1", "0x10"], label="value ")
+    @example(fields=["3", ""], label="target ")
+    def check(fields, label):
+        try:
+            expected = reference_parse_numbers(fields, label)
+        except _RowError as exc:
+            with pytest.raises(_RowError) as raised:
+                _parse_numbers(fields, label)
+            assert (raised.value.row, str(raised.value)) == (exc.row, str(exc))
+            reached["refused"] += 1
+            try:
+                list(map(float, fields))
+                reached["refused but read by float()"] += 1
+            except ValueError:
+                pass
+        else:
+            parsed = _parse_numbers(fields, label)
+            assert parsed.dtype == np.float64 and parsed.tobytes() == expected.tobytes()
+            reached["parsed"] += 1
+
+    check()
+    assert all(reached.values()), reached
 
 
 #: Whole-cent budgets up to $1e12.  From $1e13 one ulp of an entry is
