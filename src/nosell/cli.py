@@ -20,9 +20,10 @@ import functools
 import math
 import re
 import sys
+from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -44,14 +45,20 @@ class PortfolioFormatError(ValueError):
     """Malformed portfolio file; message carries a line number."""
 
 
-def _content_lines(text: str) -> List[Tuple[int, str]]:
-    """(line number, stripped line) of every line that is neither blank
-    nor a ``#`` comment."""
-    return [
-        (lineno, line)
-        for lineno, line in enumerate(map(str.strip, text.splitlines()), start=1)
-        if line and not line.startswith("#")
-    ]
+def _lines(text: str) -> List[str]:
+    """Every line of ``text``, stripped."""
+    return list(map(str.strip, text.splitlines()))
+
+
+def _content(lines: List[str]) -> List[str]:
+    """The stripped lines that are neither blank nor a ``#`` comment."""
+    return [line for line in lines if line and line[0] != "#"]
+
+
+def _line_number(lines: List[str], row: int) -> int:
+    """The line number (1 the first) of ``_content(lines)[row]``, worked
+    out only for an error message."""
+    return [number for number, line in enumerate(lines, start=1) if line and line[0] != "#"][row]
 
 
 def _parse_numbers(fields: List[str], label: str = "") -> np.ndarray:
@@ -95,22 +102,26 @@ def parse_portfolio(text: str, normalize: bool = False, allow_short: bool = Fals
     [0, 1] and the column must sum to 1 within tolerance.  Every error
     about one row names its line.
     """
-    lines = _content_lines(text)
-    if not lines:
+    lines = _lines(text)
+    content = _content(lines)
+    if not content:
         raise PortfolioFormatError("empty portfolio file: missing header")
-    (header_lineno, header), *rows = lines
-    if tuple(field.strip() for field in header.split(",")) != _HEADER:
+    header, *rows = content
+    if tuple(map(str.strip, header.split(","))) != _HEADER:
         raise PortfolioFormatError(
-            f"line {header_lineno}: expected header 'id,value,target', got {header!r}"
+            f"line {_line_number(lines, 0)}: expected header 'id,value,target', got {header!r}"
         )
     if not rows:
         raise PortfolioFormatError("portfolio file contains no asset rows")
-    split = [line.split(",") for _, line in rows]
     try:
-        if set(map(len, split)) != {3}:
-            row = next(i for i, fields in enumerate(split) if len(fields) != 3)
-            raise _RowError(row, f"expected 3 fields, got {len(split[row])}")
-        ids, value_fields, target_fields = ([field.strip() for field in column] for column in zip(*split))
+        commas = list(map(str.count, rows, repeat(",")))
+        if set(commas) != {2}:
+            row = next(i for i, count in enumerate(commas) if count != 2)
+            raise _RowError(row, f"expected 3 fields, got {commas[row] + 1}")
+        # every row holds two commas, so the joined rows split into fields
+        # three by three
+        fields = list(map(str.strip, ",".join(rows).split(",")))
+        ids, value_fields, target_fields = fields[0::3], fields[1::3], fields[2::3]
         values = _parse_numbers(value_fields, "value ")
         targets = _parse_numbers(target_fields, "target ")
         if normalize:
@@ -134,7 +145,8 @@ def parse_portfolio(text: str, normalize: bool = False, allow_short: bool = Fals
             targets = targets / total
         return Portfolio._from_columns(tuple(ids), values, targets, allow_short)
     except _RowError as exc:
-        raise PortfolioFormatError(f"line {rows[exc.row][0]}: {exc}") from None
+        # the header is content line 0
+        raise PortfolioFormatError(f"line {_line_number(lines, exc.row + 1)}: {exc}") from None
 
 
 def serialize_portfolio(portfolio: Portfolio) -> str:
@@ -148,7 +160,7 @@ def serialize_portfolio(portfolio: Portfolio) -> str:
     values, targets = _sig10_texts(portfolio.values.tolist()), _sig10_texts(portfolio.targets.tolist())
     for asset_id, value, target in zip(portfolio.ids, values, targets):
         # the id must read back as the one content line it is
-        if "," in asset_id or _content_lines(asset_id) != [(1, asset_id)]:
+        if "," in asset_id or _content(_lines(asset_id)) != [asset_id]:
             raise ValueError(f"asset id {asset_id!r} cannot be serialized")
         lines.append(f"{asset_id},{value},{target}")
     return "\n".join(lines) + "\n"
@@ -272,21 +284,61 @@ def render_json(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Lis
     return "".join(parts)
 
 
+#: The table's number columns as the rows of one matrix: value, naive and
+#: buy in dollars, then target, final and current as fractions, which the
+#: ``%`` format writes as percents of ``x * 100.0``.
+_DOLLAR_ROWS = 3
+_ROW_SCALE = np.array([[1.0]] * _DOLLAR_ROWS + [[100.0]] * 3)
+
+
+def _cells(numbers: np.ndarray) -> List[List[str]]:
+    """The cell texts of the table's number columns, the rows of
+    ``numbers`` (see _ROW_SCALE): whole dollars, then whole percents.  The
+    caller ignores numpy's over and invalid warnings.
+
+    Each magnitude is rounded by np.rint, half to even on its binary
+    value as ``.0f`` rounds, and written as an int, then a ``-`` leads
+    each cell whose unrounded number is below zero: -0.3 prints ``-$0``
+    and -0.0 prints ``$0``.  A row holding a magnitude that is not finite,
+    or not below 2^63, takes _money's or _pct's rule instead, n/a
+    included.
+    """
+    width = numbers.shape[1]
+    magnitudes = np.multiply(numbers, _ROW_SCALE)
+    np.rint(magnitudes, magnitudes)
+    np.absolute(magnitudes, magnitudes)
+    whole = magnitudes.astype(np.int64).ravel().tolist()
+    split = _DOLLAR_ROWS * width
+    texts = list(map("${:,}".format, whole[:split]))
+    texts += map("%d%%".__mod__, whole[split:])
+    for i in (numbers.ravel() < 0.0).nonzero()[0].tolist():
+        texts[i] = "-" + texts[i]
+    rows = [texts[start : start + width] for start in range(0, len(texts), width)]
+    # the largest magnitude is nan where any is
+    if not np.maximum.reduce(magnitudes, None) < 2.0**63:
+        for row in (~(magnitudes < 2.0**63).all(axis=1)).nonzero()[0].tolist():
+            rows[row] = (_money if row < _DOLLAR_ROWS else _pct)(numbers[row].tolist())
+    return rows
+
+
+# finite entries can sum past the float64 maximum, and a total near zero
+# (or zero) gives shares that are not finite: _cells prints n/a for them
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def render_table(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[List[np.ndarray]] = None) -> str:
     """Plain-text report, whole dollars and whole percents; the JSON
     format carries the unrounded numbers."""
     total = portfolio.total
+    n = portfolio.n
     header = ("asset", "value", "current", "target", "naive", "buy", "final")
-    totalled = [(_pct, portfolio.targets), (_money, plan.naive), (_money, plan.adjustments), (_pct, plan.final_allocations)]
-    # finite entries can sum past the float64 maximum, and a total near zero
-    # (or zero) gives shares that are not finite: _money and _pct print n/a
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        shares = portfolio.values / total
-        columns = [
-            [*portfolio.ids, "total"],
-            _money([*portfolio.values.tolist(), total]),
-            _pct([*shares.tolist(), 1.0]),
-        ] + [texts([*column.tolist(), float(column.sum())]) for texts, column in totalled]
+    numbers = np.empty((6, n + 1))
+    numbers[:5, :n] = (portfolio.values, plan.naive, plan.adjustments, portfolio.targets, plan.final_allocations)
+    numbers[0, n] = total
+    np.divide(portfolio.values, total, out=numbers[5, :n])
+    numbers[5, n] = 1.0
+    # each row is summed pairwise on its own, as column.sum() sums it
+    np.add.reduce(numbers[1:5, :n], axis=1, out=numbers[1:5, n])
+    value, naive, buy, target, final, current = _cells(numbers)
+    columns = [[*portfolio.ids, "total"], value, current, target, naive, buy, final]
     widths = [max(len(name), *map(len, column)) for name, column in zip(header, columns)]
     row_format = "  ".join([f"%-{widths[0]}s"] + [f"%{w}s" for w in widths[1:]])
     rule = "  ".join("-" * w for w in widths)
@@ -390,8 +442,8 @@ def run_project_simplex_command(argv: Optional[Sequence[str]] = None) -> int:
         if args.values is not None:
             fields = [field.strip() for field in args.values.split(",")]
         else:
-            lines = _content_lines(Path(args.input).read_text(encoding="utf-8"))
-            fields = [line for _, line in lines]
+            lines = _lines(Path(args.input).read_text(encoding="utf-8"))
+            fields = _content(lines)
         if not fields:
             raise ValueError("no values supplied")
         try:
@@ -401,7 +453,7 @@ def run_project_simplex_command(argv: Optional[Sequence[str]] = None) -> int:
                 row = int(finite.argmin())
                 raise _RowError(row, f"{fields[row]!r} is not a finite float64")
         except _RowError as exc:
-            place = f"value {exc.row + 1}" if args.values is not None else f"line {lines[exc.row][0]}"
+            place = f"value {exc.row + 1}" if args.values is not None else f"line {_line_number(lines, exc.row)}"
             raise ValueError(f"{place}: {exc}") from None
         projected = simplex_mle(values)
     except (ValueError, OSError) as exc:

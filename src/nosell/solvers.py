@@ -490,12 +490,13 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
     The sorted sample picks the route, once.  Scan: up to ``_SAMPLE``
     assets it is the whole vector, and its k and t fund the unsorted gaps.
     Sparse: if at most one sampled gap in 64 lies at or below the cut, the
-    candidates are found from the deltas (_candidates) and funded into a
-    read-only plan of zeros (_scattered).  Dense: otherwise all n gaps fill
-    one buffer, each block selected in place as it is filled (_below), and
-    the buffer is refilled in input order as it is funded, unless all are
-    funded.  On both routes each round keeps its live gaps in place the
-    same way, a block at a time (_partition).  The passes over all n
+    candidates and their gaps are found from the deltas (_candidates), and
+    the gaps, in the candidates' order, are funded into a read-only plan of
+    zeros (_scattered).  Dense: otherwise all n gaps fill one buffer,
+    each block selected in place as it is filled (_below), and the buffer
+    is refilled in input order as it is funded, unless all are funded.  On
+    both routes each round keeps its live gaps in place the same way, a
+    block at a time (_partition).  The passes over all n
     entries, and the rounds over as many live gaps, run a block at a time
     (_blocks), from 2^19 entries on with a worker thread beside the caller.
     A block comes out the same on either thread, a blocked sum adds the
@@ -529,8 +530,8 @@ def solve_l2(problem: ContributionProblem) -> L2Solution:
             i = k + 2 * math.isqrt(k) + 2
             cut = min(float(sample[i]), budget) if i < m else budget
             if 64 * int(sample.searchsorted(cut, "right")) <= m:
-                k, t, idx = _settle(functools.partial(_candidates, deltas, d_max), cut, budget)
-                adjustments = _scattered(n, idx, _fund(t, np.subtract(d_max, deltas.take(idx)), budget))
+                k, t, idx, gaps = _settle(functools.partial(_candidates, deltas, d_max), cut, budget)
+                adjustments = _scattered(n, idx, _fund(t, gaps, budget))
             else:
                 gaps = _empty(n)
                 k, t = _settle(functools.partial(_below, gaps, d_max, deltas), cut, budget)
@@ -570,8 +571,10 @@ def _settle(cut_at, cut: float, budget: float):
 
 
 def _candidates(deltas: np.ndarray, d_max: float, cut: float):
-    """``(gaps, total, top, idx)``: the gaps of the deltas at ``idx``, which
-    hold every gap ``<= cut``, their sum and the largest of them.
+    """``(live, total, top, idx, gaps)``: the gaps of the deltas at
+    ``idx``, which hold every gap ``<= cut``, as ``gaps`` in the order of
+    ``idx`` and as a copy ``live`` for _settle to reorder, their sum and
+    the largest of them.
 
     Found in delta space, as ``d_i >= c`` for the float c = max(d) - cut.
     No float lies between c and the exact difference, the float nearest
@@ -587,7 +590,7 @@ def _candidates(deltas: np.ndarray, d_max: float, cut: float):
 
     idx = np.concatenate(_blocks(found, deltas.size))
     gaps = np.subtract(d_max, deltas.take(idx))
-    return gaps, float(gaps.sum()), float(gaps.max()), idx
+    return gaps.copy(), float(gaps.sum()), float(gaps.max()), idx, gaps
 
 
 def _below(gaps: np.ndarray, d_max: float, deltas: np.ndarray, cut: float):

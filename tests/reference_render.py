@@ -1,4 +1,5 @@
-"""Reference renderers for the differential tests in test_cli.py.
+"""Reference renderers for the differential tests in test_cli.py and
+test_properties.py.
 
 ``reference_render_table`` is a cell-by-cell implementation of the
 ``rebalance`` table report: each number is read from the numpy arrays one
@@ -6,6 +7,11 @@ element at a time and each cell is padded with ``ljust``/``rjust``; a
 dollar that is not finite, or a percent column holding one, prints n/a,
 and a zero of either sign prints $0 or 0%.
 ``nosell.cli.render_table`` must produce the same text.
+
+``money_texts`` and ``pct_texts`` write a whole column at once, a
+formatted float per number: whole dollars with ``n/a`` for each number
+that is not finite, and whole percents with ``n/a`` throughout when any
+is not.  ``nosell.cli._cells`` must write the same texts.
 
 ``reference_plan_to_dict`` builds the JSON report's document one number
 at a time with the scalar 10-digit rule; ``nosell.cli.render_json`` must
@@ -81,6 +87,24 @@ def _pct(fractions):
         return ["n/a"] * len(percents)
     # a zero of either sign prints 0%
     return [f"{percent:.0f}%" if percent else "0%" for percent in percents]
+
+
+def money_texts(column):
+    """Whole dollars, one text per number; ``n/a`` for one that is not
+    finite (the texts inf and nan are the only ones with an ``n``).  A
+    zero prints ``$0`` whatever its sign: -0.0 + 0.0 is 0.0."""
+    texts = [f"-${-x:,.0f}" if x < 0 else f"${x + 0.0:,.0f}" for x in column]
+    if "n" in "".join(texts):
+        texts = ["n/a" if "n" in text else text for text in texts]
+    return texts
+
+
+def pct_texts(column):
+    """Whole percents of fractions (the ``%`` format is ``f`` of ``x *
+    100.0``, then ``%``), or ``n/a`` throughout when any is not finite.  A
+    zero prints ``0%`` whatever its sign."""
+    texts = [f"{x + 0.0:.0%}" for x in column]
+    return ["n/a"] * len(texts) if "n" in "".join(texts) else texts
 
 
 def reference_render_table(portfolio, plan, samples=None):

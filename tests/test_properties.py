@@ -19,7 +19,12 @@ one scan of the sorted gaps, permuting the deltas permutes the plan, and
 an appended delta below min(d) - budget stays unfunded and changes
 nothing else.  A column of CSV number fields, drawn from what float()
 reads beyond the strict grammar as well as inside it, parses to the
-per-field reference's bytes or fails at its row with its message.  Runs
+per-field reference's bytes or fails at its row with its message.  A
+whole portfolio file, with comments, blank lines, every line break that
+str.splitlines knows, Unicode whitespace around fields and wrong field
+counts, parses to the line-by-line reference's portfolio or fails with
+its message.  The table's cells, over the whole float64 range with
+infinities and NaN, are the texts of the per-number float format.  Runs
 are derandomized, so tier-1 stays deterministic.
 """
 
@@ -33,11 +38,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import nosell as ns
 from nosell import solvers
-from nosell.cli import _parse_numbers, parse_portfolio, serialize_portfolio
+from nosell.cli import _cells, _parse_numbers, parse_portfolio, serialize_portfolio
 from nosell.portfolio import _RowError
 
 from reference_kernels import water_fill_exact
-from reference_parse import reference_parse_numbers
+from reference_parse import reference_parse_numbers, reference_parse_portfolio
+from reference_render import money_texts, pct_texts
 
 EPS = 2.0 ** -52
 MAX_N = 12
@@ -358,6 +364,118 @@ def test_parse_numbers_matches_the_per_field_grammar():
             parsed = _parse_numbers(fields, label)
             assert parsed.dtype == np.float64 and parsed.tobytes() == expected.tobytes()
             reached["parsed"] += 1
+
+    check()
+    assert all(reached.values()), reached
+
+
+#: What str.splitlines splits a line at.
+_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+#: Whitespace that str.strip takes off and str.splitlines does not split at.
+_SPACES = st.text(st.sampled_from(" \t\x1f\u00a0\u2003\u3000"), max_size=2)
+#: Ids with a ``#`` inside or in front, a space inside, or none at all.
+_CSV_IDS = st.text(st.sampled_from("ab#\u00e9 "), max_size=3)
+#: Number fields inside the grammar and out of it; the targets are often
+#: weights that sum to 1.
+_CSV_NUMBERS = st.one_of(
+    st.sampled_from(["0", "1", "0.5", "0.25", "-1", "1e999", "12_000", "x", "", ".5", "-0", "1#"]),
+    st.floats(min_value=0.0, max_value=1e6).map(repr),
+)
+
+
+@st.composite
+def csv_texts(draw):
+    """A portfolio file: a header, rows of three fields (sometimes two or
+    four), comment and blank lines between them, each line ended by any
+    break that str.splitlines knows, each field padded by whitespace."""
+    header = draw(st.sampled_from([["id", "value", "target"], ["id", "value"], ["id", "val", "target"]]))
+    rows = [header] if draw(st.integers(0, 9)) else []
+    for _ in range(draw(st.integers(0, 5))):
+        fields = [draw(_CSV_IDS), draw(_CSV_NUMBERS), draw(_CSV_NUMBERS)]
+        rows.append(draw(st.sampled_from([fields, fields, fields, fields[:2], fields + ["0"]])))
+    lines = []
+    for fields in rows:
+        lines += draw(st.lists(st.sampled_from(["", "  ", "# note", " #x,1,2", "#"]), max_size=2))
+        lines.append(",".join(draw(_SPACES) + field + draw(_SPACES) for field in fields))
+    return "".join(line + draw(_BREAKS) for line in lines)
+
+
+def _parsed(parse, text, normalize, allow_short):
+    """The portfolio's bytes, or the error's type and message."""
+    try:
+        portfolio = parse(text, normalize=normalize, allow_short=allow_short)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return portfolio.ids, portfolio.values.tobytes(), portfolio.targets.tobytes(), portfolio.total.hex()
+
+
+def test_parse_portfolio_matches_the_line_by_line_reader():
+    # the whole-file split must give the reference's portfolio, or its
+    # error with the same line number
+    reached = {"parsed": 0, "refused": 0, "row refused": 0}
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(text=csv_texts(), normalize=st.booleans(), allow_short=st.booleans())
+    @example(text="# c\r\n\r\nid , value,target\r\na#1,\u00a05 ,1\r\n\x85b,2,0\x1c", normalize=False, allow_short=False)
+    @example(text="id,value,target\u2028a,1,0.5,0\u2029#\nb,1,0.5", normalize=False, allow_short=False)
+    @example(text="id,value,target\x0bA,1,1\x0cB,2\x1d", normalize=True, allow_short=False)
+    def check(text, normalize, allow_short):
+        expected = _parsed(reference_parse_portfolio, text, normalize, allow_short)
+        assert _parsed(parse_portfolio, text, normalize, allow_short) == expected
+        if len(expected) == 4:
+            reached["parsed"] += 1
+        else:
+            reached["refused"] += 1
+            reached["row refused"] += expected[1].startswith("line ") and "header" not in expected[1]
+
+    check()
+    assert all(reached.values()), reached
+
+
+#: The float64 below 2^63, whose magnitude is the last that int64 holds.
+_BELOW_2_63 = math.nextafter(2.0**63, 0.0)
+#: Dollars where the table's rounding changes hands: zeros of both signs,
+#: a negative that rounds to zero, ties, the float64 integers from 2^52
+#: on, and the ends of int64.
+_MONEY_EDGES = [0.0, -0.0, -0.3, 0.5, -0.5, 1.5, 2.5, -2.5, 0.49999999999999994, 2.0**52 - 0.5, 2.0**52,
+                -(2.0**52), 2.0**53, -(2.0**53) - 2.0, _BELOW_2_63, -_BELOW_2_63]
+#: The same for the percent rows, as fractions.
+_PCT_EDGES = [0.0, -0.0, -0.003, 0.005, -0.005, 0.015, 0.025, -0.025, 2.0**52 / 100, 2.0**53 / 100,
+              -(2.0**53) / 100, _BELOW_2_63 / 100, -_BELOW_2_63 / 100, 0.01, 1.0, -1.0]
+#: Numbers over the whole range, infinities and NaN included, and more
+#: often where the table writes digits: ties of dollars and percents, and
+#: magnitudes around 2^63.
+_CELL_NUMBERS = st.one_of(
+    st.floats(),
+    st.floats(min_value=-1e7, max_value=1e7),
+    st.integers(min_value=-10**7, max_value=10**7).map(lambda k: k + 0.5),
+    st.integers(min_value=-10**5, max_value=10**5).map(lambda k: (k + 0.5) / 100),
+    st.floats(min_value=-(2.0**64), max_value=2.0**64),
+    st.sampled_from([2.0**63, -(2.0**63), math.inf, -math.inf, math.nan, *_MONEY_EDGES, *_PCT_EDGES]),
+)
+_CELL_ROWS = st.integers(min_value=1, max_value=5).flatmap(
+    lambda width: st.lists(st.lists(_CELL_NUMBERS, min_size=width, max_size=width), min_size=6, max_size=6)
+)
+
+
+def test_table_cells_match_the_per_number_format():
+    # the rounded-int texts must be the formatted floats' texts, and a row
+    # that int64 cannot hold must still print the scalar rule's n/a
+    reached = {"int64 rows": 0, "scalar rule rows": 0, "negative cells": 0}
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(rows=_CELL_ROWS)
+    @example(rows=[_MONEY_EDGES] * 3 + [_PCT_EDGES] * 3)
+    @example(rows=[[2.0**63, -(2.0**63), 1.0]] * 3 + [[2.0**63 / 100, -(2.0**63) / 100, 0.01]] * 3)
+    @example(rows=[[math.inf, -0.3, 2.5], [math.nan, 1.0, -0.0], [-math.inf, 0.5, 1.5]] * 2)
+    def check(rows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells = _cells(np.array(rows))
+        assert cells == [money_texts(row) for row in rows[:3]] + [pct_texts(row) for row in rows[3:]]
+        for row, scale in zip(rows, [1.0] * 3 + [100.0] * 3):
+            fits = all(abs(x * scale) < 2.0**62 for x in row)
+            reached["int64 rows" if fits else "scalar rule rows"] += 1
+            reached["negative cells"] += fits and any(x < 0 for x in row)
 
     check()
     assert all(reached.values()), reached
