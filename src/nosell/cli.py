@@ -203,24 +203,6 @@ def _sig10_texts(column: List[float]) -> List[str]:
     return [text if "." in text or "e" in text else text + ".0" for text in texts]
 
 
-def _money(column: List[float]) -> List[str]:
-    """Whole dollars, one text per number; ``n/a`` for one that is not
-    finite (the texts inf and nan are the only ones with an ``n``).  A
-    zero prints ``$0`` whatever its sign: -0.0 + 0.0 is 0.0."""
-    texts = [f"-${-x:,.0f}" if x < 0 else f"${x + 0.0:,.0f}" for x in column]
-    if "n" in "".join(texts):
-        texts = ["n/a" if "n" in text else text for text in texts]
-    return texts
-
-
-def _pct(column: List[float]) -> List[str]:
-    """Whole percents of fractions (the ``%`` format is ``f`` of ``x *
-    100.0``, then ``%``), or ``n/a`` throughout when any is not finite.  A
-    zero prints ``0%`` whatever its sign."""
-    texts = [f"{x + 0.0:.0%}" for x in column]
-    return ["n/a"] * len(texts) if "n" in "".join(texts) else texts
-
-
 #: Per-asset fields of the JSON report, in output order.
 _ASSET_FIELDS = ("id", "value", "target", "naive", "adjustment", "adjustment_cents", "final_allocation")
 
@@ -299,51 +281,62 @@ def _cells(numbers: np.ndarray) -> List[List[str]]:
     Each magnitude is rounded by np.rint, half to even on its binary
     value as ``.0f`` rounds, and written as an int, then a ``-`` leads
     each cell whose unrounded number is below zero: -0.3 prints ``-$0``
-    and -0.0 prints ``$0``.  A row holding a magnitude that is not finite,
-    or not below 2^63, takes _money's or _pct's rule instead, n/a
-    included.
+    and -0.0 prints ``$0``.  A finite magnitude past int64 is written as
+    its exact int.  A dollar whose magnitude is not finite prints n/a, and
+    so does every cell of a percent row that holds one: the magnitude is
+    the percent, so a fraction whose ``x * 100.0`` overflows prints n/a.
     """
     width = numbers.shape[1]
     magnitudes = np.multiply(numbers, _ROW_SCALE)
     np.rint(magnitudes, magnitudes)
     np.absolute(magnitudes, magnitudes)
     whole = magnitudes.astype(np.int64).ravel().tolist()
+    # the largest magnitude is nan where any is
+    wide = not np.maximum.reduce(magnitudes, None) < 2.0**63
+    if wide:
+        finite = np.isfinite(magnitudes)
+        for i in (finite & (magnitudes >= 2.0**63)).ravel().nonzero()[0].tolist():
+            whole[i] = int(magnitudes.flat[i])
     split = _DOLLAR_ROWS * width
     texts = list(map("${:,}".format, whole[:split]))
     texts += map("%d%%".__mod__, whole[split:])
     for i in (numbers.ravel() < 0.0).nonzero()[0].tolist():
         texts[i] = "-" + texts[i]
-    rows = [texts[start : start + width] for start in range(0, len(texts), width)]
-    # the largest magnitude is nan where any is
-    if not np.maximum.reduce(magnitudes, None) < 2.0**63:
-        for row in (~(magnitudes < 2.0**63).all(axis=1)).nonzero()[0].tolist():
-            rows[row] = (_money if row < _DOLLAR_ROWS else _pct)(numbers[row].tolist())
-    return rows
+    if wide:
+        finite[_DOLLAR_ROWS:] = finite[_DOLLAR_ROWS:].all(axis=1, keepdims=True)
+        for i in (~finite).ravel().nonzero()[0].tolist():
+            texts[i] = "n/a"
+    return [texts[start : start + width] for start in range(0, len(texts), width)]
 
 
-# finite entries can sum past the float64 maximum, and a total near zero
-# (or zero) gives shares that are not finite: _cells prints n/a for them
-@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def render_table(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[List[np.ndarray]] = None) -> str:
     """Plain-text report, whole dollars and whole percents; the JSON
     format carries the unrounded numbers."""
     total = portfolio.total
     n = portfolio.n
-    header = ("asset", "value", "current", "target", "naive", "buy", "final")
-    numbers = np.empty((6, n + 1))
+    numbers = np.zeros((6, n + 2))
     numbers[:5, :n] = (portfolio.values, plan.naive, plan.adjustments, portfolio.targets, plan.final_allocations)
     numbers[0, n] = total
-    np.divide(portfolio.values, total, out=numbers[5, :n])
     numbers[5, n] = 1.0
-    # each row is summed pairwise on its own, as column.sum() sums it
-    np.add.reduce(numbers[1:5, :n], axis=1, out=numbers[1:5, n])
-    value, naive, buy, target, final, current = _cells(numbers)
-    columns = [[*portfolio.ids, "total"], value, current, target, naive, buy, final]
-    widths = [max(len(name), *map(len, column)) for name, column in zip(header, columns)]
+    # the last column holds the budget in the value row and zeros below,
+    # whose cells ($0, 0%) are narrower than any header and which zip drops
+    numbers[0, n + 1] = plan.budget
+    # finite entries can sum past the float64 maximum, and a total near zero
+    # (or zero) gives shares that are not finite: _cells prints n/a for them
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        np.divide(portfolio.values, total, out=numbers[5, :n])
+        # each row is summed pairwise on its own, as column.sum() sums it
+        np.add.reduce(numbers[1:5, :n], axis=1, out=numbers[1:5, n])
+        value, naive, buy, target, final, current = _cells(numbers)
+    contribution = value.pop()
+    columns = [["asset", *portfolio.ids, "total"], ["value", *value], ["current", *current], ["target", *target],
+               ["naive", *naive], ["buy", *buy], ["final", *final]]
+    widths = [max(map(len, column)) for column in columns]
     row_format = "  ".join([f"%-{widths[0]}s"] + [f"%{w}s" for w in widths[1:]])
-    rule = "  ".join("-" * w for w in widths)
-    rows = list(map(row_format.__mod__, zip(*columns)))
-    lines = [row_format % header, rule, *rows[:-1], rule, rows[-1]]
+    rule = "  ".join(["-" * w for w in widths])
+    lines = list(map(row_format.__mod__, zip(*columns)))
+    lines.insert(1, rule)
+    lines.insert(-1, rule)
     if isinstance(plan.solution, L2Solution):
         certificate = f"k* = {plan.solution.active_count}, lambda* = {plan.solution.threshold:.10g}"
     elif plan.solution.case is L1Case.DEFICIT:
@@ -351,9 +344,7 @@ def render_table(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Li
     else:
         certificate = f"case = surplus, slack = {plan.solution.slack:.10g}"
     lines.append("")
-    lines.append(
-        f"contribution {_money([plan.budget])[0]} allocated under {plan.norm.value}; {certificate}"
-    )
+    lines.append(f"contribution {contribution} allocated under {plan.norm.value}; {certificate}")
     if samples:
         lines.append("")
         lines.append(f"sampled l1 members ({len(samples)}):")

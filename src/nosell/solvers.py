@@ -92,11 +92,16 @@ def _to_float(value) -> float:
 
 
 def _to_floats(values) -> np.ndarray:
-    """``values`` as a flat float64 array, each entry read as by _to_float."""
+    """``values`` as a flat float64 array, each entry read as by _to_float.
+    A scalar is one entry; input of more than one dimension raises
+    ValueError, since flattening it would solve a batch as one problem."""
     try:
-        return np.asarray(values, dtype=np.float64).reshape(-1)
+        array = np.asarray(values, dtype=np.float64)
     except OverflowError:
-        return np.array([_to_float(v) for v in np.asarray(values, dtype=object).reshape(-1)])
+        array = np.vectorize(_to_float, otypes=[np.float64])(np.asarray(values, dtype=object))
+    if array.ndim > 1:
+        raise ValueError(f"expected a flat vector, got an array of shape {array.shape}")
+    return array.reshape(-1)
 
 
 def _check_budget(budget: float) -> float:

@@ -1,6 +1,7 @@
 """CLI behavior: parsing, serialization round-trips, report formats,
 exit codes, and the sampling flags."""
 
+import dataclasses
 import importlib
 import itertools
 import json
@@ -30,7 +31,7 @@ from nosell.cli import (
 
 from helpers import MASTER_SEED, assets_of, random_portfolio
 from oracles import l1_objective
-from reference_render import reference_plan_to_dict, reference_render_table
+from reference_render import money_texts, reference_plan_to_dict, reference_render_table
 
 GOLDEN_CSV = """\
 # five-asset test portfolio, total 10000
@@ -673,12 +674,26 @@ def test_render_json_number_forms_and_escapes():
         assert escaped in text
 
 
+#: Budgets that a hand-built plan may hold and rebalance refuses: a
+#: negative zero, negatives, numbers past int64 and numbers that are not
+#: finite.
+ODD_BUDGETS = (-0.0, -0.3, -2.5, -1e19, 1e19, 2.0**63, 1.7976931348623157e308, math.inf, -math.inf, math.nan)
+
+
 def test_render_table_matches_reference():
     tables = []
     for label, portfolio, plan, samples in _report_cases():
         tables.append(render_table(portfolio, plan, samples))
         assert tables[-1] == reference_render_table(portfolio, plan, samples), label
     assert any("n/a" in table for table in tables)
+    # the contribution line writes the budget as a dollar cell, which never
+    # widens the value column
+    portfolio = _wide_portfolio(np.random.default_rng(MASTER_SEED + 92), 5)
+    for budget in ODD_BUDGETS:
+        plan = dataclasses.replace(ns.rebalance(portfolio, 100.0), budget=budget)
+        table = render_table(portfolio, plan)
+        assert table == reference_render_table(portfolio, plan), budget
+        assert f"\ncontribution {money_texts([budget])[0]} allocated under l2; " in table, budget
 
 
 # -- the JSON report's column encoder ----------------------------------------

@@ -459,22 +459,27 @@ _CELL_ROWS = st.integers(min_value=1, max_value=5).flatmap(
 
 
 def test_table_cells_match_the_per_number_format():
-    # the rounded-int texts must be the formatted floats' texts, and a row
-    # that int64 cannot hold must still print the scalar rule's n/a
-    reached = {"int64 rows": 0, "scalar rule rows": 0, "negative cells": 0}
+    # the rounded-int texts must be the formatted floats' texts, also in a
+    # row past int64 (exact ints) or holding a number that is not finite
+    # (n/a), where the scaled magnitude decides: a percent can overflow
+    reached = {"int64 rows": 0, "wide rows": 0, "negative cells": 0}
 
     @settings(max_examples=500, derandomize=True, deadline=None)
     @given(rows=_CELL_ROWS)
     @example(rows=[_MONEY_EDGES] * 3 + [_PCT_EDGES] * 3)
     @example(rows=[[2.0**63, -(2.0**63), 1.0]] * 3 + [[2.0**63 / 100, -(2.0**63) / 100, 0.01]] * 3)
     @example(rows=[[math.inf, -0.3, 2.5], [math.nan, 1.0, -0.0], [-math.inf, 0.5, 1.5]] * 2)
+    @example(rows=[[1e19, math.inf, -(2.0**70)], [math.nan, -1e19, 2.0**64], [2.0**63, -math.inf, 0.5],
+                   [1e17, math.nan, 0.5], [-1e19, 0.01, 2.0**63], [-math.inf, -1e17, 0.0]])
+    @example(rows=[[0.5, -2.5, 1.5]] * 3 + [[1.797693134862316e+306, 0.5, -0.0], [-1.797693134862316e+306, 1.0, 0.25],
+                                            [1e306, -1e306, 0.015]])
     def check(rows):
         with np.errstate(over="ignore", invalid="ignore"):
             cells = _cells(np.array(rows))
         assert cells == [money_texts(row) for row in rows[:3]] + [pct_texts(row) for row in rows[3:]]
         for row, scale in zip(rows, [1.0] * 3 + [100.0] * 3):
             fits = all(abs(x * scale) < 2.0**62 for x in row)
-            reached["int64 rows" if fits else "scalar rule rows"] += 1
+            reached["int64 rows" if fits else "wide rows"] += 1
             reached["negative cells"] += fits and any(x < 0 for x in row)
 
     check()

@@ -60,6 +60,33 @@ def _is_pooled(arr):
     return isinstance(arr.base, memoryview) and arr.ctypes.data % (1 << 21) == 0
 
 
+def test_entry_points_refuse_nested_input():
+    # flattening a batch would solve it as one problem, so every vector
+    # must be flat; a 0-d scalar stays one entry
+    rng = np.random.default_rng((MASTER_SEED, 37))
+    for draw in range(12):
+        shape = tuple(rng.integers(1, 4, size=int(rng.integers(2, 4))).tolist())
+        deltas = rng.uniform(-1.0, 1.0, shape)
+        flat = ns.ContributionProblem(deltas.ravel(), 1.0)
+        plan = ns.solve_l2(flat).adjustments.reshape(shape)
+        for name, call in (
+            ("ContributionProblem", lambda: ns.ContributionProblem(deltas, 1.0)),
+            ("simplex_mle", lambda: ns.simplex_mle(deltas.tolist())),
+            ("kkt_check_l2", lambda: ns.kkt_check_l2(flat, plan, 0.0)),
+            ("is_l1_optimal", lambda: ns.is_l1_optimal(flat, plan)),
+            ("round_to_cents", lambda: ns.round_to_cents(plan.tolist(), 1.0)),
+        ):
+            with pytest.raises(ValueError, match=r"flat vector.*shape"):
+                call()
+                pytest.fail(f"seed={MASTER_SEED} draw={draw} shape={shape}: {name} took nested input")
+    # an int past float64 in a nested list takes the same check
+    with pytest.raises(ValueError, match=r"flat vector.*shape \(2, 1\)"):
+        ns.ContributionProblem([[10**400], [1.0]], 1.0)
+    assert ns.ContributionProblem(np.float64(2.5), 1.0).deltas.tolist() == [2.5]
+    assert ns.simplex_mle(-3.0).tolist() == [1.0]
+    assert ns.round_to_cents(1.0, 1.0).tolist() == [100]
+
+
 def test_large_arrays_get_their_own_map(monkeypatch, worked_problem):
     # from 4 MiB up to 16 MiB, the problem's copy and the l2 plan live in
     # 2 MiB-aligned buffers from the pool; the answers are the same bits as
@@ -67,7 +94,7 @@ def test_large_arrays_get_their_own_map(monkeypatch, worked_problem):
     # assets (the sparse route, whose plan is zeros with the funded entries
     # written in), budget 1e8 tens of thousands (the dense route, whose plan
     # is the gap buffer)
-    raw = np.random.default_rng(MASTER_SEED + 10).uniform(-1e4, 1e4, (512, 2048))[:, ::2]
+    raw = np.random.default_rng(MASTER_SEED + 10).uniform(-1e4, 1e4, 512 * 2048)[::2]
     expected = raw.flatten()
     problem = ns.ContributionProblem(raw, 1e3)
     raw[:] = 0.0
