@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Tuple, Union
 
 import numpy as np
@@ -128,6 +127,10 @@ class Portfolio:
         total = _total(values)
         if not math.isfinite(total):
             # numpy's partial sums passed the float64 maximum; the exact total may not
+            # fractions (with decimal and numbers) is imported here alone:
+            # it would cost every start-up about 4 ms
+            from fractions import Fraction
+
             try:
                 total = float(sum(map(Fraction, values.tolist())))
             except OverflowError:

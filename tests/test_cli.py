@@ -680,12 +680,94 @@ def test_render_json_number_forms_and_escapes():
 ODD_BUDGETS = (-0.0, -0.3, -2.5, -1e19, 1e19, 2.0**63, 1.7976931348623157e308, math.inf, -math.inf, math.nan)
 
 
-def test_render_table_matches_reference():
+#: The last float64 whose magnitude int64 holds.
+BELOW_2_63 = math.nextafter(2.0**63, 0.0)
+#: Dollars where the grid's texts change: zeros of both signs, negatives
+#: that round to zero, ties, roll-overs to one more digit group (999.5 and
+#: 999999.5 round up to $1,000 and $1,000,000), and magnitudes up to the
+#: last one int64 holds.
+GRID_DOLLARS = (0.0, -0.0, -0.3, -0.5, 2.5, -2.5, 99.5, -999.5, 1000.0, -12345.5, 999999.5, -1234567.0, 1e15,
+                -(2.0**53), BELOW_2_63, -BELOW_2_63)
+#: Fractions for the percent columns: zeros of both signs, a negative that
+#: rounds to zero, ties, 1 000% and more, and the last int64 percent.
+GRID_FRACTIONS = (0.0, -0.0, -0.003, 0.005, -0.995, 9.995, 10.0, -12.5, 1234.5678, -(2.0**53) / 100,
+                  BELOW_2_63 / 100, -BELOW_2_63 / 100)
+#: Ids that hold a NUL, which pads like any other character.
+NUL_IDS = ("nul\x00id", "\x00", "trailing\x00")
+
+
+def _column(rng, edges, rows):
+    """``rows`` numbers: the edges in a seeded order, then uniform ones."""
+    column = rng.uniform(-1e6, 1e6, rows)
+    column[: len(edges)] = rng.permutation(edges)
+    return column
+
+
+def _straddle_cases():
+    """(label, portfolio, plan, the writer that must write it) at one row
+    below the grid's cutoff, at it and one row past it: a plan with short
+    and zero values, awkward and NUL ids; the same with every GRID_DOLLARS
+    entry in the naive and buy columns and every GRID_FRACTIONS entry in
+    the final one; the same with a naive entry at or past 2**63; and
+    NEAR_ZERO padded to the row count, whose current and final columns
+    are n/a."""
+    seed = MASTER_SEED + 95
+    rng = np.random.default_rng(seed)
+    for rows in (cli._GRID_ROWS - 1, cli._GRID_ROWS, cli._GRID_ROWS + 1):
+        label = f"seed={seed} rows={rows}"
+        writer = "grid" if rows >= cli._GRID_ROWS else "cells"
+        ids = [*AWKWARD_IDS, *NUL_IDS]
+        ids += [f"a{i}" for i in range(rows - len(ids))]
+        values = rng.lognormal(9.0, 1.5, rows)
+        values[:3] = (-0.0, -1500.25, 0.0)
+        targets = rng.dirichlet(np.ones(rows))
+        portfolio = ns.Portfolio(map(ns.Asset, ids, values.tolist(), targets.tolist()), allow_short=True)
+        plan = ns.rebalance(portfolio, 5000.0)
+        yield label, portfolio, plan, writer
+        edges = dataclasses.replace(plan, naive=_column(rng, GRID_DOLLARS, rows),
+                                    adjustments=_column(rng, GRID_DOLLARS[::-1], rows),
+                                    final_allocations=_column(rng, GRID_FRACTIONS, rows))
+        yield label + " edges", portfolio, edges, writer
+        for past in (2.0**63, -1e19):
+            naive = edges.naive.copy()
+            naive[rows // 2] = past
+            yield label + f" naive {past!r}", portfolio, dataclasses.replace(edges, naive=naive), "cells"
+        padding = "".join(f"\np{i},0,0" for i in range(rows - 3))
+        short = parse_portfolio(f"id,value,target\n{NEAR_ZERO}{padding}\n", allow_short=True)
+        for budget in (10.0, 1e-7):
+            yield label + f" near zero budget={budget!r}", short, ns.rebalance(short, budget), "cells"
+
+
+def test_render_table_matches_reference(monkeypatch):
+    # both writers must be reached: at the cutoff straddling cases, the
+    # grid from the cutoff on, _cells below it and for a table holding a
+    # magnitude past int64 or n/a
+    reached = {"grid": 0, "cells": 0}
+    grid, cells = cli._grid, cli._cells
+
+    def counted_grid(*args):
+        table = grid(*args)
+        reached["grid"] += table is not None
+        return table
+
+    def counted_cells(*args):
+        reached["cells"] += 1
+        return cells(*args)
+
+    monkeypatch.setattr(cli, "_grid", counted_grid)
+    monkeypatch.setattr(cli, "_cells", counted_cells)
     tables = []
     for label, portfolio, plan, samples in _report_cases():
         tables.append(render_table(portfolio, plan, samples))
         assert tables[-1] == reference_render_table(portfolio, plan, samples), label
+    for label, portfolio, plan, writer in _straddle_cases():
+        before = reached[writer]
+        tables.append(render_table(portfolio, plan))
+        assert tables[-1] == reference_render_table(portfolio, plan), label
+        assert reached[writer] == before + 1, label
+    assert all(reached.values()), reached
     assert any("n/a" in table for table in tables)
+    assert any("$9,223,372,036,854,774,784" in table for table in tables)
     # the contribution line writes the budget as a dollar cell, which never
     # widens the value column
     portfolio = _wide_portfolio(np.random.default_rng(MASTER_SEED + 92), 5)

@@ -44,3 +44,26 @@ def test_import_surface():
     assert surface["modules"] == ["nosell", "nosell.cli", "nosell.portfolio", "nosell.solvers"]
     assert surface["missing"] == []
     assert surface["exported"] == []
+
+
+LAZY_PROBE = """
+import json, sys
+import numpy
+before = set(sys.modules)
+import %s
+print(json.dumps({"numpy": "fractions" in before, "nosell": "fractions" in sys.modules}))
+"""
+
+
+def test_import_leaves_fractions_unloaded():
+    # fractions (and decimal and numbers with it) serves one fallback of
+    # Portfolio's total, which imports it; nosell's start-up does not pay
+    # for it where numpy's does not
+    env = dict(os.environ)
+    src = str(Path(nosell.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for module in ("nosell", "nosell.cli"):
+        out = subprocess.run([sys.executable, "-c", LAZY_PROBE % module], capture_output=True, text=True, check=True,
+                             env=env).stdout
+        loaded = json.loads(out)
+        assert loaded["nosell"] == loaded["numpy"], (module, loaded)

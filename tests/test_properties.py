@@ -24,8 +24,10 @@ whole portfolio file, with comments, blank lines, every line break that
 str.splitlines knows, Unicode whitespace around fields and wrong field
 counts, parses to the line-by-line reference's portfolio or fails with
 its message.  The table's cells, over the whole float64 range with
-infinities and NaN, are the texts of the per-number float format.  Runs
-are derandomized, so tier-1 stays deterministic.
+infinities and NaN, are the texts of the per-number float format, and
+the byte grid of a large table lays out those texts as a cell-by-cell
+layout does, beside ids of any characters.  Runs are derandomized, so
+tier-1 stays deterministic.
 """
 
 import math
@@ -38,7 +40,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import nosell as ns
 from nosell import solvers
-from nosell.cli import _cells, _parse_numbers, parse_portfolio, serialize_portfolio
+from nosell.cli import _cells, _grid, _parse_numbers, parse_portfolio, serialize_portfolio
 from nosell.portfolio import _RowError
 
 from reference_kernels import water_fill_exact
@@ -481,6 +483,51 @@ def test_table_cells_match_the_per_number_format():
             fits = all(abs(x * scale) < 2.0**62 for x in row)
             reached["int64 rows" if fits else "wide rows"] += 1
             reached["negative cells"] += fits and any(x < 0 for x in row)
+
+    check()
+    assert all(reached.values()), reached
+
+
+TABLE_HEADERS = ("asset", "value", "current", "target", "naive", "buy", "final")
+#: Tables of one to five assets and the total: six number rows, and an id
+#: per asset from any characters, NUL, % and astral ones included.
+_GRID_TABLES = st.integers(min_value=2, max_value=6).flatmap(lambda width: st.tuples(
+    st.lists(st.lists(_CELL_NUMBERS, min_size=width, max_size=width), min_size=6, max_size=6),
+    st.lists(st.text(st.characters(codec="utf-8"), max_size=6), min_size=width - 1, max_size=width - 1),
+))
+
+
+def test_grid_lays_out_the_cells_texts():
+    # the grid writes the whole table as _cells' texts laid out cell by
+    # cell, or refuses it when a magnitude is past int64 or not finite
+    reached = {"grid": 0, "refused": 0, "negative cells": 0, "1 000% or more": 0}
+
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    @given(table=_GRID_TABLES)
+    @example(table=([_MONEY_EDGES] * 3 + [_PCT_EDGES] * 3, ["naïve €", "x\x00", "%s"] + ["a"] * 12))
+    @example(table=([[-0.3, 999.5, -1e15]] * 3 + [[-0.003, 99.995, -12.5]] * 3, ["\U0001F600", "%%"]))
+    @example(table=([[2.0**63, 1.0]] * 6, ["a"]))
+    def check(table):
+        rows, ids = table
+        numbers = np.array(rows)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = _grid(numbers, tuple(ids), TABLE_HEADERS)
+            value, naive, buy, target, final, current = _cells(numbers)
+        scaled = [x * scale for row, scale in zip(rows, [1.0] * 3 + [100.0] * 3) for x in row]
+        if not all(math.isfinite(x) and abs(round(x)) < 2**63 for x in scaled):
+            assert grid is None
+            reached["refused"] += 1
+            return
+        columns = [[*ids, "total"], value, current, target, naive, buy, final]
+        widths = [max(len(header), *map(len, column)) for header, column in zip(TABLE_HEADERS, columns)]
+        lines = [[header.ljust(widths[0]) if c == 0 else header.rjust(widths[c]) for c, header in enumerate(TABLE_HEADERS)]]
+        lines += [[cell.ljust(widths[0]) if c == 0 else cell.rjust(widths[c]) for c, cell in enumerate(row)]
+                  for row in zip(*columns)]
+        lines = ["  ".join(line) for line in lines]
+        assert grid == (widths, [lines[0], "\n".join(lines[1:-1]), lines[-1]])
+        reached["grid"] += 1
+        reached["negative cells"] += any(x < 0 for row in rows for x in row)
+        reached["1 000% or more"] += any(abs(x) >= 10.0 for row in rows[3:] for x in row)
 
     check()
     assert all(reached.values()), reached
