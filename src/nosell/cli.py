@@ -272,15 +272,17 @@ def render_json(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Lis
 _DOLLAR_ROWS = 3
 _ROW_SCALE = np.array([[1.0]] * _DOLLAR_ROWS + [[100.0]] * 3)
 
-#: The fewest asset rows whose table _grid writes; below it, _cells' lower
-#: fixed cost wins.  Measured on rebalance commands amid other commands: a
-#: loop of render_table alone keeps numpy's calls warm and puts it near 20.
+#: The fewest asset rows whose table _grid writes, unless it is wide (see
+#: _magnitudes); below it, _cells' lower fixed cost wins.  Measured on
+#: rebalance commands amid other commands: a loop of render_table alone
+#: keeps numpy's calls warm and puts it near 20.
 _GRID_ROWS = 48
 
 
 def _magnitudes(numbers: np.ndarray) -> Tuple[np.ndarray, bool]:
     """The whole magnitudes of the table's cells, the rows of ``numbers``
-    (see _ROW_SCALE), and whether any is past int64 or not finite.
+    (see _ROW_SCALE), and whether any is past int64 or not finite: such a
+    table is wide, and only _cells writes it.
 
     Each magnitude is rounded by np.rint, half to even on its binary value
     as ``.0f`` rounds.  The caller ignores numpy's over and invalid
@@ -293,21 +295,20 @@ def _magnitudes(numbers: np.ndarray) -> Tuple[np.ndarray, bool]:
     return magnitudes, not np.maximum.reduce(magnitudes, None) < 2.0**63
 
 
-def _cells(numbers: np.ndarray) -> List[List[str]]:
+def _cells(numbers: np.ndarray, magnitudes: np.ndarray, wide: bool) -> List[List[str]]:
     """The cell texts of the table's number columns, the rows of
-    ``numbers`` (see _ROW_SCALE): whole dollars, then whole percents.  The
-    caller ignores numpy's over and invalid warnings.
+    ``numbers`` (see _ROW_SCALE): whole dollars, then whole percents, from
+    the cells' magnitudes and whether they are wide (see _magnitudes).
+    The caller ignores numpy's over and invalid warnings.
 
-    Each magnitude (see _magnitudes) is written as an int, then a ``-``
-    leads each cell whose unrounded number is below zero: -0.3 prints
-    ``-$0`` and -0.0 prints ``$0``.  A finite magnitude past int64 is
-    written as its exact int.  A dollar whose magnitude is not finite
-    prints n/a, and so does every cell of a percent row that holds one:
-    the magnitude is the percent, so a fraction whose ``x * 100.0``
-    overflows prints n/a.
+    Each magnitude is written as an int, then a ``-`` leads each cell
+    whose unrounded number is below zero: -0.3 prints ``-$0`` and -0.0
+    prints ``$0``.  A finite magnitude past int64 is written as its exact
+    int.  A dollar whose magnitude is not finite prints n/a, and so does
+    every cell of a percent row that holds one: the magnitude is the
+    percent, so a fraction whose ``x * 100.0`` overflows prints n/a.
     """
     width = numbers.shape[1]
-    magnitudes, wide = _magnitudes(numbers)
     whole = magnitudes.astype(np.int64).ravel().tolist()
     if wide:
         finite = np.isfinite(magnitudes)
@@ -329,82 +330,72 @@ def _cells(numbers: np.ndarray) -> List[List[str]]:
 # one table lookup fills.  A dollar cell's slots are four bytes, each of
 # three digits: ",ddd" below the top group, its first digits and ``$`` at
 # the top ("  $5", "$999"), blanks left of the top.  A percent cell's are
-# two bytes, each of two digits, with a last slot "%%" (the grid is a
-# format string).  A ``-`` shares the top slot where it fits ("-$99",
-# "-5") and takes the slot left of it where not; every cell has one slot
-# more than its block's largest magnitude fills, for that.  A cell's key,
-# its digit count plus 20 if it is negative, fixes which text each of its
-# slots takes, and how long its text is.
+# two bytes, each of two digits; its ``%`` is the row template's ``%%``.
+# A ``-`` shares the top slot where it fits ("-$99", "-5") and takes the
+# slot left of it where not; every cell has one slot more than its block's
+# largest magnitude fills, for that.  A cell's key, its digit count plus
+# 20 if it is negative, fixes which text each of its slots takes, and how
+# long its text is.
+
+#: 10.0**k for k in 1..19, after 0.0 for k = 0 (see _grid).  Built from
+#: Python floats: numpy's power and concatenate, run at import, cost every
+#: process about 0.25 MB more memory.
+_TENS = np.array([0.0] + [float(10**k) for k in range(1, 20)])
 
 
 @functools.cache
-def _slot_texts(dollars: bool) -> np.ndarray:
-    """Every slot text of the dollar or the percent cells, one element of
-    a read-only uint32 or uint16 array each: at ``g`` the group g below
-    the top, at ``base + g`` and ``2 * base + g`` the top group g unsigned
-    and signed, and at ``3 * base`` and on the blank, the lone ``-`` and
-    the ``%%`` slot."""
-    size, base, unit = (4, 1000, "$") if dollars else (2, 100, "")
+def _slots(dollars: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The slot tables of the dollar or the percent cells, read-only:
+
+    * every slot text, one uint32 or uint16 element each: at ``g`` the
+      group g below the top, at ``base + g`` and ``2 * base + g`` the top
+      group g unsigned and signed, and from ``3 * base`` on the blank and
+      the lone ``-``;
+    * by key, the offsets into the texts of the slots of a cell of the
+      most slots any magnitude below 2**63 needs, to which each digit slot
+      adds its group.  A cell of ``groups`` groups has its top slot
+      ``groups`` columns from the right, so a block of ``count`` slots
+      takes the last ``count`` columns;
+    * by key, the length of the cell's text in bytes.
+    """
+    size, base, per, unit = (4, 1000, 3, "$") if dollars else (2, 100, 2, "")
     tops = [unit + str(group) for group in range(base)]
     signed = ["-" + top if len(top) < size else top for top in tops]
     texts = (",%03d" if dollars else "%02d") * base % tuple(range(base))
-    texts += "".join([text.rjust(size) for text in tops + signed + [" ", "-", "%%"]])
-    return np.frombuffer(texts.encode("ascii"), f"u{size}")
-
-
-@functools.cache
-def _slot_keys(dollars: bool, count: int) -> Tuple[np.ndarray, np.ndarray]:
-    """For cells of ``count`` slots, by key: the offsets into _slot_texts
-    of the cell's slots, to which each digit slot adds its group, and the
-    length of the cell's text in bytes.  The first slot is left of every
-    top; a percent cell's last is its ``%%``."""
-    size, base, per = (4, 1000, 3) if dollars else (2, 100, 2)
-    digit_slots = count - 1 - (not dollars)
-    offsets = np.zeros((40, count), np.int64)
-    offsets[:, digit_slots + 1 :] = 3 * base + 2
-    lengths = np.zeros(40, np.int64)
+    texts += "".join([text.rjust(size) for text in tops + signed + [" ", "-"]])
     # a magnitude below 2**63 has at most 19 digits
-    for digits in range(1, min(per * digit_slots, 19) + 1):
+    offsets = np.zeros((40, -(-19 // per) + 1), np.int64)
+    lengths = np.zeros(40, np.int64)
+    for digits in range(1, 20):
         groups = -(-digits // per)
-        top = 1 + digit_slots - groups
         # the top group's text, ``$`` included
         head = digits - per * (groups - 1) + dollars
         for negative in (0, 1):
             key = digits + 20 * negative
-            offsets[key, :top] = 3 * base
-            offsets[key, top] = (1 + negative) * base
+            offsets[key, :-groups] = 3 * base
+            offsets[key, -groups] = (1 + negative) * base
             if negative and head == size:
-                offsets[key, top - 1] = 3 * base + 1
-            lengths[key] = negative + head + size * (groups - 1) + 2 * (not dollars)
+                offsets[key, -groups - 1] = 3 * base + 1
+            lengths[key] = negative + head + size * (groups - 1)
     # every caller shares them
     offsets.flags.writeable = lengths.flags.writeable = False
-    return offsets, lengths
+    return np.frombuffer(texts.encode("ascii"), f"u{size}"), offsets, lengths
 
 
-@functools.cache
-def _powers_of_ten() -> np.ndarray:
-    """10.0**k for k in 1..19, after 0.0 for k = 0 (see _grid); read-only."""
-    tens = np.concatenate([[0.0], 10.0 ** np.arange(1, 20)])
-    tens.flags.writeable = False
-    return tens
-
-
-def _grid(numbers: np.ndarray, ids: Tuple[str, ...], headers: Tuple[str, ...]) -> Optional[Tuple[List[int], List[str]]]:
+def _grid(numbers: np.ndarray, magnitudes: np.ndarray, ids: Tuple[str, ...],
+          headers: Tuple[str, ...]) -> Tuple[List[int], List[str]]:
     """The table's column widths and its lines, all rows of assets as one
-    text: the header, the asset rows and the total row.  None if a
-    magnitude is past int64 or not finite (see _magnitudes): _cells
-    writes those.
+    text: the header, the asset rows and the total row.  Every one of the
+    cells' magnitudes (see _magnitudes) is below 2**63.
 
     Each cell's text is what _cells writes.  The cells are written by
     numpy into one byte grid, a row per asset and the total, which is the
     format string of the rows: each row starts ``%-{w}s``, the id's place,
-    and each cell ends where its column does.  A cell is read from the
-    slot tables (see _slot_texts): each magnitude is cut into groups of
-    three or two digits, and its key picks each slot's table part.
+    each cell ends where its column does, and a percent's ``%`` is the
+    ``%%`` after it.  A cell is read from the slot tables (see _slots):
+    each magnitude is cut into groups of three or two digits, and its key
+    picks each slot's table part.
     """
-    magnitudes, wide = _magnitudes(numbers)
-    if wide:
-        return None
     whole = magnitudes.astype(np.int64)
     # the digit count of each magnitude m < 2**63: its bit length e gives
     # t = floor(e * log10(2)), which e * 1233 >> 12 is for every e to 64,
@@ -412,42 +403,44 @@ def _grid(numbers: np.ndarray, ids: Tuple[str, ...], headers: Tuple[str, ...]) -
     keys = np.frexp(magnitudes)[1]
     keys *= 1233
     keys >>= 12
-    keys += magnitudes >= _powers_of_ten().take(keys, mode="clip")
+    keys += magnitudes >= _TENS.take(keys, mode="clip")
     digits = keys.max(axis=1).tolist()
     np.add(keys, 20, out=keys, where=numbers < 0.0)
     blocks = []
     for dollars, rows in ((True, slice(0, _DOLLAR_ROWS)), (False, slice(_DOLLAR_ROWS, 6))):
         base, per = (1000, 3) if dollars else (100, 2)
-        digit_slots = -(-max(digits[rows]) // per)
-        count = digit_slots + 1 + (not dollars)
-        offsets, lengths = _slot_keys(dollars, count)
+        count = -(-max(digits[rows]) // per) + 1
+        texts, offsets, lengths = _slots(dollars)
         key = keys[rows]
         # every index lies in the tables: clip spares take a buffer
-        slots = offsets.take(key, axis=0, mode="clip")
+        slots = offsets[:, -count:].take(key, axis=0, mode="clip")
         quotient = whole[rows]
-        for k in range(digit_slots, 1, -1):
+        for k in range(count - 1, 1, -1):
             above = quotient // base
             slots[..., k] += quotient - above * base
             quotient = above
         slots[..., 1] += quotient
-        block = _slot_texts(dollars).take(slots, mode="clip")
+        block = texts.take(slots, mode="clip")
         blocks.append((block.view(np.uint8), lengths.take(key, mode="clip").max(axis=1).tolist()))
     (dollars, (value, naive, buy)), (percents, (target, final, current)) = blocks
     # each number column in table order: its block, row, longest text, and
-    # 1 for the %% that a percent writes as %
+    # 1 for a percent, whose ``%`` the template writes after the digits
     columns = [(dollars, 0, value, 0), (percents, 2, current, 1), (percents, 0, target, 1),
                (dollars, 1, naive, 0), (dollars, 2, buy, 0), (percents, 1, final, 1)]
     widths = [max(len(headers[0]), max(map(len, ids)), len("total"))]
-    widths += [max(len(header), length - escape) for header, (_, _, length, escape) in zip(headers[1:], columns)]
-    start = f"%-{widths[0]}s".encode("ascii")
-    # two spaces before each number column, three escapes and a newline
-    grid = np.full((len(ids) + 1, len(start) + 2 * 6 + 3 + sum(widths[1:]) + 1), ord(" "), np.uint8)
-    grid[:, : len(start)] = np.frombuffer(start, np.uint8)
-    grid[:, -1] = ord("\n")
-    end = len(start)
-    for (block, row, length, escape), width in zip(columns, widths[1:]):
-        end += 2 + width + escape
-        grid[:, end - length : end] = block[row, :, block.shape[2] - length :]
+    widths += [max(len(header), length + percent) for header, (_, _, length, percent) in zip(headers[1:], columns)]
+    # the rows' template: two spaces before each number column, which ends
+    # in its cell and, for a percent, %%
+    template = f"%-{widths[0]}s"
+    ends = []
+    for (_, _, _, percent), width in zip(columns, widths[1:]):
+        template += " " * (2 + width - percent)
+        ends.append(len(template))
+        template += "%%" * percent
+    grid = np.empty((len(ids) + 1, len(template) + 1), np.uint8)
+    grid[:] = np.frombuffer((template + "\n").encode("ascii"), np.uint8)
+    for (block, row, length, _), end in zip(columns, ends):
+        grid[:, end - length : end] = block[row, :, -length:]
     text = grid.tobytes()
     cut = len(ids) * grid.shape[1]
     return widths, [_row_format(widths) % headers, text[: cut - 1].decode("ascii") % ids,
@@ -476,14 +469,19 @@ def render_table(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Li
         np.divide(portfolio.values, total, out=numbers[5, :n])
         # each row is summed pairwise on its own, as column.sum() sums it
         np.add.reduce(numbers[1:5, :n], axis=1, out=numbers[1:5, n])
-        table = _grid(numbers, portfolio.ids, headers) if n >= _GRID_ROWS else None
-        if table is None:
-            value, naive, buy, target, final, current = _cells(numbers)
+        magnitudes, wide = _magnitudes(numbers)
+        if n >= _GRID_ROWS and not wide:
+            widths, lines = _grid(numbers, magnitudes, portfolio.ids, headers)
+        else:
+            value, naive, buy, target, final, current = _cells(numbers, magnitudes, wide)
             columns = [[*portfolio.ids, "total"], value, current, target, naive, buy, final]
             widths = [max(len(header), *map(len, column)) for header, column in zip(headers, columns)]
             row_format = _row_format(widths)
-            table = widths, [row_format % headers, *map(row_format.__mod__, zip(*columns))]
-    widths, lines = table
+            lines = [row_format % headers, *map(row_format.__mod__, zip(*columns))]
+        # freed before the lines are joined: held on, a 5 000-row table's
+        # magnitudes cost the joins about 190 more page faults a call under
+        # glibc's malloc
+        del magnitudes
     rule = "  ".join(["-" * w for w in widths])
     lines.insert(1, rule)
     lines.insert(-1, rule)

@@ -741,30 +741,40 @@ def _straddle_cases():
 def test_render_table_matches_reference(monkeypatch):
     # both writers must be reached: at the cutoff straddling cases, the
     # grid from the cutoff on, _cells below it and for a table holding a
-    # magnitude past int64 or n/a
-    reached = {"grid": 0, "cells": 0}
-    grid, cells = cli._grid, cli._cells
+    # magnitude past int64 or n/a.  Each table is rounded once, and the
+    # grid is handed only magnitudes below 2**63
+    reached = {"grid": 0, "cells": 0, "magnitudes": 0}
+    grid, cells, magnitudes = cli._grid, cli._cells, cli._magnitudes
 
-    def counted_grid(*args):
-        table = grid(*args)
-        reached["grid"] += table is not None
-        return table
+    def counted_grid(numbers, rounded, *args):
+        assert (rounded < 2.0**63).all()
+        reached["grid"] += 1
+        return grid(numbers, rounded, *args)
 
     def counted_cells(*args):
         reached["cells"] += 1
         return cells(*args)
 
+    def counted_magnitudes(*args):
+        reached["magnitudes"] += 1
+        return magnitudes(*args)
+
     monkeypatch.setattr(cli, "_grid", counted_grid)
     monkeypatch.setattr(cli, "_cells", counted_cells)
+    monkeypatch.setattr(cli, "_magnitudes", counted_magnitudes)
     tables = []
     for label, portfolio, plan, samples in _report_cases():
+        before = reached["magnitudes"]
         tables.append(render_table(portfolio, plan, samples))
         assert tables[-1] == reference_render_table(portfolio, plan, samples), label
+        assert reached["magnitudes"] == before + 1, label
     for label, portfolio, plan, writer in _straddle_cases():
-        before = reached[writer]
+        before = dict(reached)
         tables.append(render_table(portfolio, plan))
         assert tables[-1] == reference_render_table(portfolio, plan), label
-        assert reached[writer] == before + 1, label
+        assert reached[writer] == before[writer] + 1, label
+        assert reached["grid"] + reached["cells"] == before["grid"] + before["cells"] + 1, label
+        assert reached["magnitudes"] == before["magnitudes"] + 1, label
     assert all(reached.values()), reached
     assert any("n/a" in table for table in tables)
     assert any("$9,223,372,036,854,774,784" in table for table in tables)
@@ -776,6 +786,34 @@ def test_render_table_matches_reference(monkeypatch):
         table = render_table(portfolio, plan)
         assert table == reference_render_table(portfolio, plan), budget
         assert f"\ncontribution {money_texts([budget])[0]} allocated under l2; " in table, budget
+
+
+def test_grid_writes_every_digit_count(monkeypatch):
+    # tables of _GRID_ROWS rows whose naive and buy columns, and whose final
+    # column in percents, hold one number of 1 to 19 digits of either sign
+    # beside zeros: the dollar and percent blocks then take every slice of
+    # their offsets tables that render_table can reach (the totals' 100%
+    # gives a percent block three digits at least)
+    written = []
+    grid = cli._grid
+
+    def counted_grid(*args):
+        written.append(args)
+        return grid(*args)
+
+    monkeypatch.setattr(cli, "_grid", counted_grid)
+    rows = cli._GRID_ROWS
+    portfolio = ns.Portfolio(ns.Asset(f"a{i}", 0.1, 1 / rows) for i in range(rows))
+    plan = ns.rebalance(portfolio, 1.0)
+    for digits in range(1, 20):
+        for sign in (1.0, -1.0):
+            column = np.zeros(rows)
+            column[digits] = sign * float("1234567890123456789"[:digits])
+            case = dataclasses.replace(plan, naive=column, adjustments=column[::-1].copy(),
+                                       final_allocations=column / 100.0)
+            table = render_table(portfolio, case)
+            assert table == reference_render_table(portfolio, case), (digits, sign)
+    assert len(written) == 2 * 19
 
 
 # -- the JSON report's column encoder ----------------------------------------

@@ -40,7 +40,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import nosell as ns
 from nosell import solvers
-from nosell.cli import _cells, _grid, _parse_numbers, parse_portfolio, serialize_portfolio
+from nosell.cli import _cells, _grid, _magnitudes, _parse_numbers, parse_portfolio, serialize_portfolio
 from nosell.portfolio import _RowError
 
 from reference_kernels import water_fill_exact
@@ -476,8 +476,9 @@ def test_table_cells_match_the_per_number_format():
     @example(rows=[[0.5, -2.5, 1.5]] * 3 + [[1.797693134862316e+306, 0.5, -0.0], [-1.797693134862316e+306, 1.0, 0.25],
                                             [1e306, -1e306, 0.015]])
     def check(rows):
+        numbers = np.array(rows)
         with np.errstate(over="ignore", invalid="ignore"):
-            cells = _cells(np.array(rows))
+            cells = _cells(numbers, *_magnitudes(numbers))
         assert cells == [money_texts(row) for row in rows[:3]] + [pct_texts(row) for row in rows[3:]]
         for row, scale in zip(rows, [1.0] * 3 + [100.0] * 3):
             fits = all(abs(x * scale) < 2.0**62 for x in row)
@@ -498,8 +499,9 @@ _GRID_TABLES = st.integers(min_value=2, max_value=6).flatmap(lambda width: st.tu
 
 
 def test_grid_lays_out_the_cells_texts():
-    # the grid writes the whole table as _cells' texts laid out cell by
-    # cell, or refuses it when a magnitude is past int64 or not finite
+    # _magnitudes flags a table wide exactly when a magnitude is past int64
+    # or not finite; the grid writes any other as _cells' texts laid out
+    # cell by cell
     reached = {"grid": 0, "refused": 0, "negative cells": 0, "1 000% or more": 0}
 
     @settings(max_examples=500, derandomize=True, deadline=None)
@@ -511,13 +513,14 @@ def test_grid_lays_out_the_cells_texts():
         rows, ids = table
         numbers = np.array(rows)
         with np.errstate(over="ignore", invalid="ignore"):
-            grid = _grid(numbers, tuple(ids), TABLE_HEADERS)
-            value, naive, buy, target, final, current = _cells(numbers)
+            magnitudes, wide = _magnitudes(numbers)
         scaled = [x * scale for row, scale in zip(rows, [1.0] * 3 + [100.0] * 3) for x in row]
-        if not all(math.isfinite(x) and abs(round(x)) < 2**63 for x in scaled):
-            assert grid is None
+        assert wide == (not all(math.isfinite(x) and abs(round(x)) < 2**63 for x in scaled))
+        if wide:
             reached["refused"] += 1
             return
+        grid = _grid(numbers, magnitudes, tuple(ids), TABLE_HEADERS)
+        value, naive, buy, target, final, current = _cells(numbers, magnitudes, wide)
         columns = [[*ids, "total"], value, current, target, naive, buy, final]
         widths = [max(len(header), *map(len, column)) for header, column in zip(TABLE_HEADERS, columns)]
         lines = [[header.ljust(widths[0]) if c == 0 else header.rjust(widths[c]) for c, header in enumerate(TABLE_HEADERS)]]
