@@ -45,6 +45,12 @@ class PortfolioFormatError(ValueError):
     """Malformed portfolio file; message carries a line number."""
 
 
+def _read(path: str) -> str:
+    """The text of the file at ``path``: UTF-8, a leading BOM (as
+    spreadsheets write "CSV UTF-8") taken as encoding, not content."""
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
 def _lines(text: str) -> List[str]:
     """Every line of ``text``, stripped."""
     return list(map(str.strip, text.splitlines()))
@@ -344,7 +350,7 @@ _TENS = np.array([0.0] + [float(10**k) for k in range(1, 20)])
 
 
 @functools.cache
-def _slots(dollars: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _slots(dollars: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
     """The slot tables of the dollar or the percent cells, read-only:
 
     * every slot text, one uint32 or uint16 element each: at ``g`` the
@@ -356,7 +362,10 @@ def _slots(dollars: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
       adds its group.  A cell of ``groups`` groups has its top slot
       ``groups`` columns from the right, so a block of ``count`` slots
       takes the last ``count`` columns;
-    * by key, the length of the cell's text in bytes.
+    * by key, the length of the cell's text in bytes;
+
+    then the group base and the digits a slot holds, by which _grid cuts
+    each magnitude into slots.
     """
     size, base, per, unit = (4, 1000, 3, "$") if dollars else (2, 100, 2, "")
     tops = [unit + str(group) for group in range(base)]
@@ -379,7 +388,7 @@ def _slots(dollars: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
             lengths[key] = negative + head + size * (groups - 1)
     # every caller shares them
     offsets.flags.writeable = lengths.flags.writeable = False
-    return np.frombuffer(texts.encode("ascii"), f"u{size}"), offsets, lengths
+    return np.frombuffer(texts.encode("ascii"), f"u{size}"), offsets, lengths, base, per
 
 
 def _grid(numbers: np.ndarray, magnitudes: np.ndarray, ids: Tuple[str, ...],
@@ -408,9 +417,8 @@ def _grid(numbers: np.ndarray, magnitudes: np.ndarray, ids: Tuple[str, ...],
     np.add(keys, 20, out=keys, where=numbers < 0.0)
     blocks = []
     for dollars, rows in ((True, slice(0, _DOLLAR_ROWS)), (False, slice(_DOLLAR_ROWS, 6))):
-        base, per = (1000, 3) if dollars else (100, 2)
+        texts, offsets, lengths, base, per = _slots(dollars)
         count = -(-max(digits[rows]) // per) + 1
-        texts, offsets, lengths = _slots(dollars)
         key = keys[rows]
         # every index lies in the tables: clip spares take a buffer
         slots = offsets[:, -count:].take(key, axis=0, mode="clip")
@@ -531,7 +539,7 @@ def run_rebalance_command(argv: Optional[Sequence[str]] = None) -> int:
             raise ValueError("--sample must be nonnegative")
         if args.sample and args.norm != "l1":
             raise ValueError("--sample requires --norm l1 (the l2 solution is unique)")
-        text = Path(args.input).read_text(encoding="utf-8")
+        text = _read(args.input)
         portfolio = parse_portfolio(text, normalize=args.normalize, allow_short=args.allow_short)
         plan = rebalance(portfolio, args.contribution, args.norm)
         samples = None
@@ -584,7 +592,7 @@ def run_project_simplex_command(argv: Optional[Sequence[str]] = None) -> int:
         if args.values is not None:
             fields = [field.strip() for field in args.values.split(",")]
         else:
-            lines = _lines(Path(args.input).read_text(encoding="utf-8"))
+            lines = _lines(_read(args.input))
             fields = _content(lines)
         if not fields:
             raise ValueError("no values supplied")

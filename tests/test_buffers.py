@@ -522,7 +522,9 @@ def test_sparse_plan_on_a_freed_sparse_plan_takes_it_without_a_fill(monkeypatch)
 
 
 def _solve_and_send(send, deltas):
-    send.send([_digest(ns.solve_l2(ns.ContributionProblem(deltas, budget))) for budget in (SPARSE, DENSE)])
+    digests = [_digest(ns.solve_l2(ns.ContributionProblem(deltas, budget))) for budget in (SPARSE, DENSE)]
+    # the parent's worker thread did not come along: the child started its own
+    send.send((digests, any(thread.name == "nosell-blocks" for thread in threading.enumerate())))
     send.close()
 
 
@@ -530,7 +532,9 @@ def _solve_and_send(send, deltas):
 def test_forked_child_solves_after_a_threaded_solve():
     deltas = _deltas(10, 2 * N + 12345)
     digests = [_digest(ns.solve_l2(ns.ContributionProblem(deltas, budget))) for budget in (SPARSE, DENSE)]
-    assert solvers._worker or solvers._cpus() < 2
+    # the solves ran on the worker thread, where more than one CPU is usable
+    threaded = solvers._cpus() > 1
+    assert bool(solvers._worker) == threaded
     context = multiprocessing.get_context("fork")
     receive, send = context.Pipe(duplex=False)
     with warnings.catch_warnings():
@@ -542,44 +546,7 @@ def test_forked_child_solves_after_a_threaded_solve():
     send.close()
     try:
         assert receive.poll(30), "the forked child did not finish its solves in 30 s"
-        assert receive.recv() == digests
+        assert receive.recv() == (digests, threaded)
     finally:
         child.kill()
         child.join()
-
-
-#: Solves a 2^20-asset problem on the worker thread, forks, and solves it
-#: again in the forked child; exits 0 when the child's plan has the
-#: parent's bytes, and kills the child if it has not finished in 30 s.
-_FORK_SCRIPT = """\
-import os, signal, sys, time, warnings
-sys.path.insert(0, sys.argv[1])
-import numpy as np
-import nosell as ns
-from nosell import solvers
-deltas = np.random.default_rng(int(sys.argv[2])).uniform(-1e4, 1e4, 1 << 20)
-plan = ns.solve_l2(ns.ContributionProblem(deltas, 1e8)).adjustments.tobytes()
-assert solvers._worker, "the solve ran without a worker thread"
-# from Python 3.12, a fork of a process with threads warns
-warnings.simplefilter("ignore", DeprecationWarning)
-pid = os.fork()
-if pid == 0:
-    os._exit(0 if ns.solve_l2(ns.ContributionProblem(deltas, 1e8)).adjustments.tobytes() == plan else 1)
-for _ in range(3000):
-    done, status = os.waitpid(pid, os.WNOHANG)
-    if done:
-        sys.exit(os.waitstatus_to_exitcode(status))
-    time.sleep(0.01)
-os.kill(pid, signal.SIGKILL)
-sys.exit("the forked child did not finish its solve in 30 s")
-"""
-
-
-@pytest.mark.skipif(not hasattr(os, "fork") or solvers._cpus() < 2, reason="no os.fork, or no worker thread to fork")
-def test_forked_interpreter_starts_its_own_worker():
-    # the parent's worker thread does not come along into a forked child:
-    # a child that kept the parent's worker would wait on it for ever
-    src = str(Path(ns.__file__).resolve().parent.parent)
-    out = subprocess.run([sys.executable, "-c", _FORK_SCRIPT, src, str(MASTER_SEED)], capture_output=True,
-                         text=True, timeout=90)
-    assert out.returncode == 0, out.stderr

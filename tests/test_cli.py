@@ -314,13 +314,20 @@ def test_serialize_writes_exactly_the_ids_that_read_back():
 
 # -- rebalance command -------------------------------------------------------
 
-def test_rebalance_table_output(golden_file, capsys):
+def test_rebalance_table_output(golden_file, tmp_path, capsys):
     assert run_rebalance_command(["--input", golden_file, "--contribution", "1000"]) == 0
     out = capsys.readouterr().out
     assert "k* = 2" in out
     assert "lambda* = 275" in out
     assert "growth" in out and "$625" in out and "$375" in out
     assert "total" in out
+    # its twin with CRLF line ends and a blank line, and its twin after a
+    # UTF-8 BOM (as spreadsheets write "CSV UTF-8"), print the same report
+    twin = tmp_path / "twin.csv"
+    for text in (GOLDEN_CSV.replace("\nid,", "\n\nid,").replace("\n", "\r\n"), "\ufeff" + GOLDEN_CSV):
+        twin.write_bytes(text.encode("utf-8"))
+        assert run_rebalance_command(["--input", str(twin), "--contribution", "1000"]) == 0
+        assert capsys.readouterr().out == out, repr(text[:3])
 
 
 def test_rebalance_json_certificate(golden_file, capsys):
@@ -504,6 +511,27 @@ def test_rebalance_normalize_flag(tmp_path, capsys):
     assert code == 0
     doc = json.loads(capsys.readouterr().out)
     assert [a["target"] for a in doc["assets"]] == [0.75, 0.25]
+    # thousands of short rows: the byte grid writes every row, negative
+    # dollars included, with no warning
+    seed = MASTER_SEED + 140
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-1.0, 1.0, 1.0, 1.0], 3000) * rng.lognormal(9.0, 1.5, 3000)
+    path.write_text("id,value,target\n" + "".join(f"a{i},{v:.2f},1\n" for i, v in enumerate(values.tolist())))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_rebalance_command(["--input", str(path), "--allow-short", "--normalize",
+                                      "--contribution", "12345.67"]) == 0, f"seed={seed}"
+    captured = capsys.readouterr()
+    assert captured.err == "", f"seed={seed}"
+    assert len(captured.out.splitlines()) == 3006 and "-$" in captured.out, f"seed={seed}"
+    # a value past int64 prints its exact whole dollars, in a table of few
+    # rows and in one past the grid's cutoff
+    many = "".join(f"\na{i},1,1" for i in range(99))
+    for rows, flags in (("a,1e19,0.5\nb,1,0.5", []), (f"big,1e19,99{many}", ["--normalize"])):
+        path.write_text(f"id,value,target\n{rows}\n")
+        assert run_rebalance_command(["--input", str(path), "--contribution", "10", *flags]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "$10,000,000,000,000,000,000" in captured.out, flags
 
 
 def test_rebalance_sampling(golden_file, capsys):
@@ -918,7 +946,7 @@ def test_rebalance_command_exits_2_on_non_finite_final_allocations(tmp_path, cap
     assert captured.err.startswith("error: ") and "non-finite" in captured.err
 
 
-@pytest.mark.parametrize("contribution", ["1e17", "1e18"])
+@pytest.mark.parametrize("contribution", ["1e14", "1e17", "1e18"])
 def test_rebalance_refuses_more_than_2_pow_53_cents(golden_file, contribution, capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1023,9 +1051,11 @@ def test_project_simplex_negative_first_value(argv, capsys):
 
 def test_project_simplex_file_input(tmp_path, capsys):
     path = tmp_path / "v.txt"
-    path.write_text("# observed proportions\n0.5\n\n0.5\n0.5\n")
-    assert run_project_simplex_command(["--input", str(path)]) == 0
-    assert capsys.readouterr().out == "0.3333333333,0.3333333333,0.3333333333\n"
+    # a leading UTF-8 BOM is encoding, not content
+    for bom in ("", "\ufeff"):
+        path.write_text(f"{bom}# observed proportions\n0.5\n\n0.5\n0.5\n", encoding="utf-8")
+        assert run_project_simplex_command(["--input", str(path)]) == 0, repr(bom)
+        assert capsys.readouterr().out == "0.3333333333,0.3333333333,0.3333333333\n", repr(bom)
 
 
 def test_project_simplex_errors(tmp_path, capsys):

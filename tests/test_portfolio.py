@@ -193,7 +193,9 @@ def test_rebalance_rejects_nonpositive_wealth():
         (ns.Asset("a", -1.7e308, 1.0), ns.Asset("b", 1.7e308, 0.0), ns.Asset("c", 1e308, 0.0)),
         allow_short=True,
     )
-    for portfolio, budget, match in ((huge, 1e308, "total plus budget"), (spread, 1.0, "asset 'a'")):
+    cases = ((huge, 1e308, "total plus budget"),
+             (spread, 1.0, "asset 'a': its naive adjustment passes the float64 maximum"))
+    for portfolio, budget, match in cases:
         for call in (ns.naive_adjustments, ns.rebalance):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
