@@ -238,6 +238,254 @@ def _json_array(items: List[str], indent: str) -> str:
     return f"[\n{inner}{separator.join(items)}\n{indent}]"
 
 
+#: The fewest assets whose JSON report _json_cells and _json_layout write;
+#: below it, _sig10_texts' lower fixed cost wins.  Measured on rebalance
+#: commands amid other commands, as _GRID_ROWS is.
+_JSON_GRID_ROWS = 112
+
+# _json_cells writes each number of the asset array as a run of four-byte
+# slots, each one uint32 lookup, NUL where a slot holds fewer bytes, and
+# _json_layout drops every NUL once all rows are written.  A float x of
+# decimal exponent E is written from its 10 digits D = rint(|x| * 10**(9
+# - E)) as repr writes D * 10**(E - 9): its whole part in groups of three
+# digits from the right, its ``-`` in the top group's slot (a slot has
+# room for it), then its fraction as 15 digits in groups from the left
+# (``.ddd``, then ``dddd``), trailing zeros dropped, then its exponent.  It
+# is positional for -4 <= E < 16 (``0.0001``, ``1234567890000000.0``), in
+# the exponent form otherwise (``1e-05``, ``1.5e+16``).  A number's key is
+# E + 14, which picks its powers of ten and its exponent's text; a zero's
+# key is 0, and a cent's 47: a cent takes the whole part's slots alone.
+
+
+@functools.cache
+def _json_slots() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of _json_cells, read-only:
+
+    * every slot text, one uint32 element each: at g the whole part's
+      group g below the top; at 1000 + g and 2000 + g the top group g of
+      the last slot, unsigned and signed, and at 3000 + g and 4000 + g
+      that of any other slot, where a top group 0 is blank; from 5000 the
+      first fraction group ``.ddd``, then with its trailing zeros dropped,
+      0 as ``.0`` (at 6000) or blank (at 7000); from 8000 a later group
+      ``dddd``, then with its trailing zeros dropped, 0 blank; from 28000
+      the exponent's text by key;
+    * by the biased binary exponent b of |x| (its float64 bits >> 52):
+      the key of 10**floor((b - 1023) * log10(2)), which (b - 1023) * 1233
+      >> 12 is for |b - 1023| < 681, and the least float64 not below ten
+      times that power, from which on the key is one more;
+    * by key, float64 rows: the exact powers of ten by which |x| * 10**(9
+      - E) is one correctly rounded product, then quotient (the product
+      is nan outside 1e-13 <= |x| < 1e32); then those by which D's whole
+      part is floor(D * up / down), and its fraction, as 15 digits, the
+      remainder times ``scale``;
+    * by key, where a fraction of 0 takes its first group's text: 1000
+      past ``.ddd``, ``.0``, in the positional form, and 2000, blank, in
+      the exponent form and for a cent.
+    """
+    tops = [str(group) for group in range(1000)]
+    signed = ["-" + top for top in tops]
+    whole = ["%03d" % group for group in range(1000)] + tops + signed + [""] + tops[1:] + [""] + signed[1:]
+    first = [".%03d" % group for group in range(1000)]
+    stripped = [text.rstrip("0") for text in first[1:]]
+    first += [".0"] + stripped + [""] + stripped
+    exponents = ["" if -4 <= key - 14 < 16 or key in (0, 47) else "e%+03d" % (key - 14) for key in range(48)]
+    # a later group's four digits, each kept where a digit from it on is not 0
+    groups, powers = np.arange(10000)[:, None], np.array([1000, 100, 10, 1])
+    later = (groups // powers % 10 + 48).astype(np.uint8)
+    kept = groups % (10 * powers) != 0
+    texts = ("".join([text.rjust(4, "\0") for text in whole]) + "".join([text.ljust(4, "\0") for text in first])
+             + later.tobytes().decode("ascii") + (later * kept).tobytes().decode("ascii")
+             + "".join([text.ljust(4, "\0") for text in exponents]))
+    bounds, rows, zeros = [], [], []
+    for key in range(48):
+        e = key - 14
+        # the least float64 not below 10**e
+        num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
+        bound = num / den
+        ratio = bound.as_integer_ratio()
+        bounds.append(math.nextafter(bound, math.inf) if ratio[0] * den < num * ratio[1] else bound)
+        positional = -4 <= e < 16 or key == 0
+        shift = 9 - e if positional and key else 9
+        exact = 1 <= key <= 45
+        rows.append((float(10 ** max(9 - e, 0)) if exact else math.nan, float(10 ** max(e - 9, 0)) if exact else 1.0,
+                     float(10 ** max(-shift, 0)), float(10 ** max(shift, 0)), float(10 ** (15 - max(shift, 0)))))
+        zeros.append(1000 if positional and key < 47 else 2000)
+    lower = np.clip(((np.arange(2048) - 1023) * 1233 >> 12) + 14, 0, 46)
+    tables = (np.frombuffer(texts.encode("ascii"), np.uint32), lower, np.array(bounds).take(lower + 1),
+              np.array(rows).T.copy(), np.array(zeros, np.int64))
+    # every caller shares them
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
+def _json_cells(ids: Tuple[str, ...], numbers: np.ndarray, cents: np.ndarray) -> List[tuple]:
+    """The cells of the JSON report's asset objects in report order (id,
+    value, target, naive, adjustment, cents, final), for _json_layout.
+    ``numbers`` holds the rows of value, target, naive, adjustment and
+    final.  Each cell is its words, a uint32 array of a four-byte word per
+    asset each; its width in words; and, if any, the assets whose text it
+    holds whole, with those texts, NUL-padded, as rows of words.  Each
+    number's text is repr(_sig10(x)), each cent's str, and each id's
+    encode_basestring_ascii, which never holds a NUL.
+
+    A tie at the 10th digit is decided on the binary value, half to even,
+    as ``%.10g`` decides it: the float product |x| * 10**(9 - E) lies
+    within half an ulp (2**-20 at most) of the exact one, so it is rounded
+    here unless it lies within 2**-17 of a tie.  Such a number takes the
+    scalar rule, as does each one outside 1e-13 <= |x| < 1e32 (zero
+    aside), where the product is not one correctly rounded operation or
+    the rounding can overflow, and a cent of -2**63, whose magnitude int64
+    does not hold.  The caller ignores numpy's over and invalid warnings.
+    """
+    texts, lower, above, (multiplier, divisor, up, down, scale), zeros = _json_slots()
+    n = len(ids)
+    magnitudes = np.absolute(numbers)
+    exponents = magnitudes.view(np.int64) >> 52
+    keys = lower.take(exponents)
+    keys += magnitudes >= above.take(exponents)
+    product = multiplier.take(keys)
+    product *= magnitudes
+    product /= divisor.take(keys)
+    digits = np.rint(product)
+    product -= digits
+    decided = np.absolute(product, out=product) < 0.5 - 2.0**-17
+    # the numbers the scalar rule writes, the cents' row last; they and the
+    # zeros are written here as zeros
+    odd = np.empty((6, n), bool)
+    np.not_equal(magnitudes, 0.0, out=odd[:5])
+    np.greater(odd[:5], decided, out=odd[:5])
+    np.copyto(digits, 0.0, where=~decided)
+    keys *= decided
+    # 10**10 is one digit more: 10**9 at the next exponent
+    over = digits == 1e10
+    np.copyto(digits, 1e9, where=over)
+    keys += over
+    digits *= up.take(keys)
+    divisors = down.take(keys)
+    whole = np.empty((6, n), np.int64)
+    fraction = np.zeros((6, n), np.int64)
+    quotient = np.divide(digits, divisors)
+    whole[:5] = np.floor(quotient, out=quotient)
+    quotient *= divisors
+    digits -= quotient
+    digits *= scale.take(keys)
+    fraction[:5] = digits
+    np.absolute(cents, out=whole[5])
+    np.less(whole[5], 0, out=odd[5])
+    whole[5] *= ~odd[5]
+    # the whole part's slots, the last at the right, then the fraction's
+    # from the left, then the exponent's
+    count = -(-len(str(int(whole.max()))) // 3)
+    slots = np.empty((count + 5, 6, n), np.uint32)
+    # where the top group's texts start: signed or not, in the last slot
+    offsets = np.empty((6, n), np.int64)
+    np.signbit(numbers, out=offsets[:5])
+    np.less(cents, 0, out=offsets[5])
+    offsets *= 1000
+    offsets += 1000
+    index = np.empty((6, n), np.int64)
+    quotient = whole
+    for slot in range(count - 1, -1, -1):
+        upper = quotient // 1000
+        np.multiply(upper, -1000, out=index)
+        index += quotient
+        np.add(index, offsets, out=index, where=upper == 0)
+        texts.take(index, out=slots[slot], mode="clip")
+        if slot == count - 1:
+            offsets += 2000
+        quotient = upper
+    row_keys = np.full((6, n), 47, np.int64)
+    row_keys[:5] = keys
+    remainder = fraction
+    for slot, base in enumerate((10**12, 10**8, 10**4)):
+        group = remainder // base
+        np.multiply(group, -base, out=index)
+        remainder += index
+        group += 8000 if slot else 5000
+        np.add(group, 10000 if slot else zeros.take(row_keys), out=group, where=remainder == 0)
+        texts.take(group, out=slots[count + slot], mode="clip")
+    remainder += 18000
+    texts.take(remainder, out=slots[count + 3], mode="clip")
+    row_keys += 28000
+    texts.take(row_keys, out=slots[count + 4], mode="clip")
+    # the slots some asset fills: the whole part's from the right, the
+    # fraction's from the left
+    filled = (slots.max(axis=2) != 0).T.tolist()
+    # the scalar rule's texts, row by row, so that the first number that is
+    # not finite is the one named
+    fallbacks = {}
+    for row in np.flatnonzero(odd.any(axis=1)).tolist():
+        where = np.flatnonzero(odd[row])
+        values = (cents if row == 5 else numbers[row])[where].tolist()
+        fallbacks[row] = where, list(map(str, values)) if row == 5 else [repr(_sig10(x)) for x in values]
+    encoded = list(map(encode_basestring_ascii, ids))
+    width = -(-max(map(len, encoded)) // 4)
+    cells = [(list(np.array(encoded, f"S{4 * width}").view(np.uint32).reshape(n, width).T), width, None)]
+    for row in (0, 1, 2, 3, 5, 4):
+        used = filled[row]
+        words = [slots[slot, row] for slot, fills in enumerate(used) if fills]
+        width = len(words)
+        fallback = fallbacks.get(row)
+        if fallback:
+            where, written = fallback
+            width = max(width, -(-max(map(len, written)) // 4))
+            fallback = where, np.array(written, f"S{4 * width}").view(np.uint32).reshape(-1, width)
+        cells.append((words, width, fallback))
+    return cells
+
+
+def _json_layout(head: str, cells, tail: str) -> str:
+    """``head``, the asset objects of ``cells`` (see _json_cells) separated
+    as _json_array separates them, then ``tail``.
+
+    The text is written into one byte grid behind ``head``, a row per
+    asset: _ASSET_OBJECT's bytes and the separator around the cells, each
+    cell aligned to four bytes, and NUL where nothing is written.  Then
+    every NUL is dropped at once.
+    """
+    head += "\0" * (-len(head) % 4)
+    template = ""
+    starts = []
+    for piece, (_, width, _) in zip(_ASSET_OBJECT.split("%s"), cells):
+        template += piece
+        template += "\0" * (-len(template) % 4)
+        starts.append(len(template) // 4)
+        template += "\0" * (4 * width)
+    template += _ASSET_OBJECT.rsplit("%s", 1)[1]
+    end = len(template)
+    template += ",\n    "
+    template += "\0" * (-len(template) % 4)
+    n = len(cells[0][0][0])
+    text = bytearray(len(head) + n * len(template) + len(tail))
+    text[: len(head)] = head.encode("ascii")
+    text[len(text) - len(tail) :] = tail.encode("ascii")
+    grid = np.frombuffer(text, np.uint32, n * len(template) // 4, len(head)).reshape(n, -1)
+    grid[:] = np.frombuffer(template.encode("ascii"), np.uint32)
+    for (words, width, fallback), start in zip(cells, starts):
+        for column, word in enumerate(words, start):
+            grid[:, column] = word
+        if fallback:
+            where, written = fallback
+            grid[where, start : start + width] = written
+    # no separator after the last object
+    grid.view(np.uint8)[-1, end:] = 0
+    # the grid freed before the text is decoded, which can then reuse its
+    # memory
+    del grid
+    text = text.translate(None, b"\0")
+    return text.decode("ascii")
+
+
+def _json_tail(samples: Optional[List[np.ndarray]]) -> str:
+    """The JSON report's text after its assets array: the samples, if any,
+    and the closing brace."""
+    if samples is None:
+        return "\n}\n"
+    members = [_json_array(_sig10_texts(member.tolist()), "    ") for member in samples]
+    return ',\n  "samples": ' + _json_array(members, "  ") + "\n}\n"
+
+
 def render_json(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[List[np.ndarray]] = None) -> str:
     """The JSON report: full precision at 10 significant digits, plus the
     optimality certificate (k*/lambda* for l2, case/alpha or case/slack for
@@ -245,7 +493,9 @@ def render_json(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Lis
 
     The header is filled into a fixed layout.  The lists, which hold a
     number per asset, are encoded a column at a time with json's own rules
-    for strings, floats and ints.
+    for strings, floats and ints; from _JSON_GRID_ROWS assets on, the
+    asset objects are written by numpy into one byte grid (see
+    _json_cells), and a number it cannot decide takes the same rule.
     """
     solution = plan.solution
     budget = _sig10(plan.budget)
@@ -255,6 +505,11 @@ def render_json(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Lis
         header = _L1_HEADER % (plan.norm.value, budget, solution.case.value, "alpha", _sig10(solution.scale))
     else:
         header = _L1_HEADER % (plan.norm.value, budget, solution.case.value, "slack", _sig10(solution.slack))
+    if portfolio.n >= _JSON_GRID_ROWS:
+        numbers = np.array([portfolio.values, portfolio.targets, plan.naive, plan.adjustments, plan.final_allocations])
+        with np.errstate(over="ignore", invalid="ignore"):
+            cells = _json_cells(portfolio.ids, numbers, plan.rounded_cents)
+        return _json_layout(header + ',\n  "assets": [\n    ', cells, "\n  ]" + _json_tail(samples))
     assets = list(map(_ASSET_OBJECT.__mod__, zip(
         map(encode_basestring_ascii, portfolio.ids),
         _sig10_texts(portfolio.values.tolist()),
@@ -264,12 +519,8 @@ def render_json(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Lis
         map(str, plan.rounded_cents.tolist()),
         _sig10_texts(plan.final_allocations.tolist()),
     )))
-    parts = [header, ',\n  "assets": ', _json_array(assets, "  ")]
-    if samples is not None:
-        members = [_json_array(_sig10_texts(member.tolist()), "    ") for member in samples]
-        parts += [',\n  "samples": ', _json_array(members, "  ")]
-    parts.append("\n}\n")
-    return "".join(parts)
+    return header + ',\n  "assets": ' + _json_array(assets, "  ") + _json_tail(samples)
+
 
 
 #: The table's number columns as the rows of one matrix: value, naive and

@@ -19,7 +19,8 @@ keeps.  Each Michelot round keeps its live gaps the same way
 (solvers._partition), with no array of the live set's size: on a warm
 pool, a solve that keeps most of a million gaps through its rounds
 allocates well under a megabyte.  Scaled by 2^j, the threaded plans on
-both routes scale by 2^j, byte for byte.
+both routes scale by 2^j, byte for byte, and each is a member of the l1
+family (is_l1_optimal).
 """
 
 import hashlib
@@ -35,6 +36,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import nosell as ns
 from nosell import solvers
@@ -328,6 +330,34 @@ def test_threaded_plans_scale_by_powers_of_two(n):
                 assert scaled_family.slack == math.ldexp(family.slack, j)
                 assert scaled_family.scale == family.scale
     assert routes == [True, False, True, False]
+
+
+def test_threaded_l2_plans_are_l1_plans(monkeypatch):
+    # the l2 plan lies in solve_l1's family (see test_properties.py) on
+    # both sampled routes, at a size whose passes the worker thread shares,
+    # in the deficit and the surplus case
+    reached = {"sparse": 0, "dense": 0, "deficit": 0, "surplus": 0}
+    for route, name in (("sparse", "_candidates"), ("dense", "_below")):
+        def counted(*args, route=route, cut_at=getattr(solvers, name)):
+            reached[route] += 1
+            return cut_at(*args)
+
+        monkeypatch.setattr(solvers, name, counted)
+    n = N + 1
+
+    @settings(max_examples=24, derandomize=True, deadline=None)
+    @given(k=st.integers(min_value=0, max_value=2**16), clustered=st.booleans(),
+           budget=st.floats(min_value=-3.0, max_value=11.0).map(lambda e: 10.0**e))
+    def check(k, clustered, budget):
+        deltas = _deltas(k, n)
+        if clustered:
+            deltas = 1000.0 + deltas * 1e-7
+        problem = ns.ContributionProblem(deltas, budget)
+        assert ns.is_l1_optimal(problem, ns.solve_l2(problem).adjustments), (k, clustered, budget)
+        reached[ns.solve_l1(problem).case.value] += 1
+
+    check()
+    assert all(reached.values()), reached
 
 
 # -- one-pass validation -----------------------------------------------------

@@ -896,6 +896,106 @@ def test_sig10_texts_match_the_scalar_rule():
             cli._sig10_texts([1.5, bad, 2.0])
 
 
+# -- the JSON report's byte grid ---------------------------------------------
+
+def _neighbours(x):
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+#: Numbers at which the JSON grid's texts change (see cli._json_cells), each
+#: with its neighbours 1 ulp away: 10th-digit ties that are exact in binary
+#: (1234567890.5 rounds down to even, 1234567891.5 up) and decimal ones
+#: that are not; roll-overs to one more digit; the powers of ten from 1e-13
+#: to 1e22; exponents -5/-4 and 15/16, where repr changes form; the least
+#: normal and subnormals; numbers outside 1e-13 <= |x| < 1e32.
+JSON_EDGES = [y for x in (
+    1234567890.5, 1234567891.5, 0.12345678905, 0.12345678915, 12345.678905, 2.5e-13, 9.8765432105e20,
+    9999999999.5, 0.000099999999995, 99999.999995, 9.9999999995e15, 9.9999999995e-5,
+    *(float(f"1e{k}") for k in range(-13, 23)),
+    1.5e-5, 9.87654321e-5, 1.23456789e-4, 1.2345e15, 9.999999999e15, 1.234e16, 12345678901.5,
+    2.2250738585072014e-308, 1e-310, 5e-324, 1e-14, 9.99e-14, 1e32, 9.9999999999e31, 1e100, 1e300,
+) for y in _neighbours(x)]
+#: From 1.7976931345e308, where the 10-digit rounding overflows, up to the
+#: float64 maximum.
+JSON_NEAR_MAX = np.linspace(1.7976931345e308, FLOAT_MAX, 9).tolist() + [FLOAT_MAX]
+#: Cents where the whole part's groups change, up to int64's ends.
+JSON_CENTS = [0, 1, -1, 999, 1000, -1000, 999999, -1000000, 10**15, 2**53, 2**63 - 1, -(2**63 - 1), -(2**63)]
+
+
+def _grid_cases():
+    """(label, portfolio, plan) at one row below the JSON grid's cutoff, at
+    it, one row past it and at 2 000 rows: every value, naive, adjustment
+    and final row holds the edges in a seeded order, zeros of both signs
+    and negated edges among them, the plan's rows the numbers near the
+    float64 maximum too, and the cents JSON_CENTS; the rest of each row is
+    log-uniform over the finite range (the values' below 1e300)."""
+    seed = MASTER_SEED + 96
+    rng = np.random.default_rng(seed)
+    edges = JSON_EDGES + [-x for x in JSON_EDGES] + [0.0, -0.0]
+    for rows in (cli._JSON_GRID_ROWS - 1, cli._JSON_GRID_ROWS, cli._JSON_GRID_ROWS + 1, 2000):
+        def column(edges, top=308.0):
+            numbers = rng.choice([-1.0, 1.0], rows) * 10.0 ** rng.uniform(-323.0, top, rows)
+            numbers[: len(edges)] = rng.permutation(edges)[:rows]
+            return numbers
+
+        # values whose total stays finite
+        values = column([x for x in edges if abs(x) < 1e300], 300.0)
+        targets = rng.dirichlet(np.full(rows, 0.2))
+        ids = [*AWKWARD_IDS, *NUL_IDS] + [f"a{i}" for i in range(rows - len(AWKWARD_IDS) - len(NUL_IDS))]
+        portfolio = ns.Portfolio(map(ns.Asset, ids, values.tolist(), targets.tolist()), allow_short=True)
+        cents = rng.integers(-(2**63), 2**63 - 1, rows, endpoint=True)
+        cents[: len(JSON_CENTS)] = rng.permutation(JSON_CENTS)
+        plan = ns.rebalance(ns.Portfolio(map(ns.Asset, ids, [1.0] * rows, targets.tolist())), 100.0)
+        plan = dataclasses.replace(plan, naive=column(edges + JSON_NEAR_MAX), adjustments=column(edges + JSON_NEAR_MAX),
+                                   final_allocations=column(edges + JSON_NEAR_MAX), rounded_cents=cents)
+        yield f"seed={seed} rows={rows}", portfolio, plan
+
+
+def test_json_grid_matches_json_dumps(monkeypatch):
+    # the grid writes every report from the cutoff on, and below it none
+    written = []
+    cells = cli._json_cells
+
+    def counted_cells(*args):
+        written.append(len(args[0]))
+        return cells(*args)
+
+    monkeypatch.setattr(cli, "_json_cells", counted_cells)
+    for label, portfolio, plan in _grid_cases():
+        before = len(written)
+        reference = json.dumps(reference_plan_to_dict(portfolio, plan), indent=2) + "\n"
+        assert render_json(portfolio, plan) == reference, label
+        assert len(written) == before + (portfolio.n >= cli._JSON_GRID_ROWS), label
+    assert written == [cli._JSON_GRID_ROWS, cli._JSON_GRID_ROWS + 1, 2000]
+
+
+def test_json_grid_refuses_non_finite_numbers_as_the_scalar_rule_does(monkeypatch):
+    # both writers name the first number that is not finite in column
+    # order (value, target, naive, adjustment, final), whatever its row
+    rows = cli._JSON_GRID_ROWS
+    portfolio = ns.Portfolio(ns.Asset(f"a{i}", 1.0, 1 / rows) for i in range(rows))
+    plan = ns.rebalance(portfolio, 1.0)
+    cases = ((("naive", 3, math.nan),), (("final_allocations", 0, math.inf), ("final_allocations", 5, -math.inf)),
+             (("final_allocations", 1, math.nan), ("naive", 7, -math.inf), ("adjustments", 2, math.inf)))
+    for case in cases:
+        changed = {}
+        for name, row, bad in case:
+            column = changed.get(name, getattr(plan, name).copy())
+            column[row] = bad
+            changed[name] = column
+        bad_plan = dataclasses.replace(plan, **changed)
+        column = next(column for column in (bad_plan.naive, bad_plan.adjustments, bad_plan.final_allocations)
+                      if not np.isfinite(column).all())
+        first = float(column[~np.isfinite(column)][0])
+        messages = []
+        for cutoff in (rows + 1, rows):
+            monkeypatch.setattr(cli, "_JSON_GRID_ROWS", cutoff)
+            with pytest.raises(ValueError) as raised:
+                render_json(portfolio, bad_plan)
+            messages.append(str(raised.value))
+        assert messages == [f"the JSON report cannot hold the non-finite number {first!r}"] * 2, case
+
+
 # -- JSON never carries NaN or Infinity --------------------------------------
 
 def _strict_json(text):

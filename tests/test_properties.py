@@ -11,8 +11,9 @@ whole finite range too, every sampled l1 member must pass is_l1_optimal
 (at a subnormal budget the particular and the member spending it
 exactly), every l2 plan kkt_check_l2, which must reject the plan with
 half its largest entry moved onto an unfunded one wherever that half
-exceeds twice the slack, and rebalance's cents must sum to the budget
-with none negative.  Some relations hold byte for byte and need no
+exceeds twice the slack, and is_l1_optimal, as the paper's l2 plan lies
+in the l1 family; rebalance's cents must sum to the budget with none
+negative.  Some relations hold byte for byte and need no
 oracle: scaled by 2^j (every value staying normal), both solvers' answers
 scale by 2^j, on every l2 route; up to 4096 assets, where the l2 solve is
 one scan of the sorted gaps, permuting the deltas permutes the plan, and
@@ -74,8 +75,16 @@ def test_l2_matches_exact_water_filling(monkeypatch, sample):
     def check(deltas, budget):
         nonlocal overflows
         problem = ns.ContributionProblem(deltas, budget)
+        exact, lam = water_fill_exact(deltas, budget)
+        try:
+            float(lam)
+        except OverflowError:
+            # lambda lies past the float64 range: solve_l2 refuses the
+            # problem rather than return a threshold of -inf
+            with pytest.raises(ValueError, match="is not a finite float64"):
+                ns.solve_l2(problem)
+            return
         solution = ns.solve_l2(problem)
-        exact, _ = water_fill_exact(deltas, budget)
         bound = 8 * len(deltas) * Fraction(EPS) * Fraction(budget)
         assert max(abs(Fraction(float(a)) - x) for a, x in zip(solution.adjustments, exact)) <= bound
         assert ns.kkt_check_l2(problem, solution.adjustments, solution.threshold)
@@ -266,6 +275,26 @@ def test_l2_plans_pass_kkt_over_the_whole_range(deltas, budget):
         shifted[funded] -= half
         shifted[unfunded] += half
         assert not ns.kkt_check_l2(problem, shifted, lam)
+
+
+def test_l2_plans_are_l1_plans():
+    # the l2 plan max(d - lambda, 0) is a member of solve_l1's family: at
+    # or below every positive part in the deficit case (lambda >= 0), at
+    # or above each in the surplus case (lambda < 0)
+    cases = {"deficit": 0, "surplus": 0}
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(deltas=FULL_DELTAS, budget=BUDGETS)
+    def check(deltas, budget):
+        # lambda lies in [max(d) - budget, max(d)]: past -MAX, solve_l2
+        # refuses the problem
+        assume(math.isfinite(max(deltas) - budget))
+        problem = ns.ContributionProblem(deltas, budget)
+        assert ns.is_l1_optimal(problem, ns.solve_l2(problem).adjustments)
+        cases[ns.solve_l1(problem).case.value] += 1
+
+    check()
+    assert all(cases.values()), cases
 
 
 def _serializable(asset_id):
