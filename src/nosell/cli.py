@@ -40,6 +40,9 @@ _NUMBER_START = re.compile(r"[+-]?(?:\d|\.\d|inf|nan)", re.ASCII | re.IGNORECASE
 
 _HEADER = ("id", "value", "target")
 
+#: A row of a plain portfolio file (see _parse_plain).
+_ROW = np.dtype([("id", object), ("value", np.float64), ("target", np.float64)])
+
 
 class PortfolioFormatError(ValueError):
     """Malformed portfolio file; message carries a line number."""
@@ -100,6 +103,62 @@ def _parse_numbers(fields: List[str], label: str = "") -> np.ndarray:
     return column
 
 
+def _parse_plain(text: str, normalize: bool, allow_short: bool) -> Optional[Portfolio]:
+    """The portfolio of a plain ``text`` in one np.loadtxt call, or None
+    for the whole-file reader.  A text is plain if it is ASCII, holds no
+    space, tab, ``\\x1f`` or ``#``, and its first line is the header: then
+    str.strip takes nothing off its lines and none is a comment.  loadtxt
+    skips blank lines, reads each number as float() does (both round it
+    correctly) but also inf, nan and 1e999, and raises ValueError on a row
+    of other than three fields or a number such as ``1_0`` or ``0x10``.  A
+    text it refuses, a column that is not finite and a portfolio that
+    _portfolio refuses fall through: the whole-file reader writes every
+    error message.
+    """
+    if not text.isascii() or any(map(text.__contains__, " \t\x1f#")):
+        return None
+    lines = text.splitlines()
+    # loadtxt warns on a text with no rows
+    if lines[:1] != [",".join(_HEADER)] or not any(lines[1:]):
+        return None
+    try:
+        table = np.loadtxt(lines, _ROW, comments=None, delimiter=",", skiprows=1, ndmin=1)
+        values, targets = np.ascontiguousarray(table["value"]), np.ascontiguousarray(table["target"])
+        if np.isfinite(values).all() and np.isfinite(targets).all():
+            return _portfolio(tuple(table["id"].tolist()), values, targets, None, normalize, allow_short)
+    except ValueError:
+        pass
+    return None
+
+
+def _portfolio(ids: Tuple[str, ...], values: np.ndarray, targets: np.ndarray, target_fields: Optional[List[str]],
+               normalize: bool, allow_short: bool) -> Portfolio:
+    """The portfolio of both readers' columns, the targets rescaled first
+    under ``normalize`` (see parse_portfolio).  ``target_fields``, the
+    targets' texts, names a weight that is not finite: the plain reader's
+    are all finite, and it passes None."""
+    if normalize:
+        negative = targets < 0.0
+        if negative.any():
+            row = int(negative.argmax())
+            raise _RowError(row, f"weight {float(targets[row])!r} must be nonnegative under --normalize")
+        infinite = np.isinf(targets)
+        if infinite.any():
+            row = int(infinite.argmax())
+            raise _RowError(row, f"weight {target_fields[row]!r} is not a finite float64")
+        try:
+            total = math.fsum(targets.tolist())
+        except OverflowError:
+            # the weights' sum passes the float64 maximum: sum them
+            # scaled by the largest one
+            targets = targets / targets.max()
+            total = math.fsum(targets.tolist())
+        if total <= 0.0:
+            raise PortfolioFormatError("cannot normalize: weights sum to zero")
+        targets = targets / total
+    return Portfolio._from_columns(ids, values, targets, allow_short)
+
+
 def parse_portfolio(text: str, normalize: bool = False, allow_short: bool = False) -> Portfolio:
     """Parse portfolio CSV text into a :class:`Portfolio`.
 
@@ -107,7 +166,13 @@ def parse_portfolio(text: str, normalize: bool = False, allow_short: bool = Fals
     and rescaled to sum to 1; otherwise each target must already lie in
     [0, 1] and the column must sum to 1 within tolerance.  Every error
     about one row names its line.
+
+    A plain text (see _parse_plain) is read in one np.loadtxt call; any
+    other text, and every error, takes the whole-file reader.
     """
+    portfolio = _parse_plain(text, normalize, allow_short)
+    if portfolio is not None:
+        return portfolio
     lines = _lines(text)
     content = _content(lines)
     if not content:
@@ -130,26 +195,7 @@ def parse_portfolio(text: str, normalize: bool = False, allow_short: bool = Fals
         ids, value_fields, target_fields = fields[0::3], fields[1::3], fields[2::3]
         values = _parse_numbers(value_fields, "value ")
         targets = _parse_numbers(target_fields, "target ")
-        if normalize:
-            negative = targets < 0.0
-            if negative.any():
-                row = int(negative.argmax())
-                raise _RowError(row, f"weight {float(targets[row])!r} must be nonnegative under --normalize")
-            infinite = np.isinf(targets)
-            if infinite.any():
-                row = int(infinite.argmax())
-                raise _RowError(row, f"weight {target_fields[row]!r} is not a finite float64")
-            try:
-                total = math.fsum(targets.tolist())
-            except OverflowError:
-                # the weights' sum passes the float64 maximum: sum them
-                # scaled by the largest one
-                targets = targets / targets.max()
-                total = math.fsum(targets.tolist())
-            if total <= 0.0:
-                raise PortfolioFormatError("cannot normalize: weights sum to zero")
-            targets = targets / total
-        return Portfolio._from_columns(tuple(ids), values, targets, allow_short)
+        return _portfolio(tuple(ids), values, targets, target_fields, normalize, allow_short)
     except _RowError as exc:
         # the header is content line 0
         raise PortfolioFormatError(f"line {_line_number(lines, exc.row + 1)}: {exc}") from None

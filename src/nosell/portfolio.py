@@ -118,9 +118,17 @@ class Portfolio:
             seen: set = set()
             row = next(i for i, asset_id in enumerate(ids) if asset_id in seen or seen.add(asset_id))
             raise _RowError(row, f"duplicate asset id {ids[row]!r}")
-        total_target = math.fsum(targets.tolist())
-        if abs(total_target - 1.0) > TARGET_SUM_TOL:
-            raise ValueError(f"target weights sum to {total_target:.10g}, expected 1")
+        # the targets lie in [0, 1], so sum|t| = sum(t), and numpy's sum s
+        # of n of them errs by at most (n - 1)u sum(t) / (1 - (n - 1)u), u =
+        # 2**-53 (Higham 2002, §4.2), and fsum's rounded sum by u sum(t):
+        # together below n * 2**-52 * s.  So s decides the check unless it
+        # lies that close to the edge, or the check fails and its message
+        # needs fsum's value
+        total_target = float(np.add.reduce(targets))
+        if abs(total_target - 1.0) - TARGET_SUM_TOL > -targets.size * 2.0**-52 * total_target:
+            total_target = math.fsum(targets.tolist())
+            if abs(total_target - 1.0) > TARGET_SUM_TOL:
+                raise ValueError(f"target weights sum to {total_target:.10g}, expected 1")
         if not allow_short and values.min() < 0.0:
             row = int((values < 0.0).argmax())
             raise _RowError(row, f"asset {ids[row]!r} has negative value {values[row]:.10g}; pass allow_short to permit this")

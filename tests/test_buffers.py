@@ -20,7 +20,8 @@ keeps.  Each Michelot round keeps its live gaps the same way
 pool, a solve that keeps most of a million gaps through its rounds
 allocates well under a megabyte.  Scaled by 2^j, the threaded plans on
 both routes scale by 2^j, byte for byte, and each is a member of the l1
-family (is_l1_optimal).
+family (is_l1_optimal).  A contribution split in two steps gets the
+one-step plan, and no entry falls as the budget rises, to a few ulps.
 """
 
 import hashlib
@@ -41,7 +42,7 @@ from hypothesis import given, settings, strategies as st
 import nosell as ns
 from nosell import solvers
 
-from helpers import MASTER_SEED
+from helpers import MASTER_SEED, assert_monotone, assert_split
 
 #: 4 MiB of float64: the smallest size that comes from the pool
 N = 1 << 19
@@ -358,6 +359,35 @@ def test_threaded_l2_plans_are_l1_plans(monkeypatch):
 
     check()
     assert all(reached.values()), reached
+
+
+def test_threaded_l2_plans_split_and_rise_with_the_budget(monkeypatch):
+    # the split and monotone properties (see test_properties.py) on both
+    # sampled routes, at a size whose passes the worker thread shares: the
+    # one-step plan for y1 + y2 is the plan of y1, then of y2 on its final
+    # values, and no entry of it lies below the plan of y1 alone
+    routes = {"sparse": 0, "dense": 0}
+    for route, name in (("sparse", "_candidates"), ("dense", "_below")):
+        def counted(*args, route=route, cut_at=getattr(solvers, name)):
+            routes[route] += 1
+            return cut_at(*args)
+
+        monkeypatch.setattr(solvers, name, counted)
+    n = N + 1
+
+    @settings(max_examples=24, derandomize=True, deadline=None)
+    @given(k=st.integers(min_value=0, max_value=2**16), clustered=st.booleans(),
+           budgets=st.lists(st.floats(min_value=-3.0, max_value=11.0).map(lambda e: 10.0**e), min_size=2, max_size=2))
+    def check(k, clustered, budgets):
+        rng = np.random.default_rng((MASTER_SEED, 17, k))
+        values = 1000.0 + rng.uniform(-1e-3, 1e-3, n) if clustered else rng.uniform(0.0, 1e4, n)
+        targets = rng.dirichlet(np.ones(n))
+        first, second = budgets
+        step, whole = assert_split(values, targets, first, second)
+        assert_monotone(values, step, whole, first + second)
+
+    check()
+    assert all(routes.values()), routes
 
 
 # -- one-pass validation -----------------------------------------------------

@@ -13,7 +13,10 @@ exactly), every l2 plan kkt_check_l2, which must reject the plan with
 half its largest entry moved onto an unfunded one wherever that half
 exceeds twice the slack, and is_l1_optimal, as the paper's l2 plan lies
 in the l1 family; rebalance's cents must sum to the budget with none
-negative.  Some relations hold byte for byte and need no
+negative.  On the scan route, a contribution split in two steps gets the
+one-step l2 plan, and no entry falls as the budget rises, to a few ulps.
+Targets that sum to within a few ulps of 1 +- TARGET_SUM_TOL get fsum's
+verdict.  Some relations hold byte for byte and need no
 oracle: scaled by 2^j (every value staying normal), both solvers' answers
 scale by 2^j, on every l2 route; up to 4096 assets, where the l2 solve is
 one scan of the sorted gaps, permuting the deltas permutes the plan, and
@@ -24,7 +27,8 @@ per-field reference's bytes or fails at its row with its message.  A
 whole portfolio file, with comments, blank lines, every line break that
 str.splitlines knows, Unicode whitespace around fields and wrong field
 counts, parses to the line-by-line reference's portfolio or fails with
-its message.  The table's cells, over the whole float64 range with
+its message; a plain file, and each with one edit, does so too, read by
+np.loadtxt exactly when it is plain and valid.  The table's cells, over the whole float64 range with
 infinities and NaN, are the texts of the per-number float format, and
 the byte grid of a large table lays out those texts as a cell-by-cell
 layout does, beside ids of any characters.  Runs are derandomized, so
@@ -33,6 +37,7 @@ tier-1 stays deterministic.
 
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -40,10 +45,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import nosell as ns
-from nosell import solvers
+from nosell import cli, solvers
 from nosell.cli import _cells, _grid, _magnitudes, _parse_numbers, parse_portfolio, serialize_portfolio
 from nosell.portfolio import _RowError
 
+from helpers import assert_monotone, assert_split, l2_adjustments
 from reference_kernels import water_fill_exact
 from reference_parse import reference_parse_numbers, reference_parse_portfolio
 from reference_render import money_texts, pct_texts
@@ -169,10 +175,37 @@ def _assert_permuted(deltas, budget, order):
     assert permuted.active_count == solution.active_count
 
 
-@settings(max_examples=200, derandomize=True, deadline=None)
-@given(deltas=FULL_DELTAS, budget=BUDGETS, data=st.data())
-def test_l2_plan_permutes_with_the_deltas(deltas, budget, data):
-    _assert_permuted(deltas, budget, data.draw(st.permutations(range(len(deltas)))))
+def _refused_past_float64(deltas, budget):
+    """Whether solve_l2 refuses the problem, which it may only where the
+    exact lambda lies past the float64 range: it refuses rather than return
+    a threshold of -inf (see test_l2_matches_exact_water_filling)."""
+    try:
+        ns.solve_l2(ns.ContributionProblem(deltas, budget))
+    except ValueError as exc:
+        if "is not a finite float64" not in str(exc):
+            raise
+        with pytest.raises(OverflowError):
+            float(water_fill_exact(deltas, budget)[1])
+        return True
+    return False
+
+
+def test_l2_plan_permutes_with_the_deltas():
+    refusals = 0
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(deltas=FULL_DELTAS, budget=BUDGETS, seed=st.integers(min_value=0, max_value=2**32 - 1))
+    # lambda lies past -MAX
+    @example(deltas=[-MAX, -MAX], budget=1e300, seed=0)
+    def check(deltas, budget, seed):
+        nonlocal refusals
+        if _refused_past_float64(deltas, budget):
+            refusals += 1
+            return
+        _assert_permuted(deltas, budget, np.random.default_rng(seed).permutation(len(deltas)))
+
+    check()
+    assert refusals, refusals
 
 
 def _assert_far_below_is_unfunded(deltas, budget, far):
@@ -252,29 +285,42 @@ def test_sampled_l1_members_pass_is_l1_optimal(deltas, budget, seed):
         assert math.fsum(member.tolist()) == budget
 
 
-@settings(max_examples=250, derandomize=True, deadline=None)
-@given(deltas=FULL_DELTAS, budget=BUDGETS)
-# lam is the float64 maximum, where a slack from np.spacing would be inf
-@example(deltas=[MAX], budget=1.0)
-# the plan is FEAS_TOL, counted as zero, and lam rounds to -FEAS_TOL
-@example(deltas=[6.746293724073171e-224], budget=1e-09)
-# an unfunded delta far below the funded side's scale
-@example(deltas=[1.0, 2.0, -1e300], budget=1.0)
-def test_l2_plans_pass_kkt_over_the_whole_range(deltas, budget):
-    problem = ns.ContributionProblem(deltas, budget)
-    solution = ns.solve_l2(problem)
-    plan, lam = solution.adjustments, solution.threshold
-    assert ns.kkt_check_l2(problem, plan, lam)
-    # half the largest entry moved onto an unfunded one breaks stationarity
-    # at both by more than the slack wherever the half exceeds twice it
-    slack = solvers.FEAS_TOL + 4.0 * math.ulp(max(abs(max(deltas)), abs(lam)))
-    funded, unfunded = int(plan.argmax()), int(plan.argmin())
-    half = plan[funded] / 2
-    if plan[unfunded] <= solvers.FEAS_TOL and half > 2 * slack:
-        shifted = plan.copy()
-        shifted[funded] -= half
-        shifted[unfunded] += half
-        assert not ns.kkt_check_l2(problem, shifted, lam)
+def test_l2_plans_pass_kkt_over_the_whole_range():
+    refusals = 0
+
+    @settings(max_examples=250, derandomize=True, deadline=None)
+    @given(deltas=FULL_DELTAS, budget=BUDGETS)
+    # lam is the float64 maximum, where a slack from np.spacing would be inf
+    @example(deltas=[MAX], budget=1.0)
+    # the plan is FEAS_TOL, counted as zero, and lam rounds to -FEAS_TOL
+    @example(deltas=[6.746293724073171e-224], budget=1e-09)
+    # an unfunded delta far below the funded side's scale
+    @example(deltas=[1.0, 2.0, -1e300], budget=1.0)
+    # lam lies past -MAX
+    @example(deltas=[-MAX], budget=1e300)
+    def check(deltas, budget):
+        nonlocal refusals
+        if _refused_past_float64(deltas, budget):
+            refusals += 1
+            return
+        problem = ns.ContributionProblem(deltas, budget)
+        solution = ns.solve_l2(problem)
+        plan, lam = solution.adjustments, solution.threshold
+        assert ns.kkt_check_l2(problem, plan, lam)
+        # half the largest entry moved onto an unfunded one breaks
+        # stationarity at both by more than the slack wherever the half
+        # exceeds twice it
+        slack = solvers.FEAS_TOL + 4.0 * math.ulp(max(abs(max(deltas)), abs(lam)))
+        funded, unfunded = int(plan.argmax()), int(plan.argmin())
+        half = plan[funded] / 2
+        if plan[unfunded] <= solvers.FEAS_TOL and half > 2 * slack:
+            shifted = plan.copy()
+            shifted[funded] -= half
+            shifted[unfunded] += half
+            assert not ns.kkt_check_l2(problem, shifted, lam)
+
+    check()
+    assert refusals, refusals
 
 
 def test_l2_plans_are_l1_plans():
@@ -295,6 +341,46 @@ def test_l2_plans_are_l1_plans():
 
     check()
     assert all(cases.values()), cases
+
+
+@st.composite
+def holdings(draw):
+    """``(values, targets)``: up to MAX_N holdings at a scale of 1e-4 to
+    1e12, short in one draw in five (with a total that is not), and
+    targets from weights of which often most are zero.  The far ends of the
+    float64 range wait on a proven error bound per solve."""
+    n = draw(st.integers(min_value=1, max_value=MAX_N))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    scale = 10.0 ** draw(st.floats(min_value=-4.0, max_value=12.0))
+    values = scale * (rng.uniform(-0.5, 1.0, n) if draw(st.integers(0, 4)) == 0 else rng.random(n))
+    if values.sum() < 0.0:
+        values = -values
+    weights = rng.random(n) * (rng.random(n) < draw(st.sampled_from([0.3, 1.0])))
+    weights[rng.integers(n)] = 1.0
+    return values, weights / math.fsum(weights.tolist())
+
+
+#: Budgets log-uniform from 1e-4 to 1e12.
+PLAN_BUDGETS = st.floats(min_value=-4.0, max_value=12.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(holding=holdings(), first=PLAN_BUDGETS, second=PLAN_BUDGETS)
+def test_l2_plan_of_a_split_contribution_is_the_one_step_plan(holding, first, second):
+    # rebalancing y1, then y2 on the first step's final values, gives the
+    # plan for y1 + y2 in one step: the final values max(x_i, p_i W - mu)
+    # of the first step lie at or below the one step's, as mu never rises
+    # with the budget
+    assert_split(*holding, first, second)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(holding=holdings(), budgets=st.lists(PLAN_BUDGETS, min_size=2, max_size=2).map(sorted))
+def test_l2_plan_entries_rise_with_the_budget(holding, budgets):
+    # no entry of the plan falls as the budget rises, as mu never rises
+    values, targets = holding
+    low, high = (l2_adjustments(values, targets, budget) for budget in budgets)
+    assert_monotone(values, low, high, budgets[1])
 
 
 def _serializable(asset_id):
@@ -458,6 +544,146 @@ def test_parse_portfolio_matches_the_line_by_line_reader():
         else:
             reached["refused"] += 1
             reached["row refused"] += expected[1].startswith("line ") and "header" not in expected[1]
+
+    check()
+    assert all(reached.values()), reached
+
+
+#: Ids of a plain file: printable ASCII but for the comma, space and #.
+_PLAIN_IDS = st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E, exclude_characters=",#"), min_size=1,
+                     max_size=3)
+#: One edit of a plain file, or none (twice as often as each edit);
+#: "break" and a NUL in an id keep it plain.
+_EDITS = ["none", "none", "space", "comment line", "# in an id", "break", "non-ASCII id", "non-finite",
+          "separator", "field count", "empty id", "duplicate id", "NUL", "header only"]
+
+
+@st.composite
+def plain_files(draw):
+    """``(edit, text)``: a plain portfolio file (see cli._parse_plain), the
+    exact header and rows of an id and the reprs of a value and a target,
+    blank lines between them, each line ended by \\n or \\r\\n, then one
+    edit of _EDITS."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    ids = draw(st.lists(_PLAIN_IDS, min_size=n, max_size=n, unique=True))
+    values = draw(st.lists(st.floats(min_value=-1e3, max_value=1e9), min_size=n, max_size=n))
+    weights = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=n, max_size=n))
+    total = math.fsum(weights) or 1.0
+    rows = [[asset_id, repr(value), repr(weight / total)] for asset_id, value, weight in zip(ids, values, weights)]
+    edit = draw(st.sampled_from(_EDITS))
+    row, column = draw(st.integers(0, n - 1)), draw(st.integers(1, 2))
+    if edit == "# in an id":
+        rows[row][0] = rows[row][0][:1] + "#" + rows[row][0][1:]
+    elif edit == "non-ASCII id":
+        rows[row][0] += draw(st.sampled_from(["\u00e9", "\u00a0", "\U0001F600"]))
+    elif edit == "non-finite":
+        rows[row][column] = draw(st.sampled_from(["inf", "-inf", "nan", "1e999"]))
+    elif edit == "separator":
+        rows[row][column] = draw(st.sampled_from(["1_0", "0x10", '"1"']))
+    elif edit == "field count":
+        rows[row] = draw(st.sampled_from([rows[row][:2], rows[row] + ["0"]]))
+    elif edit == "empty id":
+        rows[row][0] = ""
+    elif edit == "duplicate id":
+        rows.insert(row, list(rows[row]))
+    elif edit == "NUL":
+        column = draw(st.integers(0, 2))
+        at = draw(st.integers(0, len(rows[row][column])))
+        rows[row][column] = rows[row][column][:at] + "\0" + rows[row][column][at:]
+    lines = ["id,value,target"]
+    for fields in [] if edit == "header only" else rows:
+        lines += [""] * draw(st.integers(0, 1))
+        lines.append(",".join(fields))
+    if edit == "comment line":
+        lines.insert(draw(st.integers(0, len(lines))), "#x,1,0.5")
+    elif edit == "space":
+        line = draw(st.integers(0, len(lines) - 1))
+        at = draw(st.integers(0, len(lines[line])))
+        lines[line] = lines[line][:at] + draw(st.sampled_from(" \t\x1f")) + lines[line][at:]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):
+        ends[-1] = ""
+    if edit == "break":
+        ends[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(["\x0b", "\x0c", "\x1c"]))
+    return edit, "".join(map(str.__add__, lines, ends))
+
+
+def _plain(text):
+    """cli._parse_plain's rule: ASCII, no space, tab, \\x1f or #, and the
+    header as the first line."""
+    return text.isascii() and not any(c in text for c in " \t\x1f#") and text.splitlines()[:1] == ["id,value,target"]
+
+
+def test_plain_reader_matches_the_line_by_line_reader(monkeypatch):
+    # np.loadtxt must give the reference's portfolio on every plain text it
+    # reads, and fall through on every other text, whose portfolio or error
+    # the whole-file reader gives; a warning from it fails the test
+    read = []
+
+    def counted(*args, parse_plain=cli._parse_plain):
+        portfolio = parse_plain(*args)
+        read.append(portfolio is not None)
+        return portfolio
+
+    monkeypatch.setattr(cli, "_parse_plain", counted)
+    reached = {edit: 0 for edit in _EDITS}
+    reached.update(read=0, fell_through=0)
+
+    @settings(max_examples=600, derandomize=True, deadline=None)
+    @given(file=plain_files(), normalize=st.booleans(), allow_short=st.booleans())
+    # loadtxt reads inf and 1e999: under --normalize only the whole-file
+    # reader has the weight's text for its message
+    @example(file=("non-finite", "id,value,target\na,1,1e999\n"), normalize=True, allow_short=False)
+    @example(file=("non-finite", "id,value,target\r\na,1,inf"), normalize=True, allow_short=True)
+    @example(file=("comment line", "id,value,target\n#x,1,0.5\na,1,0.5\n"), normalize=True, allow_short=False)
+    @example(file=("header only", "id,value,target\r\n\r\n"), normalize=False, allow_short=False)
+    def check(file, normalize, allow_short):
+        edit, text = file
+        expected = _parsed(reference_parse_portfolio, text, normalize, allow_short)
+        read.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _parsed(parse_portfolio, text, normalize, allow_short) == expected
+        assert read == [_plain(text) and len(expected) == 4], (edit, text)
+        reached[edit] += 1
+        reached["read" if read[0] else "fell_through"] += 1
+
+    check()
+    assert all(reached.values()), reached
+
+
+def test_target_sum_check_matches_fsum_at_the_edge():
+    # targets that sum to 1 +- TARGET_SUM_TOL +- a few ulps: numpy's sum
+    # decides the check only where its error bound proves fsum's verdict,
+    # so the verdicts and messages are fsum's
+    reached = {"kept": 0, "refused": 0, "np.sum is not fsum": 0}
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(n=st.integers(min_value=1, max_value=5000), seed=st.integers(min_value=0, max_value=2**32 - 1),
+           side=st.sampled_from([-1.0, 1.0]), ulps=st.integers(min_value=-4, max_value=4), sparse=st.booleans())
+    @example(n=1, seed=0, side=-1.0, ulps=0, sparse=False)
+    def check(n, seed, side, ulps, sparse):
+        rng = np.random.default_rng(seed)
+        weights = rng.random(n) * (rng.random(n) < 0.1 if sparse else 1.0)
+        weights[-1] = 1.0
+        edge = 1.0 + side * ns.TARGET_SUM_TOL
+        for _ in range(abs(ulps)):
+            edge = math.nextafter(edge, math.copysign(math.inf, ulps))
+        targets = weights * (edge / math.fsum(weights.tolist()))
+        # the last target puts the exact sum within an ulp of the edge
+        targets[-1] = edge - math.fsum(targets[:-1].tolist())
+        assume(0.0 <= targets[-1] <= 1.0)
+        total = math.fsum(targets.tolist())
+        reached["np.sum is not fsum"] += float(targets.sum()) != total
+        try:
+            ns.Portfolio._from_columns(tuple(map(str, range(n))), np.ones(n), targets, False)
+        except ValueError as exc:
+            assert abs(total - 1.0) > ns.TARGET_SUM_TOL
+            assert str(exc) == f"target weights sum to {total:.10g}, expected 1"
+            reached["refused"] += 1
+        else:
+            assert abs(total - 1.0) <= ns.TARGET_SUM_TOL
+            reached["kept"] += 1
 
     check()
     assert all(reached.values()), reached
