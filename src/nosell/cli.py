@@ -20,7 +20,6 @@ import functools
 import math
 import re
 import sys
-from itertools import repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -40,7 +39,7 @@ _NUMBER_START = re.compile(r"[+-]?(?:\d|\.\d|inf|nan)", re.ASCII | re.IGNORECASE
 
 _HEADER = ("id", "value", "target")
 
-#: A row of a plain portfolio file (see _parse_plain).
+#: A row of a portfolio file as np.loadtxt reads it (see _parse_loadtxt).
 _ROW = np.dtype([("id", object), ("value", np.float64), ("target", np.float64)])
 
 
@@ -54,78 +53,53 @@ def _read(path: str) -> str:
     return Path(path).read_text(encoding="utf-8-sig")
 
 
-def _lines(text: str) -> List[str]:
-    """Every line of ``text``, stripped."""
-    return list(map(str.strip, text.splitlines()))
-
-
-def _content(lines: List[str]) -> List[str]:
-    """The stripped lines that are neither blank nor a ``#`` comment."""
-    return [line for line in lines if line and line[0] != "#"]
-
-
-def _line_number(lines: List[str], row: int) -> int:
-    """The line number (1 the first) of ``_content(lines)[row]``, worked
-    out only for an error message."""
-    return [number for number, line in enumerate(lines, start=1) if line and line[0] != "#"][row]
+def _content(text: str) -> List[Tuple[int, str]]:
+    """``(line number, stripped line)``, the first line 1, of every line of
+    ``text`` that is neither blank nor a ``#`` comment."""
+    lines = enumerate(map(str.strip, text.splitlines()), start=1)
+    return [(number, line) for number, line in lines if line and line[0] != "#"]
 
 
 def _parse_numbers(fields: List[str], label: str = "") -> np.ndarray:
     """A non-empty column of stripped fields as one float64 array, behind
     the strict grammar: no nan or inf, no separators.  The first field
     that breaks it raises _RowError with its index, the message led by
-    ``label``.
-
-    The column is converted once (numpy reads each str by float()), and
-    kept if it is all finite and its text is ASCII with no ``_``.  A
-    stripped text that float() reads is an optional sign, then inf,
-    infinity or nan in any case, or a decimal with an optional exponent
-    whose digits are any Unicode decimal digits, with single ``_`` between
-    them.  ASCII leaves the digits 0-9, no ``_`` leaves no separators, and
-    finiteness leaves no inf or nan: what is left is _NUMBER_RE's texts.
-    Any other column (one that float() refuses, or one past the float64
-    range, such as ``1e999``, which the grammar allows) is matched field
-    by field, so the first bad field is named, and a column that passes
-    keeps its conversion.
+    ``label``.  float() reads every text of the grammar, one past the
+    float64 range, such as ``1e999``, as inf.
     """
-    try:
-        column = np.array(fields, dtype=np.float64)
-    except ValueError:
-        column = None
-    else:
-        text = "".join(fields)
-        if text.isascii() and "_" not in text and np.isfinite(column).all():
-            return column
     if not all(map(_NUMBER_RE.fullmatch, fields)):
         row = next(i for i, field in enumerate(fields) if not _NUMBER_RE.fullmatch(field))
         raise _RowError(row, f"{label}{fields[row]!r} is not a plain decimal number")
-    # float() reads every text of the grammar, so the column was converted
-    return column
+    return np.array(fields, dtype=np.float64)
 
 
-def _parse_plain(text: str, normalize: bool, allow_short: bool) -> Optional[Portfolio]:
-    """The portfolio of a plain ``text`` in one np.loadtxt call, or None
-    for the whole-file reader.  A text is plain if it is ASCII, holds no
-    space, tab, ``\\x1f`` or ``#``, and its first line is the header: then
-    str.strip takes nothing off its lines and none is a comment.  loadtxt
-    skips blank lines, reads each number as float() does (both round it
-    correctly) but also inf, nan and 1e999, and raises ValueError on a row
-    of other than three fields or a number such as ``1_0`` or ``0x10``.  A
-    text it refuses, a column that is not finite and a portfolio that
-    _portfolio refuses fall through: the whole-file reader writes every
-    error message.
+def _parse_loadtxt(text: str, normalize: bool, allow_short: bool) -> Optional[Portfolio]:
+    """The portfolio of a valid ``text`` in one np.loadtxt call, or None
+    for the line-by-line reader.  A plain text, one that is ASCII and holds
+    no space, tab, ``\\x1f`` or ``#``, is read as it is if its first line is
+    the header: str.strip takes nothing off its lines, none is a comment,
+    and loadtxt skips the blank ones.  Any other text is read from its
+    content lines (see _content), and its ids are stripped.  loadtxt takes
+    the whitespace around each number off as str.strip does, reads the
+    number as float() does (both round it correctly) but also inf, nan and
+    1e999, and raises ValueError on a row of other than three fields or a
+    number such as ``1_0``, ``0x10`` or one with a non-ASCII digit.  A text
+    it refuses, a column that is not finite and a portfolio that _portfolio
+    refuses fall through: the line-by-line reader writes every error
+    message.
     """
-    if not text.isascii() or any(map(text.__contains__, " \t\x1f#")):
-        return None
-    lines = text.splitlines()
+    plain = text.isascii() and not any(map(text.__contains__, " \t\x1f#"))
+    lines = text.splitlines() if plain else [line for _, line in _content(text)]
     # loadtxt warns on a text with no rows
-    if lines[:1] != [",".join(_HEADER)] or not any(lines[1:]):
+    if not lines or tuple(map(str.strip, lines[0].split(","))) != _HEADER or not any(lines[1:]):
         return None
     try:
         table = np.loadtxt(lines, _ROW, comments=None, delimiter=",", skiprows=1, ndmin=1)
         values, targets = np.ascontiguousarray(table["value"]), np.ascontiguousarray(table["target"])
         if np.isfinite(values).all() and np.isfinite(targets).all():
-            return _portfolio(tuple(table["id"].tolist()), values, targets, None, normalize, allow_short)
+            ids = table["id"].tolist()
+            return _portfolio(tuple(ids if plain else map(str.strip, ids)), values, targets, None, normalize,
+                              allow_short)
     except ValueError:
         pass
     return None
@@ -135,8 +109,8 @@ def _portfolio(ids: Tuple[str, ...], values: np.ndarray, targets: np.ndarray, ta
                normalize: bool, allow_short: bool) -> Portfolio:
     """The portfolio of both readers' columns, the targets rescaled first
     under ``normalize`` (see parse_portfolio).  ``target_fields``, the
-    targets' texts, names a weight that is not finite: the plain reader's
-    are all finite, and it passes None."""
+    targets' texts, names a weight that is not finite: the loadtxt
+    reader's are all finite, and it passes None."""
     if normalize:
         negative = targets < 0.0
         if negative.any():
@@ -167,38 +141,33 @@ def parse_portfolio(text: str, normalize: bool = False, allow_short: bool = Fals
     [0, 1] and the column must sum to 1 within tolerance.  Every error
     about one row names its line.
 
-    A plain text (see _parse_plain) is read in one np.loadtxt call; any
-    other text, and every error, takes the whole-file reader.
+    Every valid text is read in one np.loadtxt call (see
+    _parse_loadtxt).  A text that it refuses takes the line-by-line
+    reader, which walks the numbered content lines and writes every error
+    message.
     """
-    portfolio = _parse_plain(text, normalize, allow_short)
+    portfolio = _parse_loadtxt(text, normalize, allow_short)
     if portfolio is not None:
         return portfolio
-    lines = _lines(text)
-    content = _content(lines)
-    if not content:
+    lines = _content(text)
+    if not lines:
         raise PortfolioFormatError("empty portfolio file: missing header")
-    header, *rows = content
+    (number, header), *rows = lines
     if tuple(map(str.strip, header.split(","))) != _HEADER:
-        raise PortfolioFormatError(
-            f"line {_line_number(lines, 0)}: expected header 'id,value,target', got {header!r}"
-        )
+        raise PortfolioFormatError(f"line {number}: expected header 'id,value,target', got {header!r}")
     if not rows:
         raise PortfolioFormatError("portfolio file contains no asset rows")
     try:
-        commas = list(map(str.count, rows, repeat(",")))
-        if set(commas) != {2}:
-            row = next(i for i, count in enumerate(commas) if count != 2)
-            raise _RowError(row, f"expected 3 fields, got {commas[row] + 1}")
-        # every row holds two commas, so the joined rows split into fields
-        # three by three
-        fields = list(map(str.strip, ",".join(rows).split(",")))
-        ids, value_fields, target_fields = fields[0::3], fields[1::3], fields[2::3]
+        split = [line.split(",") for _, line in rows]
+        for row, fields in enumerate(split):
+            if len(fields) != 3:
+                raise _RowError(row, f"expected 3 fields, got {len(fields)}")
+        ids, value_fields, target_fields = ([field.strip() for field in column] for column in zip(*split))
         values = _parse_numbers(value_fields, "value ")
         targets = _parse_numbers(target_fields, "target ")
         return _portfolio(tuple(ids), values, targets, target_fields, normalize, allow_short)
     except _RowError as exc:
-        # the header is content line 0
-        raise PortfolioFormatError(f"line {_line_number(lines, exc.row + 1)}: {exc}") from None
+        raise PortfolioFormatError(f"line {rows[exc.row][0]}: {exc}") from None
 
 
 def serialize_portfolio(portfolio: Portfolio) -> str:
@@ -212,7 +181,7 @@ def serialize_portfolio(portfolio: Portfolio) -> str:
     values, targets = _sig10_texts(portfolio.values.tolist()), _sig10_texts(portfolio.targets.tolist())
     for asset_id, value, target in zip(portfolio.ids, values, targets):
         # the id must read back as the one content line it is
-        if "," in asset_id or _content(_lines(asset_id)) != [asset_id]:
+        if "," in asset_id or _content(asset_id) != [(1, asset_id)]:
             raise ValueError(f"asset id {asset_id!r} cannot be serialized")
         lines.append(f"{asset_id},{value},{target}")
     return "\n".join(lines) + "\n"
@@ -889,8 +858,8 @@ def run_project_simplex_command(argv: Optional[Sequence[str]] = None) -> int:
         if args.values is not None:
             fields = [field.strip() for field in args.values.split(",")]
         else:
-            lines = _lines(_read(args.input))
-            fields = _content(lines)
+            lines = _content(_read(args.input))
+            fields = [line for _, line in lines]
         if not fields:
             raise ValueError("no values supplied")
         try:
@@ -900,7 +869,7 @@ def run_project_simplex_command(argv: Optional[Sequence[str]] = None) -> int:
                 row = int(finite.argmin())
                 raise _RowError(row, f"{fields[row]!r} is not a finite float64")
         except _RowError as exc:
-            place = f"value {exc.row + 1}" if args.values is not None else f"line {_line_number(lines, exc.row)}"
+            place = f"value {exc.row + 1}" if args.values is not None else f"line {lines[exc.row][0]}"
             raise ValueError(f"{place}: {exc}") from None
         projected = simplex_mle(values)
     except (ValueError, OSError) as exc:

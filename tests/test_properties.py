@@ -27,11 +27,13 @@ per-field reference's bytes or fails at its row with its message.  A
 whole portfolio file, with comments, blank lines, every line break that
 str.splitlines knows, Unicode whitespace around fields and wrong field
 counts, parses to the line-by-line reference's portfolio or fails with
-its message; a plain file, and each with one edit, does so too, read by
-np.loadtxt exactly when it is plain and valid.  The table's cells, over the whole float64 range with
-infinities and NaN, are the texts of the per-number float format, and
-the byte grid of a large table lays out those texts as a cell-by-cell
-layout does, beside ids of any characters.  Runs are derandomized, so
+its message; so do a plain file, each with one edit, and a valid padded
+file, read by np.loadtxt exactly when it is valid (but a plain one whose
+first line is not the header), and a file with any space or digit code
+point around, inside or in place of a field.  The table's cells, over
+the whole float64 range with infinities and NaN, are the texts of the
+per-number float format, and the byte grid of a large table lays out
+those texts as a cell-by-cell layout does, beside ids of any characters.  Runs are derandomized, so
 tier-1 stays deterministic.
 """
 
@@ -560,7 +562,7 @@ _EDITS = ["none", "none", "space", "comment line", "# in an id", "break", "non-A
 
 @st.composite
 def plain_files(draw):
-    """``(edit, text)``: a plain portfolio file (see cli._parse_plain), the
+    """``(edit, text)``: a plain portfolio file (see cli._parse_loadtxt), the
     exact header and rows of an id and the reprs of a value and a target,
     blank lines between them, each line ended by \\n or \\r\\n, then one
     edit of _EDITS."""
@@ -608,35 +610,75 @@ def plain_files(draw):
     return edit, "".join(map(str.__add__, lines, ends))
 
 
-def _plain(text):
-    """cli._parse_plain's rule: ASCII, no space, tab, \\x1f or #, and the
-    header as the first line."""
-    return text.isascii() and not any(c in text for c in " \t\x1f#") and text.splitlines()[:1] == ["id,value,target"]
+#: Ids of a padded file: any first character but a space or #, then
+#: others with #, a space and non-ASCII characters.
+_PADDED_IDS = st.tuples(st.sampled_from("ab\u00e9\U0001F600"), st.text(st.sampled_from("ab#\u00e9 \u00a0"), max_size=3))
 
 
-def test_plain_reader_matches_the_line_by_line_reader(monkeypatch):
-    # np.loadtxt must give the reference's portfolio on every plain text it
-    # reads, and fall through on every other text, whose portfolio or error
-    # the whole-file reader gives; a warning from it fails the test
+@st.composite
+def padded_files(draw):
+    """``("padded", text)``: a valid portfolio file that is seldom plain:
+    the header and rows of an id and the reprs of a value and a target,
+    each field padded by whitespace, ids with # or non-ASCII characters,
+    comment and blank lines between them, each line ended by any break
+    that str.splitlines knows."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    ids = draw(st.lists(_PADDED_IDS.map("".join).map(str.strip), min_size=n, max_size=n, unique=True))
+    values = draw(st.lists(st.floats(min_value=0.0, max_value=1e9), min_size=n, max_size=n))
+    weights = draw(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=n, max_size=n))
+    total = math.fsum(weights) or 1.0
+    rows = [["id", "value", "target"]]
+    rows += [[asset_id, repr(value), repr(weight / total)] for asset_id, value, weight in zip(ids, values, weights)]
+    lines = []
+    for fields in rows:
+        lines += draw(st.lists(st.sampled_from(["", " \t", "# note", " #x,1,2", "#", "\u3000"]), max_size=2))
+        lines.append(",".join(draw(_SPACES) + field + draw(_SPACES) for field in fields))
+    return "padded", "".join(line + draw(_BREAKS) for line in lines)
+
+
+def _count_loadtxt_reads(monkeypatch):
+    """A list to which each call of cli._parse_loadtxt appends whether it
+    returned a portfolio."""
     read = []
 
-    def counted(*args, parse_plain=cli._parse_plain):
-        portfolio = parse_plain(*args)
+    def counted(*args, parse_loadtxt=cli._parse_loadtxt):
+        portfolio = parse_loadtxt(*args)
         read.append(portfolio is not None)
         return portfolio
 
-    monkeypatch.setattr(cli, "_parse_plain", counted)
-    reached = {edit: 0 for edit in _EDITS}
-    reached.update(read=0, fell_through=0)
+    monkeypatch.setattr(cli, "_parse_loadtxt", counted)
+    return read
 
-    @settings(max_examples=600, derandomize=True, deadline=None)
-    @given(file=plain_files(), normalize=st.booleans(), allow_short=st.booleans())
-    # loadtxt reads inf and 1e999: under --normalize only the whole-file
+
+def _plain(text):
+    """cli._parse_loadtxt's rule for a plain text: ASCII, and no space,
+    tab, \\x1f or #."""
+    return text.isascii() and not any(c in text for c in " \t\x1f#")
+
+
+def test_plain_reader_matches_the_line_by_line_reader(monkeypatch):
+    # np.loadtxt must give the reference's portfolio on every text it
+    # reads, and read exactly the texts that the reference parses, but a
+    # plain one whose first line is not the header; the line-by-line
+    # reader gives the portfolio or error of every other text; a warning
+    # from either fails the test
+    read = _count_loadtxt_reads(monkeypatch)
+    reached = {edit: 0 for edit in _EDITS + ["padded"]}
+    reached.update(read=0, fell_through=0, padded_read=0)
+
+    # plain files twice as often as padded ones
+    @settings(max_examples=900, derandomize=True, deadline=None)
+    @given(file=st.one_of(plain_files(), plain_files(), padded_files()), normalize=st.booleans(),
+           allow_short=st.booleans())
+    # loadtxt reads inf and 1e999: under --normalize only the line-by-line
     # reader has the weight's text for its message
     @example(file=("non-finite", "id,value,target\na,1,1e999\n"), normalize=True, allow_short=False)
     @example(file=("non-finite", "id,value,target\r\na,1,inf"), normalize=True, allow_short=True)
     @example(file=("comment line", "id,value,target\n#x,1,0.5\na,1,0.5\n"), normalize=True, allow_short=False)
     @example(file=("header only", "id,value,target\r\n\r\n"), normalize=False, allow_short=False)
+    @example(file=("break", "\nid,value,target\na,1,1\n"), normalize=False, allow_short=False)
+    @example(file=("padded", "# c\r\n \u3000\r\nid , value,target\u2028a#1 ,\u00a05 ,1\x85"), normalize=False,
+             allow_short=False)
     def check(file, normalize, allow_short):
         edit, text = file
         expected = _parsed(reference_parse_portfolio, text, normalize, allow_short)
@@ -644,12 +686,39 @@ def test_plain_reader_matches_the_line_by_line_reader(monkeypatch):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _parsed(parse_portfolio, text, normalize, allow_short) == expected
-        assert read == [_plain(text) and len(expected) == 4], (edit, text)
+        header_first = text.splitlines()[:1] == ["id,value,target"]
+        assert read == [len(expected) == 4 and (header_first or not _plain(text))], (edit, text)
         reached[edit] += 1
         reached["read" if read[0] else "fell_through"] += 1
+        reached["padded_read"] += edit == "padded" and read[0] and not _plain(text)
 
     check()
     assert all(reached.values()), reached
+    # padded files are valid and seldom plain: loadtxt reads most of them
+    assert reached["padded_read"] >= 100, reached
+
+
+def test_parse_portfolio_matches_the_reference_around_spaces_and_digits(monkeypatch):
+    # every code point below U+3100 that str.isspace or str.isnumeric
+    # holds for, and a few more that str.strip keeps or float() reads,
+    # around a number, inside one, alone in a field and around an id: the
+    # portfolio or error is the reference's, and loadtxt reads some texts
+    points = [chr(c) for c in range(0x3100) if chr(c).isspace() or chr(c).isnumeric()]
+    points += ["\ufeff", "\u200b", "\u180e", "\u2060", "\uff10", "\uff19", "\0", "\x7f"]
+    rng = np.random.default_rng(0)
+    read = _count_loadtxt_reads(monkeypatch)
+    for c in points:
+        value = repr(float(rng.integers(1, 10**6)) / 100)
+        for row in (f"a,{c}{value},0.5", f"a,{value}{c},0.5", f"a,{value[:1]}{c}{value[1:]},0.5",
+                    f"a,{value[:-1]}{c}{value[-1:]},0.5", f"a,{c},0.5", f"a,1,{c}", f"{c}a{c},{value},0.5",
+                    f"a{c}b,{value},0.5"):
+            text = f"id,value,target\n{row}\nb,2,0.5\n"
+            for normalize in (False, True):
+                expected = _parsed(reference_parse_portfolio, text, normalize, False)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert _parsed(parse_portfolio, text, normalize, False) == expected, (c, text)
+    assert any(read)
 
 
 def test_target_sum_check_matches_fsum_at_the_edge():
