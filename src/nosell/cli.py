@@ -253,6 +253,91 @@ def _json_array(items: List[str], indent: str) -> str:
     return f"[\n{inner}{separator.join(items)}\n{indent}]"
 
 
+@functools.cache
+def _key_bounds() -> Tuple[np.ndarray, np.ndarray]:
+    """The tables of _keys, read-only, by the biased binary exponent b of
+    a float64 (its bits >> 52): the key of 10**floor((b - 1023) *
+    log10(2)), which (b - 1023) * 1233 >> 12 is for |b - 1023| < 681, and
+    the least float64 not below ten times that power, from which on the
+    key is one more."""
+    bounds = []
+    for e in range(-14, 34):
+        # the least float64 not below 10**e
+        bound = float(f"1e{e}")
+        num, den = bound.as_integer_ratio()
+        bounds.append(math.nextafter(bound, math.inf) if num * 10 ** max(-e, 0) < den * 10 ** max(e, 0) else bound)
+    lower = np.clip(((np.arange(2048) - 1023) * 1233 >> 12) + 14, 0, 46)
+    above = np.array(bounds).take(lower + 1)
+    lower.flags.writeable = above.flags.writeable = False
+    return lower, above
+
+
+def _keys(magnitudes: np.ndarray) -> np.ndarray:
+    """The key of each float64 magnitude m, for both byte grids, read
+    from its bits: floor(log10 m) + 14 for 1e-13 <= m < 1e33, 0 below (0
+    included) and 47 above.  A whole m has max(key - 13, 1) digits."""
+    lower, above = _key_bounds()
+    exponents = magnitudes.view(np.int64) >> 52
+    keys = lower.take(exponents, mode="clip")
+    keys += magnitudes >= above.take(exponents, mode="clip")
+    return keys
+
+
+@functools.cache
+def _slots(size: int, base: int, separator: str, unit: str, pad: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of a number written in slots of groups of ``base``
+    (see _cut), read-only:
+
+    * every slot text, one ``size``-byte unsigned int each, right-justified
+      with ``pad``: at g the group g below the top, zero-padded after
+      ``separator``; at ``base + g`` and ``2 * base + g`` the top group g
+      after ``unit``, unsigned and signed; at ``3 * base`` the blank, and
+      after it the lone ``-``, for a top slot with no room for its ``-``;
+    * by a number's key (see _keys), plus 48 if it is negative, the
+      offsets of its slots, as many as any key needs, to which _cut adds
+      the groups: a number of ``groups`` groups has its top slot
+      ``groups`` columns from the right, so a block of ``count`` slots
+      takes the last ``count`` columns;
+    * by key, plus 48 if negative, the length of the number's text.
+    """
+    per = len(str(base - 1))
+    tops = [unit + str(group) for group in range(base)]
+    signed = ["-" + top if len(top) < size else top for top in tops]
+    texts = [separator + str(group).zfill(per) for group in range(base)] + tops + signed + ["", "-"]
+    # a key of 47 stands for 34 digits
+    offsets = np.zeros((96, -(-34 // per) + 1), np.int64)
+    lengths = np.zeros(96, np.int64)
+    for key in range(96):
+        negative, digits = key // 48, max(key % 48 - 13, 1)
+        groups = -(-digits // per)
+        # the top group's text, ``unit`` included
+        head = digits - per * (groups - 1) + len(unit)
+        offsets[key, :-groups] = 3 * base
+        offsets[key, -groups] = (1 + negative) * base
+        if negative and head == size:
+            offsets[key, -groups - 1] = 3 * base + 1
+        lengths[key] = negative + head + (len(separator) + per) * (groups - 1)
+    # every caller shares them
+    offsets.flags.writeable = lengths.flags.writeable = False
+    texts = "".join([text.rjust(size, pad) for text in texts])
+    return np.frombuffer(texts.encode("ascii"), f"u{size}"), offsets, lengths
+
+
+def _cut(quotient: np.ndarray, base: int, index: np.ndarray) -> None:
+    """Add the groups of ``base`` of the int64 magnitudes ``quotient``,
+    which it overwrites, to the slots' offsets (see _slots) in ``index``,
+    each ``index[k]`` shaped as ``quotient``, slot-major or a view of an
+    asset-major block: the lowest to the last slot, the rest to the first."""
+    upper = np.empty_like(quotient)
+    for slot in range(len(index) - 1, 0, -1):
+        np.floor_divide(quotient, base, out=upper)
+        index[slot] += quotient
+        np.multiply(upper, -base, out=quotient)
+        index[slot] += quotient
+        quotient, upper = upper, quotient
+    index[0] += quotient
+
+
 #: The fewest assets whose JSON report _json_cells and _json_layout write;
 #: below it, _sig10_texts' lower fixed cost wins.  Measured on rebalance
 #: commands amid other commands, as _GRID_ROWS is.
@@ -262,44 +347,35 @@ _JSON_GRID_ROWS = 112
 # slots, each one uint32 lookup, NUL where a slot holds fewer bytes, and
 # _json_layout drops every NUL once all rows are written.  A float x of
 # decimal exponent E is written from its 10 digits D = rint(|x| * 10**(9
-# - E)) as repr writes D * 10**(E - 9): its whole part in groups of three
-# digits from the right, its ``-`` in the top group's slot (a slot has
-# room for it), then its fraction as 15 digits in groups from the left
-# (``.ddd``, then ``dddd``), trailing zeros dropped, then its exponent.  It
-# is positional for -4 <= E < 16 (``0.0001``, ``1234567890000000.0``), in
-# the exponent form otherwise (``1e-05``, ``1.5e+16``).  A number's key is
-# E + 14, which picks its powers of ten and its exponent's text; a zero's
-# key is 0, and a cent's 47: a cent takes the whole part's slots alone.
+# - E)) as repr writes D * 10**(E - 9): its whole part by _cut, then its
+# fraction as 15 digits in groups from the left (``.ddd``, then
+# ``dddd``), trailing zeros dropped, then its exponent.  It is positional
+# for -4 <= E < 16 (``0.0001``, ``1234567890000000.0``), in the exponent
+# form otherwise (``1e-05``, ``1.5e+16``).  A number's key, E + 14 (see
+# _keys), picks its powers of ten and its exponent's text; a zero's is 0,
+# and a cent's 47: a cent takes the whole part's slots alone.
 
 
 @functools.cache
-def _json_slots() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The tables of _json_cells, read-only:
+def _json_slots() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of _json_cells past the whole part's, read-only:
 
-    * every slot text, one uint32 element each: at g the whole part's
-      group g below the top; at 1000 + g and 2000 + g the top group g of
-      the last slot, unsigned and signed, and at 3000 + g and 4000 + g
-      that of any other slot, where a top group 0 is blank; from 5000 the
+    * every fraction and exponent slot text, one uint32 element each: the
       first fraction group ``.ddd``, then with its trailing zeros dropped,
-      0 as ``.0`` (at 6000) or blank (at 7000); from 8000 a later group
-      ``dddd``, then with its trailing zeros dropped, 0 blank; from 28000
+      0 as ``.0`` (at 1000) or blank (at 2000); from 3000 a later group
+      ``dddd``, then with its trailing zeros dropped, 0 blank; from 23000
       the exponent's text by key;
-    * by the biased binary exponent b of |x| (its float64 bits >> 52):
-      the key of 10**floor((b - 1023) * log10(2)), which (b - 1023) * 1233
-      >> 12 is for |b - 1023| < 681, and the least float64 not below ten
-      times that power, from which on the key is one more;
     * by key, float64 rows: the exact powers of ten by which |x| * 10**(9
       - E) is one correctly rounded product, then quotient (the product
       is nan outside 1e-13 <= |x| < 1e32); then those by which D's whole
       part is floor(D * up / down), and its fraction, as 15 digits, the
       remainder times ``scale``;
-    * by key, where a fraction of 0 takes its first group's text: 1000
-      past ``.ddd``, ``.0``, in the positional form, and 2000, blank, in
-      the exponent form and for a cent.
+    * by key, two int64 rows: where a fraction of 0 takes its first
+      group's text, 1000 past ``.ddd``, ``.0``, in the positional form,
+      and 2000, blank, in the exponent form and for a cent; and the key of
+      the whole part (see _keys), the number's own in the positional form
+      from 1 on, 0 for a lone digit.
     """
-    tops = [str(group) for group in range(1000)]
-    signed = ["-" + top for top in tops]
-    whole = ["%03d" % group for group in range(1000)] + tops + signed + [""] + tops[1:] + [""] + signed[1:]
     first = [".%03d" % group for group in range(1000)]
     stripped = [text.rstrip("0") for text in first[1:]]
     first += [".0"] + stripped + [""] + stripped
@@ -308,26 +384,18 @@ def _json_slots() -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.nd
     groups, powers = np.arange(10000)[:, None], np.array([1000, 100, 10, 1])
     later = (groups // powers % 10 + 48).astype(np.uint8)
     kept = groups % (10 * powers) != 0
-    texts = ("".join([text.rjust(4, "\0") for text in whole]) + "".join([text.ljust(4, "\0") for text in first])
-             + later.tobytes().decode("ascii") + (later * kept).tobytes().decode("ascii")
-             + "".join([text.ljust(4, "\0") for text in exponents]))
-    bounds, rows, zeros = [], [], []
+    texts = ("".join([text.ljust(4, "\0") for text in first]) + later.tobytes().decode("ascii")
+             + (later * kept).tobytes().decode("ascii") + "".join([text.ljust(4, "\0") for text in exponents]))
+    rows, places = [], []
     for key in range(48):
         e = key - 14
-        # the least float64 not below 10**e
-        num, den = (10**e, 1) if e >= 0 else (1, 10**-e)
-        bound = num / den
-        ratio = bound.as_integer_ratio()
-        bounds.append(math.nextafter(bound, math.inf) if ratio[0] * den < num * ratio[1] else bound)
         positional = -4 <= e < 16 or key == 0
         shift = 9 - e if positional and key else 9
         exact = 1 <= key <= 45
         rows.append((float(10 ** max(9 - e, 0)) if exact else math.nan, float(10 ** max(e - 9, 0)) if exact else 1.0,
                      float(10 ** max(-shift, 0)), float(10 ** max(shift, 0)), float(10 ** (15 - max(shift, 0)))))
-        zeros.append(1000 if positional and key < 47 else 2000)
-    lower = np.clip(((np.arange(2048) - 1023) * 1233 >> 12) + 14, 0, 46)
-    tables = (np.frombuffer(texts.encode("ascii"), np.uint32), lower, np.array(bounds).take(lower + 1),
-              np.array(rows).T.copy(), np.array(zeros, np.int64))
+        places.append((1000 if positional and key < 47 else 2000, key if positional and e >= 0 else 0))
+    tables = np.frombuffer(texts.encode("ascii"), np.uint32), np.array(rows).T.copy(), np.array(places).T.copy()
     # every caller shares them
     for table in tables:
         table.flags.writeable = False
@@ -350,15 +418,14 @@ def _json_cells(ids: Tuple[str, ...], numbers: np.ndarray, cents: np.ndarray) ->
     here unless it lies within 2**-17 of a tie.  Such a number takes the
     scalar rule, as does each one outside 1e-13 <= |x| < 1e32 (zero
     aside), where the product is not one correctly rounded operation or
-    the rounding can overflow, and a cent of -2**63, whose magnitude int64
-    does not hold.  The caller ignores numpy's over and invalid warnings.
+    the rounding can overflow, and a cent of 2**53 or more in magnitude,
+    which float64 does not hold exactly.  The caller ignores numpy's over
+    and invalid warnings.
     """
-    texts, lower, above, (multiplier, divisor, up, down, scale), zeros = _json_slots()
+    texts, (multiplier, divisor, up, down, scale), (zeros, places) = _json_slots()
     n = len(ids)
     magnitudes = np.absolute(numbers)
-    exponents = magnitudes.view(np.int64) >> 52
-    keys = lower.take(exponents)
-    keys += magnitudes >= above.take(exponents)
+    keys = _keys(magnitudes)
     product = multiplier.take(keys)
     product *= magnitudes
     product /= divisor.take(keys)
@@ -386,43 +453,42 @@ def _json_cells(ids: Tuple[str, ...], numbers: np.ndarray, cents: np.ndarray) ->
     digits -= quotient
     digits *= scale.take(keys)
     fraction[:5] = digits
-    np.absolute(cents, out=whole[5])
-    np.less(whole[5], 0, out=odd[5])
-    whole[5] *= ~odd[5]
+    # a cent's magnitude as a float64, exact below 2**53; the scalar rule writes the others
+    magnitudes = np.absolute(cents, dtype=np.float64)
+    np.greater_equal(magnitudes, 2.0**53, out=odd[5])
+    magnitudes *= ~odd[5]
+    whole[5] = magnitudes
+    # each whole part's key: a number's own where the whole part has its
+    # digits, else 0 (one digit); a cent's from its float64
+    whole_keys = np.empty((6, n), np.int64)
+    places.take(keys, out=whole_keys[:5], mode="clip")
+    whole_keys[5] = _keys(magnitudes)
+    np.add(whole_keys[:5], 48, out=whole_keys[:5], where=np.signbit(numbers))
+    np.add(whole_keys[5], 48, out=whole_keys[5], where=cents < 0)
     # the whole part's slots, the last at the right, then the fraction's
     # from the left, then the exponent's
     count = -(-len(str(int(whole.max()))) // 3)
     slots = np.empty((count + 5, 6, n), np.uint32)
-    # where the top group's texts start: signed or not, in the last slot
-    offsets = np.empty((6, n), np.int64)
-    np.signbit(numbers, out=offsets[:5])
-    np.less(cents, 0, out=offsets[5])
-    offsets *= 1000
-    offsets += 1000
-    index = np.empty((6, n), np.int64)
-    quotient = whole
-    for slot in range(count - 1, -1, -1):
-        upper = quotient // 1000
-        np.multiply(upper, -1000, out=index)
-        index += quotient
-        np.add(index, offsets, out=index, where=upper == 0)
-        texts.take(index, out=slots[slot], mode="clip")
-        if slot == count - 1:
-            offsets += 2000
-        quotient = upper
+    whole_texts, offsets, _ = _slots(4, 1000, "", "", "\0")
+    index = offsets[:, -count:].T.take(whole_keys, axis=1, mode="clip")
+    # freed for _cut to reuse: held, it costs 5 000 rows 57 page faults
+    del whole_keys
+    _cut(whole, 1000, index)
+    whole_texts.take(index, out=slots[:count], mode="clip")
     row_keys = np.full((6, n), 47, np.int64)
     row_keys[:5] = keys
+    # _cut is done with ``whole``: it is scratch
     remainder = fraction
     for slot, base in enumerate((10**12, 10**8, 10**4)):
         group = remainder // base
-        np.multiply(group, -base, out=index)
-        remainder += index
-        group += 8000 if slot else 5000
+        np.multiply(group, -base, out=whole)
+        remainder += whole
+        group += 3000 if slot else 0
         np.add(group, 10000 if slot else zeros.take(row_keys), out=group, where=remainder == 0)
         texts.take(group, out=slots[count + slot], mode="clip")
-    remainder += 18000
+    remainder += 13000
     texts.take(remainder, out=slots[count + 3], mode="clip")
-    row_keys += 28000
+    row_keys += 23000
     texts.take(row_keys, out=slots[count + 4], mode="clip")
     # the slots some asset fills: the whole part's from the right, the
     # fraction's from the left
@@ -598,65 +664,6 @@ def _cells(numbers: np.ndarray, magnitudes: np.ndarray, wide: bool) -> List[List
     return [texts[start : start + width] for start in range(0, len(texts), width)]
 
 
-# _grid writes each cell as a run of slots, a slot being a few bytes that
-# one table lookup fills.  A dollar cell's slots are four bytes, each of
-# three digits: ",ddd" below the top group, its first digits and ``$`` at
-# the top ("  $5", "$999"), blanks left of the top.  A percent cell's are
-# two bytes, each of two digits; its ``%`` is the row template's ``%%``.
-# A ``-`` shares the top slot where it fits ("-$99", "-5") and takes the
-# slot left of it where not; every cell has one slot more than its block's
-# largest magnitude fills, for that.  A cell's key, its digit count plus
-# 20 if it is negative, fixes which text each of its slots takes, and how
-# long its text is.
-
-#: 10.0**k for k in 1..19, after 0.0 for k = 0 (see _grid).  Built from
-#: Python floats: numpy's power and concatenate, run at import, cost every
-#: process about 0.25 MB more memory.
-_TENS = np.array([0.0] + [float(10**k) for k in range(1, 20)])
-
-
-@functools.cache
-def _slots(dollars: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """The slot tables of the dollar or the percent cells, read-only:
-
-    * every slot text, one uint32 or uint16 element each: at ``g`` the
-      group g below the top, at ``base + g`` and ``2 * base + g`` the top
-      group g unsigned and signed, and from ``3 * base`` on the blank and
-      the lone ``-``;
-    * by key, the offsets into the texts of the slots of a cell of the
-      most slots any magnitude below 2**63 needs, to which each digit slot
-      adds its group.  A cell of ``groups`` groups has its top slot
-      ``groups`` columns from the right, so a block of ``count`` slots
-      takes the last ``count`` columns;
-    * by key, the length of the cell's text in bytes;
-
-    then the group base and the digits a slot holds, by which _grid cuts
-    each magnitude into slots.
-    """
-    size, base, per, unit = (4, 1000, 3, "$") if dollars else (2, 100, 2, "")
-    tops = [unit + str(group) for group in range(base)]
-    signed = ["-" + top if len(top) < size else top for top in tops]
-    texts = (",%03d" if dollars else "%02d") * base % tuple(range(base))
-    texts += "".join([text.rjust(size) for text in tops + signed + [" ", "-"]])
-    # a magnitude below 2**63 has at most 19 digits
-    offsets = np.zeros((40, -(-19 // per) + 1), np.int64)
-    lengths = np.zeros(40, np.int64)
-    for digits in range(1, 20):
-        groups = -(-digits // per)
-        # the top group's text, ``$`` included
-        head = digits - per * (groups - 1) + dollars
-        for negative in (0, 1):
-            key = digits + 20 * negative
-            offsets[key, :-groups] = 3 * base
-            offsets[key, -groups] = (1 + negative) * base
-            if negative and head == size:
-                offsets[key, -groups - 1] = 3 * base + 1
-            lengths[key] = negative + head + size * (groups - 1)
-    # every caller shares them
-    offsets.flags.writeable = lengths.flags.writeable = False
-    return np.frombuffer(texts.encode("ascii"), f"u{size}"), offsets, lengths, base, per
-
-
 def _grid(numbers: np.ndarray, magnitudes: np.ndarray, ids: Tuple[str, ...],
           headers: Tuple[str, ...]) -> Tuple[List[int], List[str]]:
     """The table's column widths and its lines, all rows of assets as one
@@ -667,35 +674,27 @@ def _grid(numbers: np.ndarray, magnitudes: np.ndarray, ids: Tuple[str, ...],
     numpy into one byte grid, a row per asset and the total, which is the
     format string of the rows: each row starts ``%-{w}s``, the id's place,
     each cell ends where its column does, and a percent's ``%`` is the
-    ``%%`` after it.  A cell is read from the slot tables (see _slots):
-    each magnitude is cut into groups of three or two digits, and its key
-    picks each slot's table part.
+    ``%%`` after it.  A cell is a run of slots (see _slots and _cut), as
+    many as its column's longest text needs: four bytes of three digits
+    for a dollar (",ddd" below the top, "  $5", " -$5" or "$999" at it),
+    two bytes of two digits for a percent; its key and sign pick each
+    slot's part of the texts, and the length of its text.
     """
+    keys = _keys(magnitudes)
+    np.add(keys, 48, out=keys, where=numbers < 0.0)
     whole = magnitudes.astype(np.int64)
-    # the digit count of each magnitude m < 2**63: its bit length e gives
-    # t = floor(e * log10(2)), which e * 1233 >> 12 is for every e to 64,
-    # and m has t + 1 digits from 10**t on, t below; 0 has 1
-    keys = np.frexp(magnitudes)[1]
-    keys *= 1233
-    keys >>= 12
-    keys += magnitudes >= _TENS.take(keys, mode="clip")
-    digits = keys.max(axis=1).tolist()
-    np.add(keys, 20, out=keys, where=numbers < 0.0)
     blocks = []
-    for dollars, rows in ((True, slice(0, _DOLLAR_ROWS)), (False, slice(_DOLLAR_ROWS, 6))):
-        texts, offsets, lengths, base, per = _slots(dollars)
-        count = -(-max(digits[rows]) // per) + 1
+    for rows, size, base, separator, unit in ((slice(0, _DOLLAR_ROWS), 4, 1000, ",", "$"),
+                                              (slice(_DOLLAR_ROWS, 6), 2, 100, "", "")):
+        texts, offsets, lengths = _slots(size, base, separator, unit, " ")
         key = keys[rows]
-        # every index lies in the tables: clip spares take a buffer
-        slots = offsets[:, -count:].take(key, axis=0, mode="clip")
-        quotient = whole[rows]
-        for k in range(count - 1, 1, -1):
-            above = quotient // base
-            slots[..., k] += quotient - above * base
-            quotient = above
-        slots[..., 1] += quotient
-        block = texts.take(slots, mode="clip")
-        blocks.append((block.view(np.uint8), lengths.take(key, mode="clip").max(axis=1).tolist()))
+        longest = lengths.take(key, mode="clip").max(axis=1).tolist()
+        # as many slots as the longest text needs; every index lies in the
+        # tables: clip spares take a buffer
+        count = -(-max(longest) // size)
+        index = offsets[:, -count:].take(key, axis=0, mode="clip")
+        _cut(whole[rows], base, index.transpose(2, 0, 1))
+        blocks.append((texts.take(index, mode="clip").view(np.uint8), longest))
     (dollars, (value, naive, buy)), (percents, (target, final, current)) = blocks
     # each number column in table order: its block, row, longest text, and
     # 1 for a percent, whose ``%`` the template writes after the digits

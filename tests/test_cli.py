@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -918,8 +919,28 @@ JSON_EDGES = [y for x in (
 #: From 1.7976931345e308, where the 10-digit rounding overflows, up to the
 #: float64 maximum.
 JSON_NEAR_MAX = np.linspace(1.7976931345e308, FLOAT_MAX, 9).tolist() + [FLOAT_MAX]
-#: Cents where the whole part's groups change, up to int64's ends.
-JSON_CENTS = [0, 1, -1, 999, 1000, -1000, 999999, -1000000, 10**15, 2**53, 2**63 - 1, -(2**63 - 1), -(2**63)]
+#: Cents where the whole part's groups change, up to int64's ends, and
+#: 10**k - 1 for k = 16..18, which float64 rounds up to 10**k.
+JSON_CENTS = [0, 1, -1, 999, 1000, -1000, 999999, -1000000, 10**15, 2**53, 2**63 - 1, -(2**63 - 1), -(2**63),
+              *(sign * (10**k - 1) for k in (16, 17, 18) for sign in (1, -1))]
+
+
+def test_keys_are_the_exact_decimal_exponents():
+    # the table's digit count, max(key - 13, 1), of each integer below 2**63
+    # at 10**k - 1, 10**k and 10**k + 1 and of its float64 neighbours
+    magnitudes = [y for k in range(19) for m in (10**k - 1, 10**k, 10**k + 1) for y in _neighbours(float(m)) if y >= 0.0]
+    keys = cli._keys(np.array(magnitudes)).tolist()
+    assert [max(key - 13, 1) for key in keys] == [len(str(int(x))) for x in magnitudes]
+    # the key of each power of ten from 1e-13 to 1e32 and of its
+    # neighbours: floor(log10 x) + 14, decided on the exact value
+    powers = [y for k in range(-13, 33) for y in _neighbours(float(f"1e{k}"))]
+    assert len(powers) == 138
+    exponents = []
+    for x in powers:
+        exact, e = Fraction(x), math.floor(math.log10(x))
+        e += (Fraction(10) ** (e + 1) <= exact) - (Fraction(10) ** e > exact)
+        exponents.append(e + 14)
+    assert cli._keys(np.array(powers)).tolist() == exponents
 
 
 def _grid_cases():
