@@ -39,7 +39,7 @@ _NUMBER_START = re.compile(r"[+-]?(?:\d|\.\d|inf|nan)", re.ASCII | re.IGNORECASE
 
 _HEADER = ("id", "value", "target")
 
-#: A row of a portfolio file as np.loadtxt reads it (see _parse_loadtxt).
+#: A row of a portfolio file as np.loadtxt reads it (see _loadtxt_columns).
 _ROW = np.dtype([("id", object), ("value", np.float64), ("target", np.float64)])
 
 
@@ -73,64 +73,40 @@ def _parse_numbers(fields: List[str], label: str = "") -> np.ndarray:
     return np.array(fields, dtype=np.float64)
 
 
-def _parse_loadtxt(text: str, normalize: bool, allow_short: bool) -> Optional[Portfolio]:
-    """The portfolio of a valid ``text`` in one np.loadtxt call, or None
-    for the line-by-line reader.  A plain text, one that is ASCII and holds
-    no space, tab, ``\\x1f`` or ``#``, is read as it is if its first line is
-    the header: str.strip takes nothing off its lines, none is a comment,
-    and loadtxt skips the blank ones.  Any other text is read from its
-    content lines (see _content), and its ids are stripped.  loadtxt takes
-    the whitespace around each number off as str.strip does, reads the
-    number as float() does (both round it correctly) but also inf, nan and
-    1e999, and raises ValueError on a row of other than three fields or a
-    number such as ``1_0``, ``0x10`` or one with a non-ASCII digit.  A text
-    it refuses, a column that is not finite and a portfolio that _portfolio
-    refuses fall through: the line-by-line reader writes every error
-    message.
+def _loadtxt_columns(lines: List[str], plain: bool) -> Optional[Tuple[List[str], np.ndarray, np.ndarray, None]]:
+    """The columns of the lines ``lines`` past the header, read in one
+    np.loadtxt call, which skips the blank ones, or None for
+    _field_columns.  A plain text's lines are its own (see
+    parse_portfolio); any other text's are its content lines, and its ids
+    are stripped after.  loadtxt takes the whitespace around each number
+    off as str.strip does, reads the number as float() does (both round
+    it correctly) but also inf, nan and 1e999, and raises ValueError on a
+    row of other than three fields or a number such as ``1_0``, ``0x10``
+    or one with a non-ASCII digit.  So the rows of finite columns that it
+    reads keep the field count and the grammar.
     """
-    plain = text.isascii() and not any(map(text.__contains__, " \t\x1f#"))
-    lines = text.splitlines() if plain else [line for _, line in _content(text)]
-    # loadtxt warns on a text with no rows
-    if not lines or tuple(map(str.strip, lines[0].split(","))) != _HEADER or not any(lines[1:]):
-        return None
     try:
         table = np.loadtxt(lines, _ROW, comments=None, delimiter=",", skiprows=1, ndmin=1)
-        values, targets = np.ascontiguousarray(table["value"]), np.ascontiguousarray(table["target"])
-        if np.isfinite(values).all() and np.isfinite(targets).all():
-            ids = table["id"].tolist()
-            return _portfolio(tuple(ids if plain else map(str.strip, ids)), values, targets, None, normalize,
-                              allow_short)
     except ValueError:
-        pass
-    return None
+        return None
+    values, targets = np.ascontiguousarray(table["value"]), np.ascontiguousarray(table["target"])
+    if not (np.isfinite(values).all() and np.isfinite(targets).all()):
+        return None
+    ids = table["id"].tolist()
+    return ids if plain else list(map(str.strip, ids)), values, targets, None
 
 
-def _portfolio(ids: Tuple[str, ...], values: np.ndarray, targets: np.ndarray, target_fields: Optional[List[str]],
-               normalize: bool, allow_short: bool) -> Portfolio:
-    """The portfolio of both readers' columns, the targets rescaled first
-    under ``normalize`` (see parse_portfolio).  ``target_fields``, the
-    targets' texts, names a weight that is not finite: the loadtxt
-    reader's are all finite, and it passes None."""
-    if normalize:
-        negative = targets < 0.0
-        if negative.any():
-            row = int(negative.argmax())
-            raise _RowError(row, f"weight {float(targets[row])!r} must be nonnegative under --normalize")
-        infinite = np.isinf(targets)
-        if infinite.any():
-            row = int(infinite.argmax())
-            raise _RowError(row, f"weight {target_fields[row]!r} is not a finite float64")
-        try:
-            total = math.fsum(targets.tolist())
-        except OverflowError:
-            # the weights' sum passes the float64 maximum: sum them
-            # scaled by the largest one
-            targets = targets / targets.max()
-            total = math.fsum(targets.tolist())
-        if total <= 0.0:
-            raise PortfolioFormatError("cannot normalize: weights sum to zero")
-        targets = targets / total
-    return Portfolio._from_columns(ids, values, targets, allow_short)
+def _field_columns(rows: List[str]) -> Tuple[List[str], np.ndarray, np.ndarray, List[str]]:
+    """The columns of the lines ``rows`` but the blank ones, read field by
+    field, with the targets' texts: the first row of other than three
+    fields, or the first number field outside the strict grammar, raises
+    _RowError."""
+    split = [line.split(",") for line in rows if line]
+    for row, fields in enumerate(split):
+        if len(fields) != 3:
+            raise _RowError(row, f"expected 3 fields, got {len(fields)}")
+    ids, value_fields, target_fields = ([field.strip() for field in column] for column in zip(*split))
+    return ids, _parse_numbers(value_fields, "value "), _parse_numbers(target_fields, "target "), target_fields
 
 
 def parse_portfolio(text: str, normalize: bool = False, allow_short: bool = False) -> Portfolio:
@@ -141,33 +117,50 @@ def parse_portfolio(text: str, normalize: bool = False, allow_short: bool = Fals
     [0, 1] and the column must sum to 1 within tolerance.  Every error
     about one row names its line.
 
-    Every valid text is read in one np.loadtxt call (see
-    _parse_loadtxt).  A text that it refuses takes the line-by-line
-    reader, which walks the numbered content lines and writes every error
-    message.
+    The header is checked on the first content line (see _content).  A
+    plain text, one that is ASCII and holds no space, tab, ``\\x1f`` or
+    ``#``, is read as it is once the line breaks at its ends are taken
+    off: str.strip takes nothing off its lines, none is a comment, and the
+    readers skip its blank lines.  The columns come from np.loadtxt (see
+    _loadtxt_columns) if it reads them, all finite, and else from
+    _field_columns, which names the first field that breaks the field
+    count or the grammar.  The rules are checked once, on whichever
+    columns came.  The content lines are numbered only for an error.
     """
-    portfolio = _parse_loadtxt(text, normalize, allow_short)
-    if portfolio is not None:
-        return portfolio
-    lines = _content(text)
+    plain = text.isascii() and not any(map(text.__contains__, " \t\x1f#"))
+    lines = text.strip().splitlines() if plain else [line for _, line in _content(text)]
     if not lines:
         raise PortfolioFormatError("empty portfolio file: missing header")
-    (number, header), *rows = lines
-    if tuple(map(str.strip, header.split(","))) != _HEADER:
-        raise PortfolioFormatError(f"line {number}: expected header 'id,value,target', got {header!r}")
-    if not rows:
-        raise PortfolioFormatError("portfolio file contains no asset rows")
     try:
-        split = [line.split(",") for _, line in rows]
-        for row, fields in enumerate(split):
-            if len(fields) != 3:
-                raise _RowError(row, f"expected 3 fields, got {len(fields)}")
-        ids, value_fields, target_fields = ([field.strip() for field in column] for column in zip(*split))
-        values = _parse_numbers(value_fields, "value ")
-        targets = _parse_numbers(target_fields, "target ")
-        return _portfolio(tuple(ids), values, targets, target_fields, normalize, allow_short)
+        if tuple(map(str.strip, lines[0].split(","))) != _HEADER:
+            # row -1 is the header's
+            raise _RowError(-1, f"expected header 'id,value,target', got {lines[0]!r}")
+        if len(lines) == 1:
+            raise PortfolioFormatError("portfolio file contains no asset rows")
+        ids, values, targets, target_fields = _loadtxt_columns(lines, plain) or _field_columns(lines[1:])
+        if normalize:
+            negative = targets < 0.0
+            if negative.any():
+                row = int(negative.argmax())
+                raise _RowError(row, f"weight {float(targets[row])!r} must be nonnegative under --normalize")
+            infinite = np.isinf(targets)
+            if infinite.any():
+                # only _field_columns gives a target that is not finite
+                row = int(infinite.argmax())
+                raise _RowError(row, f"weight {target_fields[row]!r} is not a finite float64")
+            try:
+                total = math.fsum(targets.tolist())
+            except OverflowError:
+                # the weights' sum passes the float64 maximum: sum them
+                # scaled by the largest one
+                targets = targets / targets.max()
+                total = math.fsum(targets.tolist())
+            if total <= 0.0:
+                raise PortfolioFormatError("cannot normalize: weights sum to zero")
+            targets = targets / total
+        return Portfolio._from_columns(tuple(ids), values, targets, allow_short)
     except _RowError as exc:
-        raise PortfolioFormatError(f"line {rows[exc.row][0]}: {exc}") from None
+        raise PortfolioFormatError(f"line {_content(text)[exc.row + 1][0]}: {exc}") from None
 
 
 def serialize_portfolio(portfolio: Portfolio) -> str:

@@ -12,7 +12,9 @@ ContributionProblem copies and checks the deltas a block at a time; the
 validation tests put a non-finite value at each block edge.
 From 2^19 entries on, where more than one CPU is usable, a worker thread
 takes blocks of the whole-array passes beside the caller (solvers._blocks):
-its plans must be the serial plans, byte for byte, also after a fork.
+its plans must be the serial plans, byte for byte, also after a fork,
+where the child hires a worker of its own.  Without an affinity mask,
+the usable CPUs are os.cpu_count(), or 1.
 The dense l2 route selects its live gaps a block at a time (solvers._below):
 it must keep the gaps and the count that one partition of the whole array
 keeps.  Each Michelot round keeps its live gaps the same way
@@ -504,6 +506,15 @@ def test_a_worker_takes_blocks_beside_the_caller():
     assert len(threads) == n // solvers._BLOCK and len(set(threads)) == 2
 
 
+def test_cpus_without_an_affinity_mask(monkeypatch):
+    # as on macOS: the count is os.cpu_count(), or 1 where it is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert solvers._cpus() == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert solvers._cpus() == 1
+
+
 def test_callers_on_more_threads_than_cpus_share_the_worker():
     # one caller at a time holds the worker, the others run their passes
     # alone; a block run twice or lost, or a buffer handed out twice, would
@@ -610,3 +621,28 @@ def test_forked_child_solves_after_a_threaded_solve():
     finally:
         child.kill()
         child.join()
+
+
+def _threaded_pass():
+    solvers._blocks(lambda block: block.start, solvers._THREADED)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="fork with threads is safe on Linux alone")
+def test_forked_child_hires_its_own_worker():
+    if solvers._cpus() < 2:
+        pytest.skip("one usable CPU: no worker thread to leave behind")
+    _threaded_pass()
+    assert solvers._worker
+    context = multiprocessing.get_context("fork")
+    with warnings.catch_warnings():
+        # from Python 3.12, a fork of a process with threads warns
+        warnings.simplefilter("ignore", DeprecationWarning)
+        child = context.Process(target=_threaded_pass)
+        child.start()
+    # a child that kept the parent's worker, whose thread did not come
+    # along, would wait for it forever
+    child.join(20)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0

@@ -27,10 +27,13 @@ per-field reference's bytes or fails at its row with its message.  A
 whole portfolio file, with comments, blank lines, every line break that
 str.splitlines knows, Unicode whitespace around fields and wrong field
 counts, parses to the line-by-line reference's portfolio or fails with
-its message; so do a plain file, each with one edit, and a valid padded
-file, read by np.loadtxt exactly when it is valid (but a plain one whose
-first line is not the header), and a file with any space or digit code
-point around, inside or in place of a field.  The table's cells, over
+its message; so do a plain file, each with one edit, a valid padded file
+and a file with any space or digit code point around, inside or in
+place of a field.  np.loadtxt gives the columns of every such file past
+its header that the reference parses or refuses for a rule, and the
+field reader runs only where a field breaks the field count or the
+grammar, or a number is not finite; a 2 000-row file refused for a rule
+in its last row is read once, by loadtxt.  The table's cells, over
 the whole float64 range with infinities and NaN, are the texts of the
 per-number float format, and the byte grid of a large table lays out
 those texts as a cell-by-cell layout does, beside ids of any characters.  Runs are derandomized, so
@@ -53,7 +56,7 @@ from nosell.portfolio import _RowError
 
 from helpers import assert_monotone, assert_split, l2_adjustments
 from reference_kernels import water_fill_exact
-from reference_parse import reference_parse_numbers, reference_parse_portfolio
+from reference_parse import _NUMBER_RE, _content_lines, reference_parse_numbers, reference_parse_portfolio
 from reference_render import money_texts, pct_texts
 
 EPS = 2.0 ** -52
@@ -528,9 +531,10 @@ def _parsed(parse, text, normalize, allow_short):
     return portfolio.ids, portfolio.values.tobytes(), portfolio.targets.tobytes(), portfolio.total.hex()
 
 
-def test_parse_portfolio_matches_the_line_by_line_reader():
+def test_parse_portfolio_matches_the_line_by_line_reader(monkeypatch):
     # the whole-file split must give the reference's portfolio, or its
-    # error with the same line number
+    # error with the same line number, from the readers that _readers names
+    calls = _count_readers(monkeypatch)
     reached = {"parsed": 0, "refused": 0, "row refused": 0}
 
     @settings(max_examples=500, derandomize=True, deadline=None)
@@ -540,7 +544,9 @@ def test_parse_portfolio_matches_the_line_by_line_reader():
     @example(text="id,value,target\x0bA,1,1\x0cB,2\x1d", normalize=True, allow_short=False)
     def check(text, normalize, allow_short):
         expected = _parsed(reference_parse_portfolio, text, normalize, allow_short)
+        calls.clear()
         assert _parsed(parse_portfolio, text, normalize, allow_short) == expected
+        assert calls == _readers(text), text
         if len(expected) == 4:
             reached["parsed"] += 1
         else:
@@ -562,7 +568,7 @@ _EDITS = ["none", "none", "space", "comment line", "# in an id", "break", "non-A
 
 @st.composite
 def plain_files(draw):
-    """``(edit, text)``: a plain portfolio file (see cli._parse_loadtxt), the
+    """``(edit, text)``: a plain portfolio file (see cli.parse_portfolio), the
     exact header and rows of an id and the reprs of a value and a target,
     blank lines between them, each line ended by \\n or \\r\\n, then one
     edit of _EDITS."""
@@ -636,61 +642,84 @@ def padded_files(draw):
     return "padded", "".join(line + draw(_BREAKS) for line in lines)
 
 
-def _count_loadtxt_reads(monkeypatch):
-    """A list to which each call of cli._parse_loadtxt appends whether it
-    returned a portfolio."""
-    read = []
+def _count_readers(monkeypatch):
+    """A list to which each call of cli._loadtxt_columns appends
+    "loadtxt" if it gave the columns and "refused" if not, and each call of
+    cli._field_columns appends "fields"."""
+    calls = []
 
-    def counted(*args, parse_loadtxt=cli._parse_loadtxt):
-        portfolio = parse_loadtxt(*args)
-        read.append(portfolio is not None)
-        return portfolio
+    def loadtxt_columns(*args, read=cli._loadtxt_columns):
+        columns = read(*args)
+        calls.append("refused" if columns is None else "loadtxt")
+        return columns
 
-    monkeypatch.setattr(cli, "_parse_loadtxt", counted)
-    return read
+    def field_columns(*args, read=cli._field_columns):
+        calls.append("fields")
+        return read(*args)
+
+    monkeypatch.setattr(cli, "_loadtxt_columns", loadtxt_columns)
+    monkeypatch.setattr(cli, "_field_columns", field_columns)
+    return calls
+
+
+def _readers(text):
+    """The calls that _count_readers must see when ``text`` is parsed: none
+    without a header line and a row under it; np.loadtxt alone if every
+    row holds three fields and every number field keeps the grammar and
+    is finite; else loadtxt, then the field reader."""
+    lines = [line for _, line in _content_lines(text)]
+    if len(lines) < 2 or tuple(field.strip() for field in lines[0].split(",")) != ("id", "value", "target"):
+        return []
+    rows = [line.split(",") for line in lines[1:]]
+    if all(len(fields) == 3 and all(_NUMBER_RE.fullmatch(field.strip()) and math.isfinite(float(field.strip()))
+                                     for field in fields[1:]) for fields in rows):
+        return ["loadtxt"]
+    return ["refused", "fields"]
 
 
 def _plain(text):
-    """cli._parse_loadtxt's rule for a plain text: ASCII, and no space,
+    """cli.parse_portfolio's rule for a plain text: ASCII, and no space,
     tab, \\x1f or #."""
     return text.isascii() and not any(c in text for c in " \t\x1f#")
 
 
 def test_plain_reader_matches_the_line_by_line_reader(monkeypatch):
-    # np.loadtxt must give the reference's portfolio on every text it
-    # reads, and read exactly the texts that the reference parses, but a
-    # plain one whose first line is not the header; the line-by-line
-    # reader gives the portfolio or error of every other text; a warning
-    # from either fails the test
-    read = _count_loadtxt_reads(monkeypatch)
+    # every text gives the reference's portfolio or error; np.loadtxt gives
+    # the columns of every text that the reference parses or refuses for a
+    # rule, plain or not, and the field reader runs only where a field
+    # breaks the field count or the grammar, or a number is not finite; a
+    # warning fails the test
+    calls = _count_readers(monkeypatch)
     reached = {edit: 0 for edit in _EDITS + ["padded"]}
-    reached.update(read=0, fell_through=0, padded_read=0)
+    reached.update(loadtxt=0, fields=0, header=0, rule_refused=0, padded_read=0)
 
     # plain files twice as often as padded ones
     @settings(max_examples=900, derandomize=True, deadline=None)
     @given(file=st.one_of(plain_files(), plain_files(), padded_files()), normalize=st.booleans(),
            allow_short=st.booleans())
-    # loadtxt reads inf and 1e999: under --normalize only the line-by-line
-    # reader has the weight's text for its message
+    # loadtxt reads inf and 1e999: under --normalize only the field reader
+    # has the weight's text for its message
     @example(file=("non-finite", "id,value,target\na,1,1e999\n"), normalize=True, allow_short=False)
     @example(file=("non-finite", "id,value,target\r\na,1,inf"), normalize=True, allow_short=True)
     @example(file=("comment line", "id,value,target\n#x,1,0.5\na,1,0.5\n"), normalize=True, allow_short=False)
     @example(file=("header only", "id,value,target\r\n\r\n"), normalize=False, allow_short=False)
     @example(file=("break", "\nid,value,target\na,1,1\n"), normalize=False, allow_short=False)
+    @example(file=("duplicate id", "\r\n\r\nid,value,target\r\na,1,0.5\r\n\r\na,1,0.5"), normalize=False,
+             allow_short=False)
     @example(file=("padded", "# c\r\n \u3000\r\nid , value,target\u2028a#1 ,\u00a05 ,1\x85"), normalize=False,
              allow_short=False)
     def check(file, normalize, allow_short):
         edit, text = file
         expected = _parsed(reference_parse_portfolio, text, normalize, allow_short)
-        read.clear()
+        calls.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert _parsed(parse_portfolio, text, normalize, allow_short) == expected
-        header_first = text.splitlines()[:1] == ["id,value,target"]
-        assert read == [len(expected) == 4 and (header_first or not _plain(text))], (edit, text)
+        assert calls == _readers(text), (edit, text)
         reached[edit] += 1
-        reached["read" if read[0] else "fell_through"] += 1
-        reached["padded_read"] += edit == "padded" and read[0] and not _plain(text)
+        reached[{0: "header", 1: "loadtxt", 2: "fields"}[len(calls)]] += 1
+        reached["rule_refused"] += calls == ["loadtxt"] and len(expected) == 2
+        reached["padded_read"] += edit == "padded" and calls == ["loadtxt"] and not _plain(text)
 
     check()
     assert all(reached.values()), reached
@@ -702,11 +731,12 @@ def test_parse_portfolio_matches_the_reference_around_spaces_and_digits(monkeypa
     # every code point below U+3100 that str.isspace or str.isnumeric
     # holds for, and a few more that str.strip keeps or float() reads,
     # around a number, inside one, alone in a field and around an id: the
-    # portfolio or error is the reference's, and loadtxt reads some texts
+    # portfolio or error is the reference's, and each text takes the
+    # readers that _readers names
     points = [chr(c) for c in range(0x3100) if chr(c).isspace() or chr(c).isnumeric()]
     points += ["\ufeff", "\u200b", "\u180e", "\u2060", "\uff10", "\uff19", "\0", "\x7f"]
     rng = np.random.default_rng(0)
-    read = _count_loadtxt_reads(monkeypatch)
+    calls = _count_readers(monkeypatch)
     for c in points:
         value = repr(float(rng.integers(1, 10**6)) / 100)
         for row in (f"a,{c}{value},0.5", f"a,{value}{c},0.5", f"a,{value[:1]}{c}{value[1:]},0.5",
@@ -715,10 +745,36 @@ def test_parse_portfolio_matches_the_reference_around_spaces_and_digits(monkeypa
             text = f"id,value,target\n{row}\nb,2,0.5\n"
             for normalize in (False, True):
                 expected = _parsed(reference_parse_portfolio, text, normalize, False)
+                calls.clear()
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
                     assert _parsed(parse_portfolio, text, normalize, False) == expected, (c, text)
-    assert any(read)
+                assert calls == _readers(text), (c, text)
+
+
+@pytest.mark.parametrize("last, flags, reason", [
+    ("a,1,0.5", {}, "duplicate asset id 'a'"),
+    ("z,-1,0", {}, "has negative value -1;"),
+    ("z,1,1.5", {}, "target must lie in [0, 1]"),
+    ("z,1,-0.5", {"normalize": True}, "weight -0.5 must be nonnegative"),
+])
+def test_rule_refusal_is_read_once(last, flags, reason, monkeypatch):
+    # a file refused for a rule in its last row is read by np.loadtxt
+    # alone, and refused with the reference's message
+    rows = "".join(f"{'a' if i == 0 else f'x{i}'},1,{0.5 if i == 0 else 0.5 / 1998!r}\n" for i in range(1999))
+    text = "id,value,target\n" + rows + last + "\n"
+    expected = _parsed(reference_parse_portfolio, text, flags.get("normalize", False), False)
+    assert expected[0] == "PortfolioFormatError" and expected[1].startswith("line 2001: ") and reason in expected[1]
+    reads = []
+
+    def loadtxt(*args, read=np.loadtxt, **kwargs):
+        reads.append("loadtxt")
+        return read(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", loadtxt)
+    monkeypatch.setattr(cli, "_parse_numbers", lambda *args: reads.append("fields") or _parse_numbers(*args))
+    assert _parsed(parse_portfolio, text, flags.get("normalize", False), False) == expected
+    assert reads == ["loadtxt"]
 
 
 def test_target_sum_check_matches_fsum_at_the_edge():
