@@ -395,15 +395,17 @@ def _json_slots() -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _json_cells(ids: Tuple[str, ...], numbers: np.ndarray, cents: np.ndarray) -> List[tuple]:
-    """The cells of the JSON report's asset objects in report order (id,
-    value, target, naive, adjustment, cents, final), for _json_layout.
-    ``numbers`` holds the rows of value, target, naive, adjustment and
-    final.  Each cell is its words, a uint32 array of a four-byte word per
-    asset each; its width in words; and, if any, the assets whose text it
-    holds whole, with those texts, NUL-padded, as rows of words.  Each
-    number's text is repr(_sig10(x)), each cent's str, and each id's
-    encode_basestring_ascii, which never holds a NUL.
+@np.errstate(over="ignore", invalid="ignore")
+def _json_cells(numbers: np.ndarray, cents: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The digit core of the JSON report's byte grid: ``(slots, odd)`` for
+    ``numbers``, the rows of value, target, naive, adjustment and final,
+    and ``cents``.  ``slots`` is a uint32 block of (slot, row, asset) whose
+    rows are those five, then the cents: each number's text
+    repr(_sig10(x)), each cent's str, as four-byte slots, NUL where a slot
+    holds fewer bytes; the whole part's slots, the last at the right, then
+    the fraction's from the left, then the exponent's.  ``odd``, of (row,
+    asset), marks the numbers written here as zeros and left to the scalar
+    rule (see _json_layout).
 
     A tie at the 10th digit is decided on the binary value, half to even,
     as ``%.10g`` decides it: the float product |x| * 10**(9 - E) lies
@@ -412,11 +414,10 @@ def _json_cells(ids: Tuple[str, ...], numbers: np.ndarray, cents: np.ndarray) ->
     scalar rule, as does each one outside 1e-13 <= |x| < 1e32 (zero
     aside), where the product is not one correctly rounded operation or
     the rounding can overflow, and a cent of 2**53 or more in magnitude,
-    which float64 does not hold exactly.  The caller ignores numpy's over
-    and invalid warnings.
+    which float64 does not hold exactly.  It ignores numpy's over and
+    invalid warnings.
     """
     texts, (multiplier, divisor, up, down, scale), (zeros, places) = _json_slots()
-    n = len(ids)
     magnitudes = np.absolute(numbers)
     keys = _keys(magnitudes)
     product = multiplier.take(keys)
@@ -427,7 +428,7 @@ def _json_cells(ids: Tuple[str, ...], numbers: np.ndarray, cents: np.ndarray) ->
     decided = np.absolute(product, out=product) < 0.5 - 2.0**-17
     # the numbers the scalar rule writes, the cents' row last; they and the
     # zeros are written here as zeros
-    odd = np.empty((6, n), bool)
+    odd = np.empty((6, numbers.shape[1]), bool)
     np.not_equal(magnitudes, 0.0, out=odd[:5])
     np.greater(odd[:5], decided, out=odd[:5])
     np.copyto(digits, 0.0, where=~decided)
@@ -438,8 +439,8 @@ def _json_cells(ids: Tuple[str, ...], numbers: np.ndarray, cents: np.ndarray) ->
     keys += over
     digits *= up.take(keys)
     divisors = down.take(keys)
-    whole = np.empty((6, n), np.int64)
-    fraction = np.zeros((6, n), np.int64)
+    whole = np.empty(odd.shape, np.int64)
+    fraction = np.zeros(odd.shape, np.int64)
     quotient = np.divide(digits, divisors)
     whole[:5] = np.floor(quotient, out=quotient)
     quotient *= divisors
@@ -453,7 +454,7 @@ def _json_cells(ids: Tuple[str, ...], numbers: np.ndarray, cents: np.ndarray) ->
     whole[5] = magnitudes
     # each whole part's key: a number's own where the whole part has its
     # digits, else 0 (one digit); a cent's from its float64
-    whole_keys = np.empty((6, n), np.int64)
+    whole_keys = np.empty(odd.shape, np.int64)
     places.take(keys, out=whole_keys[:5], mode="clip")
     whole_keys[5] = _keys(magnitudes)
     np.add(whole_keys[:5], 48, out=whole_keys[:5], where=np.signbit(numbers))
@@ -461,14 +462,14 @@ def _json_cells(ids: Tuple[str, ...], numbers: np.ndarray, cents: np.ndarray) ->
     # the whole part's slots, the last at the right, then the fraction's
     # from the left, then the exponent's
     count = -(-len(str(int(whole.max()))) // 3)
-    slots = np.empty((count + 5, 6, n), np.uint32)
+    slots = np.empty((count + 5, *odd.shape), np.uint32)
     whole_texts, offsets, _ = _slots(4, 1000, "", "", "\0")
     index = offsets[:, -count:].T.take(whole_keys, axis=1, mode="clip")
     # freed for _cut to reuse: held, it costs 5 000 rows 57 page faults
     del whole_keys
     _cut(whole, 1000, index)
     whole_texts.take(index, out=slots[:count], mode="clip")
-    row_keys = np.full((6, n), 47, np.int64)
+    row_keys = np.full(odd.shape, 47, np.int64)
     row_keys[:5] = keys
     # _cut is done with ``whole``: it is scratch
     remainder = fraction
@@ -483,65 +484,68 @@ def _json_cells(ids: Tuple[str, ...], numbers: np.ndarray, cents: np.ndarray) ->
     texts.take(remainder, out=slots[count + 3], mode="clip")
     row_keys += 23000
     texts.take(row_keys, out=slots[count + 4], mode="clip")
-    # the slots some asset fills: the whole part's from the right, the
-    # fraction's from the left
-    filled = (slots.max(axis=2) != 0).T.tolist()
-    # the scalar rule's texts, row by row, so that the first number that is
-    # not finite is the one named
-    fallbacks = {}
-    for row in np.flatnonzero(odd.any(axis=1)).tolist():
-        where = np.flatnonzero(odd[row])
-        values = (cents if row == 5 else numbers[row])[where].tolist()
-        fallbacks[row] = where, list(map(str, values)) if row == 5 else [repr(_sig10(x)) for x in values]
-    encoded = list(map(encode_basestring_ascii, ids))
-    width = -(-max(map(len, encoded)) // 4)
-    cells = [(list(np.array(encoded, f"S{4 * width}").view(np.uint32).reshape(n, width).T), width, None)]
-    for row in (0, 1, 2, 3, 5, 4):
-        used = filled[row]
-        words = [slots[slot, row] for slot, fills in enumerate(used) if fills]
-        width = len(words)
-        fallback = fallbacks.get(row)
-        if fallback:
-            where, written = fallback
-            width = max(width, -(-max(map(len, written)) // 4))
-            fallback = where, np.array(written, f"S{4 * width}").view(np.uint32).reshape(-1, width)
-        cells.append((words, width, fallback))
-    return cells
+    return slots, odd
 
 
-def _json_layout(head: str, cells, tail: str) -> str:
-    """``head``, the asset objects of ``cells`` (see _json_cells) separated
-    as _json_array separates them, then ``tail``.
+def _json_layout(head: str, ids: Tuple[str, ...], numbers: np.ndarray, cents: np.ndarray,
+                 samples: Optional[List[np.ndarray]]) -> str:
+    """``head``, the asset objects of ``ids``, ``numbers`` and ``cents``
+    (see _json_cells) separated as _json_array separates them, then the
+    rest of the report: the samples, if any (see _json_tail).
 
     The text is written into one byte grid behind ``head``, a row per
     asset: _ASSET_OBJECT's bytes and the separator around the cells, each
-    cell aligned to four bytes, and NUL where nothing is written.  Then
-    every NUL is dropped at once.
+    cell aligned to four bytes, and NUL where nothing is written.  A cell
+    holds four-byte words, a column of them per asset: the id's
+    encode_basestring_ascii text NUL-padded (it never holds a NUL), or the
+    slots of _json_cells that some asset fills in that row.  A number
+    that _json_cells marks odd is written whole over its cell by the
+    scalar rule, repr(_sig10(x)) or a cent's str.  The cells are built in
+    report order and before the samples' tail, so that the first number
+    that is not finite, in column order, is the one named (a cent never
+    is).  Then every NUL is dropped at once.
     """
-    head += "\0" * (-len(head) % 4)
-    template = ""
-    starts = []
-    for piece, (_, width, _) in zip(_ASSET_OBJECT.split("%s"), cells):
+    slots, odd = _json_cells(numbers, cents)
+    n = len(ids)
+    encoded = list(map(encode_basestring_ascii, ids))
+    width = -(-max(map(len, encoded)) // 4)
+    id_words = list(np.array(encoded, f"S{4 * width}").view(np.uint32).reshape(n, width).T)
+    # the slots some asset fills: the whole part's from the right, the
+    # fraction's from the left
+    filled = (slots.max(axis=2) != 0).T.tolist()
+    # the rows that hold a number the scalar rule writes
+    scalar = np.flatnonzero(odd.any(axis=1)).tolist()
+    template, cells = "", []
+    # the id's cell, then those of value, target, naive, adjustment, cents
+    # and final
+    for piece, row in zip(_ASSET_OBJECT.split("%s"), (None, 0, 1, 2, 3, 5, 4)):
         template += piece
         template += "\0" * (-len(template) % 4)
-        starts.append(len(template) // 4)
+        words = id_words if row is None else [slots[slot, row] for slot, fills in enumerate(filled[row]) if fills]
+        width, written = len(words), None
+        if row in scalar:
+            values = (cents if row == 5 else numbers[row])[odd[row]].tolist()
+            written = list(map(str, values)) if row == 5 else [repr(_sig10(x)) for x in values]
+            width = max(width, -(-max(map(len, written)) // 4))
+            written = np.array(written, f"S{4 * width}").view(np.uint32).reshape(-1, width)
+        cells.append((words, len(template) // 4, row, written))
         template += "\0" * (4 * width)
     template += _ASSET_OBJECT.rsplit("%s", 1)[1]
     end = len(template)
     template += ",\n    "
     template += "\0" * (-len(template) % 4)
-    n = len(cells[0][0][0])
+    head += "\0" * (-len(head) % 4)
+    tail = "\n  ]" + _json_tail(samples)
     text = bytearray(len(head) + n * len(template) + len(tail))
     text[: len(head)] = head.encode("ascii")
     text[len(text) - len(tail) :] = tail.encode("ascii")
     grid = np.frombuffer(text, np.uint32, n * len(template) // 4, len(head)).reshape(n, -1)
     grid[:] = np.frombuffer(template.encode("ascii"), np.uint32)
-    for (words, width, fallback), start in zip(cells, starts):
+    for words, start, row, written in cells:
         for column, word in enumerate(words, start):
             grid[:, column] = word
-        if fallback:
-            where, written = fallback
-            grid[where, start : start + width] = written
+        if written is not None:
+            grid[odd[row], start : start + written.shape[1]] = written
     # no separator after the last object
     grid.view(np.uint8)[-1, end:] = 0
     # the grid freed before the text is decoded, which can then reuse its
@@ -569,7 +573,8 @@ def render_json(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Lis
     number per asset, are encoded a column at a time with json's own rules
     for strings, floats and ints; from _JSON_GRID_ROWS assets on, the
     asset objects are written by numpy into one byte grid (see
-    _json_cells), and a number it cannot decide takes the same rule.
+    _json_layout), and a number whose digits its core, _json_cells, cannot
+    decide takes the same rule.
     """
     solution = plan.solution
     budget = _sig10(plan.budget)
@@ -581,9 +586,7 @@ def render_json(portfolio: Portfolio, plan: RebalancePlan, samples: Optional[Lis
         header = _L1_HEADER % (plan.norm.value, budget, solution.case.value, "slack", _sig10(solution.slack))
     if portfolio.n >= _JSON_GRID_ROWS:
         numbers = np.array([portfolio.values, portfolio.targets, plan.naive, plan.adjustments, plan.final_allocations])
-        with np.errstate(over="ignore", invalid="ignore"):
-            cells = _json_cells(portfolio.ids, numbers, plan.rounded_cents)
-        return _json_layout(header + ',\n  "assets": [\n    ', cells, "\n  ]" + _json_tail(samples))
+        return _json_layout(header + ',\n  "assets": [\n    ', portfolio.ids, numbers, plan.rounded_cents, samples)
     assets = list(map(_ASSET_OBJECT.__mod__, zip(
         map(encode_basestring_ascii, portfolio.ids),
         _sig10_texts(portfolio.values.tolist()),

@@ -903,12 +903,14 @@ def _neighbours(x):
     return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
 
 
-#: Numbers at which the JSON grid's texts change (see cli._json_cells), each
-#: with its neighbours 1 ulp away: 10th-digit ties that are exact in binary
-#: (1234567890.5 rounds down to even, 1234567891.5 up) and decimal ones
-#: that are not; roll-overs to one more digit; the powers of ten from 1e-13
-#: to 1e22; exponents -5/-4 and 15/16, where repr changes form; the least
-#: normal and subnormals; numbers outside 1e-13 <= |x| < 1e32.
+#: Numbers at which the JSON grid's texts change, each with its neighbours
+#: 1 ulp away (cli._json_cells writes the digits, cli._json_layout the
+#: numbers that it leaves to the scalar rule): 10th-digit ties that are
+#: exact in binary (1234567890.5 rounds down to even, 1234567891.5 up) and
+#: decimal ones that are not; roll-overs to one more digit; the powers of
+#: ten from 1e-13 to 1e22; exponents -5/-4 and 15/16, where repr changes
+#: form; the least normal and subnormals; numbers outside 1e-13 <= |x| <
+#: 1e32.
 JSON_EDGES = [y for x in (
     1234567890.5, 1234567891.5, 0.12345678905, 0.12345678915, 12345.678905, 2.5e-13, 9.8765432105e20,
     9999999999.5, 0.000099999999995, 99999.999995, 9.9999999995e15, 9.9999999995e-5,
@@ -978,7 +980,7 @@ def test_json_grid_matches_json_dumps(monkeypatch):
     cells = cli._json_cells
 
     def counted_cells(*args):
-        written.append(len(args[0]))
+        written.append(args[0].shape[1])
         return cells(*args)
 
     monkeypatch.setattr(cli, "_json_cells", counted_cells)
@@ -1016,6 +1018,53 @@ def test_json_grid_refuses_non_finite_numbers_as_the_scalar_rule_does(monkeypatc
             messages.append(str(raised.value))
         assert messages == [f"the JSON report cannot hold the non-finite number {first!r}"] * 2, case
 
+
+
+def test_json_grid_writes_the_samples_after_its_assets(monkeypatch):
+    # sampled l1 plans, deficit and surplus, one row below the grid's
+    # cutoff, at it and at 2 000 rows: the samples follow the assets as
+    # json.dumps lays them out, and the grid writes every report from the
+    # cutoff on
+    seed = MASTER_SEED + 97
+    rng = np.random.default_rng(seed)
+    written = []
+    cells = cli._json_cells
+
+    def counted_cells(*args):
+        written.append(args[0].shape[1])
+        return cells(*args)
+
+    monkeypatch.setattr(cli, "_json_cells", counted_cells)
+    for rows in (cli._JSON_GRID_ROWS - 1, cli._JSON_GRID_ROWS, 2000):
+        portfolio = _wide_portfolio(rng, rows)
+        budget = float(10.0 ** rng.uniform(-3.0, 9.0))
+        for plan in (ns.rebalance(portfolio, budget, "l1"), _surplus_plan(rng, portfolio)):
+            samples = [ns.sample_l1_member(plan.solution, rng) for _ in range(3)]
+            reference = json.dumps(reference_plan_to_dict(portfolio, plan, samples), indent=2) + "\n"
+            label = f"seed={seed} rows={rows} budget={budget!r} case={plan.solution.case.value}"
+            assert render_json(portfolio, plan, samples) == reference, label
+    assert written == [cli._JSON_GRID_ROWS] * 2 + [2000] * 2
+
+
+def test_json_report_names_an_assets_non_finite_number_before_a_samples(monkeypatch):
+    # a non-finite naive entry and a non-finite sample: both writers name
+    # the naive entry, which comes first in the report; with the naive
+    # entry finite, both name the sample's
+    rows = cli._JSON_GRID_ROWS
+    portfolio = ns.Portfolio(ns.Asset(f"a{i}", 1.0, 1 / rows) for i in range(rows))
+    plan = ns.rebalance(portfolio, 1.0, "l1")
+    sample = ns.sample_l1_member(plan.solution, MASTER_SEED + 98).copy()
+    sample[rows - 1] = math.nan
+    naive = plan.naive.copy()
+    naive[rows - 1] = -math.inf
+    for bad_plan, first in ((dataclasses.replace(plan, naive=naive), -math.inf), (plan, math.nan)):
+        messages = []
+        for cutoff in (rows + 1, rows):
+            monkeypatch.setattr(cli, "_JSON_GRID_ROWS", cutoff)
+            with pytest.raises(ValueError) as raised:
+                render_json(portfolio, bad_plan, [sample])
+            messages.append(str(raised.value))
+        assert messages == [f"the JSON report cannot hold the non-finite number {first!r}"] * 2, first
 
 # -- JSON never carries NaN or Infinity --------------------------------------
 
